@@ -29,8 +29,7 @@
 //
 // Emits BENCH_chaos.json with per-phase throughput/latency and the
 // robustness counter deltas (retries, quarantined, stalled,
-// worker_restarts, shed). Prints a skip notice and exits 0 on
-// PACGA_NO_FAILPOINTS builds — there is no storm to arm.
+// worker_restarts, shed).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -409,12 +408,6 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
-  }
-  if (!support::kFailpointsCompiledIn) {
-    std::printf(
-        "chaos soak: skipped (PACGA_NO_FAILPOINTS build — no storm to "
-        "arm)\n");
-    return 0;
   }
   if (opts.full) {
     opts.clients *= 4;

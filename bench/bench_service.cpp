@@ -39,9 +39,7 @@
 // Armed-but-silent is the worst case a production box with a forgotten
 // PACGA_FAILPOINTS setting would see — every hit takes the site's slow
 // path (mutex + counter) without misbehaving. FAILS (exit 1) when the
-// loss exceeds --failpoint-overhead-max-pct (default 1%); exits 0 with
-// a skip notice on PACGA_NO_FAILPOINTS builds, where the sites are
-// `((void)0)` and there is nothing to measure. Writes
+// loss exceeds --failpoint-overhead-max-pct (default 1%). Writes
 // BENCH_failpoint_overhead.json.
 #include <algorithm>
 #include <cmath>
@@ -699,12 +697,6 @@ int main(int argc, char** argv) {
     return r.pass ? 0 : 1;
   }
   if (opts.failpoint_overhead) {
-    if (!support::kFailpointsCompiledIn) {
-      std::printf(
-          "failpoint overhead: skipped (PACGA_NO_FAILPOINTS build — sites "
-          "compile to no-ops)\n");
-      return 0;
-    }
     const OverheadResult r = run_failpoint_overhead(opts);
     std::printf(
         "failpoint overhead: best armed %8.1f jobs/s vs best off %8.1f "

@@ -59,8 +59,8 @@ struct ArmResult {
   std::size_t epochs = 0;
   std::size_t solved = 0;
   std::size_t carried = 0;
-  /// Obs-layer histogram percentiles of the arm's service (0 when the
-  /// build has observability compiled out or the arm solved nothing).
+  /// Obs-layer histogram percentiles of the arm's service (0 when
+  /// observability is off or the arm solved nothing).
   double wait_p50_ms = 0.0;
   double wait_p99_ms = 0.0;
   double solve_p50_ms = 0.0;

@@ -1,18 +1,22 @@
 // scheduler_service — the solve service as a scriptable daemon.
 //
 // Speaks a newline-delimited request protocol (docs/DAEMON_PROTOCOL.md)
-// over one of two transports:
+// over one of two transports, both running the same net::Session:
 //
-//   * default: stdin/stdout — one client, one request per line, one
-//     response line per request; drivable from a shell pipe or CI script.
+//   * default: stdin/stdout (net::serve_stream) — one client, one request
+//     per line, one response line per request; drivable from a shell pipe
+//     or CI script.
 //   * --listen <port>: a TCP socket served by a single-threaded poll()
 //     event loop (src/net/server.hpp) — many concurrent clients, each
 //     with its own protocol session, session-local job ids and dynamic
 //     grid. Port 0 binds an ephemeral port; the daemon announces
 //     "LISTENING <host>:<port>" on stdout either way so scripts can
-//     connect. A full queue answers "ERR BUSY queue full" instead of
-//     blocking the loop; disconnecting mid-flight cancels and drains that
-//     client's jobs without disturbing the others.
+//     connect. Disconnecting mid-flight cancels and drains that client's
+//     jobs without disturbing the others.
+//
+// The transports differ in one thing only, admission on a full queue
+// shard: the pipe blocks until the shard has room, a socket client gets
+// "ERR BUSY queue full" instead of stalling the loop.
 //
 // Verbs (full grammar in docs/DAEMON_PROTOCOL.md):
 //
@@ -150,19 +154,8 @@ int serve_socket(service::SchedulerService& svc, const DaemonOptions& opts) {
 
 int serve_pipe(service::SchedulerService& svc, const DaemonOptions& opts) {
   net::InstancePool instances;
-  net::Session session(svc, opts.protocol, instances, /*blocking=*/true);
-  std::string line;
-  bool quit = false;
-  while (!quit && std::getline(std::cin, line)) {
-    const net::Reply reply = session.handle(line);
-    quit = reply.quit;
-    // Diagnostics go to the logger (stderr, off by default), never stdout:
-    // the protocol stream must stay parseable.
-    if (reply.text.compare(0, 4, "ERR ") == 0) {
-      support::log_warn() << "request failed: " << line << " -> " << reply.text;
-    }
-    if (!reply.text.empty()) std::cout << reply.text << std::endl;  // flush
-  }
+  net::Session session(svc, opts.protocol, instances, /*fail_fast=*/false);
+  net::serve_stream(session, std::cin, std::cout);
   support::log_info() << "scheduler_service: shutting down";
   svc.shutdown();
   return 0;

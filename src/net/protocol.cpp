@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <fstream>
+#include <istream>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -11,6 +13,7 @@
 #include "etc/suite.hpp"
 #include "service/exposition.hpp"
 #include "support/failpoints.hpp"
+#include "support/log.hpp"
 
 namespace pacga::net {
 
@@ -172,8 +175,8 @@ dynamic::GridEvent parse_event(std::istringstream& in) {
 }  // namespace
 
 Session::Session(service::SchedulerService& svc, const ProtocolOptions& opts,
-                 InstancePool& instances, bool blocking)
-    : svc_(svc), opts_(opts), instances_(instances), blocking_(blocking) {}
+                 InstancePool& instances, bool fail_fast)
+    : svc_(svc), opts_(opts), instances_(instances), fail_fast_(fail_fast) {}
 
 std::uint64_t Session::map_job(service::JobId global_id) {
   const std::uint64_t local = next_local_++;
@@ -249,23 +252,25 @@ std::string Session::trace(std::istringstream& in) {
   std::istringstream value(target);
   if (!(value >> id) || value.peek() != EOF)
     return "ERR TRACE expects <job-id> or DUMP <file>";
-  service::JobId global = id;
-  if (!blocking_) {
-    const auto it = local_to_global_.find(id);
-    if (it == local_to_global_.end()) {
-      // Never issued on this session: same answer the pipe daemon gives
-      // for an id the flight recorder has no spans for.
-      std::ostringstream out;
-      out << "TRACE id=" << id << " spans=0";
-      return out.str();
-    }
-    global = it->second;
-  }
-  const std::vector<obs::SpanEvent> spans = svc_.trace().job_spans(global);
+  // An id never issued on this session has no spans to show: same answer
+  // as for a job the flight recorder has wrapped past.
+  const auto it = local_to_global_.find(id);
+  const std::vector<obs::SpanEvent> spans =
+      it == local_to_global_.end() ? std::vector<obs::SpanEvent>{}
+                                   : svc_.trace().job_spans(it->second);
   std::ostringstream out;
   out << "TRACE id=" << id << " spans=" << spans.size();
   if (!spans.empty()) out << ' ' << obs::format_job_timeline(spans);
   return out.str();
+}
+
+std::optional<service::JobId> Session::admit(service::JobSpec spec,
+                                            bool reschedule) {
+  if (fail_fast_)
+    return reschedule ? svc_.try_submit_reschedule(std::move(spec))
+                      : svc_.try_submit(std::move(spec));
+  return reschedule ? svc_.submit_reschedule(std::move(spec))
+                    : svc_.submit(std::move(spec));
 }
 
 std::string Session::submit_job(std::istringstream& in, const std::string& cmd,
@@ -310,21 +315,10 @@ std::string Session::submit_job(std::istringstream& in, const std::string& cmd,
     spec.etc = std::make_shared<const etc::EtcMatrix>(tasks, machines,
                                                       std::move(data));
   }
-  std::uint64_t shown = 0;
-  if (blocking_) {
-    const service::JobId id = svc_.submit(std::move(spec));
-    map_job(id);
-    reply.submitted = id;
-    shown = id;  // identity: the pipe session is the sole tenant
-  } else {
-    const std::optional<service::JobId> id = svc_.try_submit(std::move(spec));
-    if (!id) return busy_line(svc_);
-    shown = map_job(*id);
-    reply.submitted = *id;
-  }
-  std::ostringstream out;
-  out << "JOB " << shown;
-  return out.str();
+  const std::optional<service::JobId> id = admit(std::move(spec), false);
+  if (!id) return busy_line(svc_);
+  reply.submitted = *id;
+  return "JOB " + std::to_string(map_job(*id));
 }
 
 std::string Session::reschedule(std::istringstream& in, Reply& reply) {
@@ -344,16 +338,7 @@ std::string Session::reschedule(std::istringstream& in, Reply& reply) {
   spec.policy = service::parse_policy(opts_.policy);
   spec.max_generations = max_generations;
   spec.max_retries = opts_.max_retries;
-  if (blocking_) {
-    const service::JobId id = svc_.submit_reschedule(std::move(spec));
-    map_job(id);
-    const service::JobResult r = svc_.wait(id);
-    const bool adopted =
-        r.status == service::JobStatus::kDone && dynamic_->adopt(r.assignment);
-    return result_line(r.id, r) + " adopted=" + (adopted ? "1" : "0");
-  }
-  const std::optional<service::JobId> id =
-      svc_.try_submit_reschedule(std::move(spec));
+  const std::optional<service::JobId> id = admit(std::move(spec), true);
   if (!id) return busy_line(svc_);
   map_job(*id);
   reply.submitted = *id;
@@ -380,8 +365,7 @@ std::string Session::handle_checked(std::istringstream& in,
   if (cmd == "TRACE") return trace(in);
   if (cmd == "FAILPOINT") {
     // Arms / reconfigures one fault-injection site (docs/ROBUSTNESS.md).
-    // Answers ERR when the spec is malformed — or on every use in a
-    // PACGA_NO_FAILPOINTS build, which must refuse rather than pretend.
+    // Answers ERR when the spec is malformed.
     std::string name, spec;
     if (!(in >> name >> spec)) return "ERR FAILPOINT expects <name> <spec>";
     try {
@@ -392,26 +376,21 @@ std::string Session::handle_checked(std::istringstream& in,
     return "FAILPOINT " + name + " " + spec;
   }
   if (cmd == "DRAIN") {
-    if (blocking_) {
-      svc_.drain();
-      return "DRAINED";
-    }
-    // Socket edge: per-connection drain, delivered by the event loop once
-    // this session's in-flight jobs are terminal (a global drain would let
-    // one tenant stall the loop on every other tenant's backlog).
+    // Per-session drain: the socket edge must not let one tenant stall the
+    // loop on every other tenant's backlog.
     reply.drain = true;
     return "";
   }
   if (cmd == "WAIT") {
     std::uint64_t id = 0;
     if (!(in >> id)) return "ERR WAIT expects a job id";
-    if (blocking_) return result_line(id, svc_.wait(id));
     const auto it = local_to_global_.find(id);
     if (it == local_to_global_.end())
       return "ERR SchedulerService::wait: unknown job id";
     service::JobResult r;
     switch (svc_.poll_result(it->second, r)) {
       case service::SchedulerService::Poll::kReady:
+        reply.released = it->second;
         return result_line(id, r);
       case service::SchedulerService::Poll::kPending:
         reply.wait_on = it->second;
@@ -424,13 +403,8 @@ std::string Session::handle_checked(std::istringstream& in,
   if (cmd == "CANCEL") {
     std::uint64_t id = 0;
     if (!(in >> id)) return "ERR CANCEL expects a job id";
-    bool ok = false;
-    if (blocking_) {
-      ok = svc_.cancel(id);
-    } else {
-      const auto it = local_to_global_.find(id);
-      ok = it != local_to_global_.end() && svc_.cancel(it->second);
-    }
+    const auto it = local_to_global_.find(id);
+    const bool ok = it != local_to_global_.end() && svc_.cancel(it->second);
     std::ostringstream out;
     out << "CANCELLED " << id << ' ' << (ok ? 1 : 0);
     return out.str();
@@ -501,11 +475,43 @@ Reply Session::handle(const std::string& line) {
     reply.text = std::string("ERR ") + e.what();
     // A request that threw must not leave a half-built continuation.
     reply.submitted.reset();
+    reply.released.reset();
     reply.wait_on.reset();
     reply.reschedule_on.reset();
     reply.drain = false;
   }
   return reply;
+}
+
+void serve_stream(Session& session, std::istream& in, std::ostream& out) {
+  service::SchedulerService& svc = session.service();
+  std::string line;
+  bool quit = false;
+  while (!quit && std::getline(in, line)) {
+    const Reply reply = session.handle(line);
+    quit = reply.quit;
+    std::string text = reply.text;
+    try {
+      if (reply.wait_on) {
+        text = session.finish_wait(*reply.wait_on, svc.wait(*reply.wait_on));
+      } else if (reply.reschedule_on) {
+        text = session.finish_reschedule(*reply.reschedule_on,
+                                         svc.wait(*reply.reschedule_on));
+      } else if (reply.drain) {
+        svc.drain();
+        text = "DRAINED";
+      }
+    } catch (const std::exception& e) {
+      // Same contract as Session::handle: a failed request answers ERR,
+      // it never ends the loop.
+      text = std::string("ERR ") + e.what();
+    }
+    // Diagnostics go to the logger (stderr, off by default), never `out`:
+    // the protocol stream must stay parseable.
+    if (text.compare(0, 4, "ERR ") == 0)
+      support::log_warn() << "request failed: " << line << " -> " << text;
+    if (!text.empty()) out << text << std::endl;  // flush: clients read live
+  }
 }
 
 }  // namespace pacga::net

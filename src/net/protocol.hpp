@@ -2,23 +2,27 @@
 //
 // The scheduler daemon speaks a newline-delimited request/response protocol
 // (docs/DAEMON_PROTOCOL.md). This class owns the verb dispatch for ONE
-// client session over either transport:
+// client session, and every verb behaves the same on both transports:
+// a WAIT, RESCHEDULE or DRAIN that cannot answer immediately returns a
+// continuation in the Reply, which the transport resolves before it reads
+// the session's next line. The socket edge (net/server.hpp) parks the
+// connection until the service completion callback fires; the pipe loop
+// (serve_stream below) simply blocks on the service.
 //
-//   * blocking mode (the stdin/stdout pipe): WAIT and RESCHEDULE block
-//     inline on SchedulerService::wait, admission blocks on a full queue —
-//     byte-identical to the pre-socket daemon.
-//   * async mode (a TCP connection on the event loop): WAIT/RESCHEDULE
-//     that cannot answer immediately return a pending continuation in the
-//     Reply instead of blocking (the server delivers the RESULT line from
-//     the service completion callback), and admission fails fast with
-//     "ERR BUSY queue full" when the job's queue shard is full.
+// One difference remains, and it is decided in one place (admission):
+// a fail-fast session (the socket edge) answers "ERR BUSY queue full" when
+// the job's queue shard is full, while the pipe's session blocks in
+// submit until the shard has room — it never answers ERR BUSY and never
+// counts a reject.
 //
 // Job ids are NAMESPACED PER SESSION: responses carry local ids (1, 2, ...
 // in submission order) and the session translates them to the service's
 // global ids. A single client therefore sees the same transcript whether
 // it is the only pipe tenant or one of hundreds of socket tenants — which
 // is what makes per-client socket transcripts byte-comparable against a
-// pipe run under --deterministic.
+// pipe run under --deterministic. (The pipe session is the service's sole
+// tenant, so its local ids equal the global ids and its DRAIN is the
+// service-wide drain.)
 //
 // Each Session owns its dynamic RescheduleSession (one live grid per
 // client); the named-instance pool is shared across sessions (memoization
@@ -26,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -70,38 +75,45 @@ struct Reply {
   /// Global id of a job admitted by this request (the transport tracks
   /// per-connection in-flight jobs for drain/cancel-on-disconnect).
   std::optional<service::JobId> submitted;
-  /// Async WAIT continuation: poll this global id when the completion
-  /// callback fires, then answer Session::finish_wait.
+  /// Global id whose service-side result this request consumed (a WAIT
+  /// answered immediately); the transport stops tracking its handle.
+  std::optional<service::JobId> released;
+  /// WAIT continuation: the result of this global id, once it is terminal,
+  /// answered with Session::finish_wait.
   std::optional<service::JobId> wait_on;
-  /// Async RESCHEDULE continuation: like wait_on, answered with
+  /// RESCHEDULE continuation: like wait_on, answered with
   /// Session::finish_reschedule (which also adopts the improvement).
   std::optional<service::JobId> reschedule_on;
-  /// Async DRAIN: answer "DRAINED" once the session's in-flight jobs have
-  /// all reached a terminal state (per-connection drain at the socket
-  /// edge; the pipe's global drain happens inline).
+  /// DRAIN continuation: answer "DRAINED" once the session's in-flight
+  /// jobs have all reached a terminal state.
   bool drain = false;
 };
 
 class Session {
  public:
-  /// `blocking` selects the pipe transport semantics (see file comment).
-  /// `svc`, `opts` and `instances` must outlive the session.
+  /// `fail_fast` selects admission on a full queue shard: answer
+  /// "ERR BUSY queue full" (true, the socket edge) or block until the
+  /// shard has room (false, the pipe). `svc`, `opts` and `instances` must
+  /// outlive the session.
   Session(service::SchedulerService& svc, const ProtocolOptions& opts,
-          InstancePool& instances, bool blocking);
+          InstancePool& instances, bool fail_fast);
 
   /// Handles one request line. Never throws: malformed input answers
   /// "ERR <reason>" in Reply.text.
   Reply handle(const std::string& line);
 
-  /// Finishes an async WAIT continuation: `result` is the polled result of
-  /// the wait_on id; returns the RESULT line (with the session-local id).
+  /// Finishes a WAIT continuation: `result` is the result of the wait_on
+  /// id; returns the RESULT line (with the session-local id).
   std::string finish_wait(service::JobId global_id,
                           const service::JobResult& result);
 
-  /// Finishes an async RESCHEDULE continuation: adopts an improvement into
-  /// the dynamic session and returns the RESULT ... adopted= line.
+  /// Finishes a RESCHEDULE continuation: adopts an improvement into the
+  /// dynamic session and returns the RESULT ... adopted= line.
   std::string finish_reschedule(service::JobId global_id,
                                 const service::JobResult& result);
+
+  /// The service this session submits to (serve_stream blocks on it).
+  service::SchedulerService& service() const noexcept { return svc_; }
 
  private:
   std::string handle_checked(std::istringstream& in, const std::string& cmd,
@@ -110,6 +122,9 @@ class Session {
                          Reply& reply);
   std::string reschedule(std::istringstream& in, Reply& reply);
   std::string trace(std::istringstream& in);
+  /// The one transport-dependent step: admits `spec` (as a reschedule when
+  /// `reschedule`), or nullopt when a fail-fast session meets a full shard.
+  std::optional<service::JobId> admit(service::JobSpec spec, bool reschedule);
   /// Allocates the next session-local id for an admitted global id.
   std::uint64_t map_job(service::JobId global_id);
   /// Session-local view of a global id ("?" when unknown — cannot happen
@@ -121,18 +136,22 @@ class Session {
   service::SchedulerService& svc_;
   const ProtocolOptions& opts_;
   InstancePool& instances_;
-  const bool blocking_;
+  const bool fail_fast_;
   /// One live rescheduling session per client session.
   std::optional<dynamic::RescheduleSession> dynamic_;
   /// Local ids are allocated per admitted job, in submission order. The
   /// maps live for the session (two words per job) so TRACE keeps working
-  /// after WAIT released the service-side handle. In blocking mode the
-  /// mapping is identity by construction (sole tenant) and raw ids are
-  /// passed through untranslated to preserve the pipe daemon's byte-exact
-  /// error behavior.
+  /// after WAIT released the service-side handle.
   std::uint64_t next_local_ = 1;
   std::unordered_map<std::uint64_t, service::JobId> local_to_global_;
   std::unordered_map<service::JobId, std::uint64_t> global_to_local_;
 };
+
+/// The pipe transport: serves `session` one request line at a time from
+/// `in` until QUIT or EOF, writing (and flushing) each response to `out`.
+/// Continuations resolve inline by blocking on the session's service —
+/// WAIT and RESCHEDULE on SchedulerService::wait, DRAIN on
+/// SchedulerService::drain — so responses stay in request order.
+void serve_stream(Session& session, std::istream& in, std::ostream& out);
 
 }  // namespace pacga::net

@@ -113,6 +113,12 @@ Server::~Server() {
   if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
 }
 
+std::size_t Server::unreaped_jobs() const noexcept {
+  std::size_t n = 0;
+  for (const auto& [fd, conn] : conns_) n += conn->unreaped.size();
+  return n;
+}
+
 void Server::stop() noexcept {
   stop_.store(true, std::memory_order_release);
   mailbox_->wake();
@@ -221,6 +227,7 @@ void Server::process_lines(Connection& c) {
       c.unreaped.insert(*reply.submitted);
       job_owner_[*reply.submitted] = c.fd;
     }
+    if (reply.released) c.unreaped.erase(*reply.released);
     if (reply.text.compare(0, 4, "ERR ") == 0) {
       support::log_warn() << "net: request failed: " << line << " -> "
                           << reply.text;
@@ -303,7 +310,7 @@ void Server::accept_clients() {
     conn->fd = fd;
     conn->last_activity = std::chrono::steady_clock::now();
     conn->session = std::make_unique<Session>(svc_, options_.protocol,
-                                              instances_, /*blocking=*/false);
+                                              instances_, /*fail_fast=*/true);
     conns_.emplace(fd, std::move(conn));
     support::log_debug() << "net: accepted fd=" << fd << " ("
                          << conns_.size() << " connections)";

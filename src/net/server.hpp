@@ -101,6 +101,11 @@ class Server {
   /// Connections currently open (loop thread's view; for tests/metrics).
   std::size_t connections() const noexcept { return conns_.size(); }
 
+  /// Result handles the open connections still track for reaping on
+  /// disconnect (loop thread's view; for tests). A job whose result was
+  /// delivered is no longer counted.
+  std::size_t unreaped_jobs() const noexcept;
+
  private:
   /// Cross-thread completion mailbox. Shared with the service completion
   /// callback closure so a callback racing teardown still writes into
@@ -129,8 +134,9 @@ class Server {
     /// Global ids submitted here that have not reached a terminal state.
     std::unordered_set<service::JobId> inflight;
     /// Global ids submitted here whose result may still be registered in
-    /// the service (released on WAIT or reaped on disconnect; stale
-    /// entries are harmless — reaping tolerates kUnknown).
+    /// the service (erased when WAIT or RESCHEDULE delivers the result,
+    /// reaped on disconnect; stale entries are harmless — reaping
+    /// tolerates kUnknown).
     std::unordered_set<service::JobId> unreaped;
     /// Last inbound bytes or delivered reply; drives the idle reaper.
     std::chrono::steady_clock::time_point last_activity{};

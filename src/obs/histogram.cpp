@@ -62,8 +62,6 @@ double HistogramSnapshot::quantile_ns(double q) const noexcept {
   return static_cast<double>(hist_value_at(counts_.size() - 1));
 }
 
-#if !defined(PACGA_NO_OBS)
-
 LatencyHistogram::LatencyHistogram(bool enabled) {
   if (!enabled) return;
   counts_ = std::make_unique<std::atomic<std::uint64_t>[]>(kHistBuckets);
@@ -78,8 +76,6 @@ HistogramSnapshot LatencyHistogram::snapshot() const {
     out[i] = counts_[i].load(std::memory_order_relaxed);
   return HistogramSnapshot(std::move(out));
 }
-
-#endif  // !PACGA_NO_OBS
 
 void LatencyHistogram::record_seconds(double seconds) noexcept {
   if (!(seconds > 0.0)) {  // negative clock skew and NaN clamp to 0

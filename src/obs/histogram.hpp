@@ -17,9 +17,6 @@
 // Merging per-worker snapshots is integer bucket addition, so the merge of
 // N single-writer histograms is BIT-EQUAL to one serial histogram fed the
 // same samples in any order (test_obs pins this).
-//
-// Compile-out: with PACGA_NO_OBS defined the class keeps its interface but
-// owns no storage; record() is an empty inline and snapshots are empty.
 #pragma once
 
 #include <atomic>
@@ -79,7 +76,6 @@ class HistogramSnapshot {
 /// never allocates (the warm-solver zero-alloc proofs cover it).
 class LatencyHistogram {
  public:
-#if !defined(PACGA_NO_OBS)
   LatencyHistogram() : LatencyHistogram(true) {}
   /// `enabled == false` skips the storage entirely: record() is a pointer
   /// test and snapshots are empty (the runtime observability switch).
@@ -93,21 +89,13 @@ class LatencyHistogram {
   }
 
   HistogramSnapshot snapshot() const;
-#else
-  LatencyHistogram() = default;
-  explicit LatencyHistogram(bool) {}
-  void record_ns(std::uint64_t) noexcept {}
-  HistogramSnapshot snapshot() const { return {}; }
-#endif
 
   /// Seconds convenience for the service's double-seconds timings (clamped
   /// to [0, 2^63) ns).
   void record_seconds(double seconds) noexcept;
 
  private:
-#if !defined(PACGA_NO_OBS)
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
-#endif
 };
 
 }  // namespace pacga::obs

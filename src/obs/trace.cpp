@@ -38,8 +38,6 @@ bool span_has_duration(SpanKind k) noexcept {
   }
 }
 
-#if !defined(PACGA_NO_OBS)
-
 namespace {
 
 std::size_t round_up_pow2(std::size_t n) {
@@ -121,8 +119,6 @@ std::vector<SpanEvent> TraceRing::snapshot() const {
   if (keep_from > 0) out.erase(out.begin(), out.begin() + keep_from);
   return out;
 }
-
-#endif  // !PACGA_NO_OBS
 
 // --- TraceCollector ---------------------------------------------------------
 

@@ -21,9 +21,6 @@
 // Timestamps are monotonic nanoseconds since the owning TraceCollector's
 // construction (steady_clock), so spans from different workers order
 // consistently and Chrome's trace viewer renders them on one timeline.
-//
-// Compile-out: with PACGA_NO_OBS the recording API keeps its shape but
-// stores nothing and snapshots are empty.
 #pragma once
 
 #include <atomic>
@@ -84,7 +81,6 @@ struct SpanEvent {
 /// reader protocol). Capacity is rounded up to a power of two.
 class TraceRing {
  public:
-#if !defined(PACGA_NO_OBS)
   /// `capacity` 0 disables the ring (push is a branch, snapshots empty).
   explicit TraceRing(std::size_t capacity);
 
@@ -100,16 +96,8 @@ class TraceRing {
   }
 
   std::size_t capacity() const noexcept { return mask_ ? mask_ + 1 : 0; }
-#else
-  explicit TraceRing(std::size_t) {}
-  void push(const SpanEvent&) noexcept {}
-  std::vector<SpanEvent> snapshot() const { return {}; }
-  std::uint64_t pushed() const noexcept { return 0; }
-  std::size_t capacity() const noexcept { return 0; }
-#endif
 
  private:
-#if !defined(PACGA_NO_OBS)
   /// One record as relaxed-atomic words: word-tear-free under a racing
   /// reader. Layout: job, ts, dur, kind|worker packed, a, b.
   static constexpr std::size_t kWords = 6;
@@ -118,7 +106,6 @@ class TraceRing {
   std::unique_ptr<Slot[]> slots_;
   std::size_t mask_ = 0;               ///< capacity - 1 (power of two)
   std::atomic<std::uint64_t> head_{0};  ///< records published
-#endif
 };
 
 /// The service-wide collector: one padded TraceRing per worker plus the

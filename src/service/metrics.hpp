@@ -40,7 +40,7 @@ class ServiceMetrics {
  public:
   /// One per pool worker; `workers` must be >= 1. `histograms` false keeps
   /// the Welford moments but skips the latency histograms (the runtime
-  /// observability switch; PACGA_NO_OBS compiles them out entirely).
+  /// observability switch).
   explicit ServiceMetrics(std::size_t workers = 1, bool histograms = true);
 
   /// Consistent-enough copy of all metrics at one instant.
@@ -71,7 +71,7 @@ class ServiceMetrics {
     /// Log-bucketed latency distributions merged across workers in worker
     /// order (same discipline as the Welford moments, so quantiles of a
     /// quiesced service are bit-identical across snapshots). Empty when
-    /// histograms are disabled or compiled out.
+    /// histograms are disabled.
     obs::HistogramSnapshot queue_wait_hist;
     obs::HistogramSnapshot solve_hist;
     obs::HistogramSnapshot e2e_hist;  ///< submit -> terminal

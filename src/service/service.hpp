@@ -55,8 +55,7 @@ struct ServiceOptions {
   std::size_t trace_capacity = 8192;
   /// Master runtime switch for the observability layer (trace rings AND
   /// latency histograms). Counters and Welford moments always run — they
-  /// predate the obs layer and STATS depends on them. PACGA_NO_OBS
-  /// compiles the layer out regardless of this flag.
+  /// predate the obs layer and STATS depends on them.
   bool observability = true;
   /// Solver base configuration (grid, operators, objective, Min-min
   /// seeding). Termination and seed are per-job; collect_trace is forced
@@ -163,8 +162,8 @@ class SchedulerService {
   const ServiceOptions& options() const noexcept { return options_; }
 
   /// The span flight recorder (disabled — empty snapshots — when
-  /// options.observability is false, trace_capacity is 0, or the build
-  /// defines PACGA_NO_OBS). The daemon's TRACE verbs read it.
+  /// options.observability is false or trace_capacity is 0). The daemon's
+  /// TRACE verbs read it.
   const obs::TraceCollector& trace() const noexcept { return trace_; }
 
   /// Queue shards == workers (each worker's home shard is its own).

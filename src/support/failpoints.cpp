@@ -1,7 +1,5 @@
 #include "support/failpoints.hpp"
 
-#ifndef PACGA_NO_FAILPOINTS
-
 #include <chrono>
 #include <cstdlib>
 #include <thread>
@@ -259,5 +257,3 @@ ScopedWedgeSuspend::~ScopedWedgeSuspend() {
 }
 
 }  // namespace pacga::support
-
-#endif  // PACGA_NO_FAILPOINTS

@@ -29,39 +29,26 @@
 // registry use), e.g.:
 //
 //   PACGA_FAILPOINTS="solver.solve=every=3:throw,cache.lookup=once:wedge"
-//
-// Everything here compiles out under PACGA_NO_FAILPOINTS: the macro is
-// `((void)0)` and the registry keeps an interface-only stub whose
-// configure() throws, so a daemon built without failpoints answers ERR
-// to the FAILPOINT verb instead of silently accepting it.
 #pragma once
 
-#include <stdexcept>
-#include <string>
-#include <vector>
-
-#ifndef PACGA_NO_FAILPOINTS
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#endif
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace pacga::support {
 
-/// Thrown by a site whose armed action is `throw`. Defined in both build
-/// flavors so catch sites compile unchanged under PACGA_NO_FAILPOINTS.
+/// Thrown by a site whose armed action is `throw`.
 class FailpointError : public std::runtime_error {
  public:
   explicit FailpointError(const std::string& site)
       : std::runtime_error("failpoint " + site) {}
 };
-
-#ifndef PACGA_NO_FAILPOINTS
-
-inline constexpr bool kFailpointsCompiledIn = true;
 
 /// One named site. The disarmed fast path is a single relaxed atomic
 /// load (`armed()`); everything else lives behind the slow-path mutex.
@@ -178,39 +165,5 @@ class ScopedWedgeSuspend {
         ::pacga::support::failpoints().site(name);                    \
     if (pacga_fp_site_.armed()) pacga_fp_site_.fire();                \
   } while (0)
-
-#else  // PACGA_NO_FAILPOINTS -----------------------------------------------
-
-inline constexpr bool kFailpointsCompiledIn = false;
-
-/// Interface-only stub: shape-compatible with the real registry so
-/// callers (daemon verb, benches, tests) compile unchanged. configure()
-/// throws — a build without failpoints must refuse to pretend it armed
-/// one.
-class FailpointRegistry {
- public:
-  void configure(const std::string&, const std::string&) {
-    throw std::runtime_error("failpoints compiled out (PACGA_NO_FAILPOINTS)");
-  }
-  void configure_from_string(const std::string&) {
-    throw std::runtime_error("failpoints compiled out (PACGA_NO_FAILPOINTS)");
-  }
-  void reset_all() noexcept {}
-  std::size_t wedged() const noexcept { return 0; }
-  std::vector<std::string> names() const { return {}; }
-};
-
-inline FailpointRegistry& failpoints() {
-  static FailpointRegistry registry;
-  return registry;
-}
-
-inline bool wedges_suspended() noexcept { return false; }
-
-class ScopedWedgeSuspend {};
-
-#define PACGA_FAILPOINT(name) ((void)0)
-
-#endif  // PACGA_NO_FAILPOINTS
 
 }  // namespace pacga::support

@@ -639,8 +639,8 @@ constexpr Dispatch kAvx512{avx512_max_value, avx512_min_value,
 const Dispatch* resolve() {
   const char* error = nullptr;
   const Dispatch* d = detail::resolve_tables(
-      std::getenv("PACGA_FORCE_KERNELS"), std::getenv("PACGA_FORCE_SCALAR"),
-      detail::avx2_supported(), detail::avx512_supported(), &error);
+      std::getenv("PACGA_FORCE_KERNELS"), detail::avx2_supported(),
+      detail::avx512_supported(), &error);
   if (d == nullptr) {
     // A forced tier the host cannot honor must not degrade silently: the
     // caller asked for a specific code path (bit-identity audit, CI matrix
@@ -700,10 +700,8 @@ const Dispatch& avx512_table() noexcept {
 #endif
 }
 
-const Dispatch* resolve_tables(const char* force_kernels,
-                               const char* force_scalar, bool have_avx2,
-                               bool have_avx512,
-                               const char** error) noexcept {
+const Dispatch* resolve_tables(const char* force_kernels, bool have_avx2,
+                               bool have_avx512, const char** error) noexcept {
   *error = nullptr;
   if (force_kernels != nullptr && *force_kernels != '\0') {
     const std::string_view want(force_kernels);
@@ -724,9 +722,6 @@ const Dispatch* resolve_tables(const char* force_kernels,
              "avx512)";
     return nullptr;
   }
-  const bool alias_scalar = force_scalar != nullptr && *force_scalar != '\0' &&
-                            !(force_scalar[0] == '0' && force_scalar[1] == '\0');
-  if (alias_scalar) return &scalar_table();
   if (have_avx512) return &avx512_table();
   if (have_avx2) return &avx2_table();
   return &scalar_table();

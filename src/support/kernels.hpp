@@ -8,8 +8,7 @@
 // header. Three tiers — AVX-512 (8-wide doubles), AVX2 (4-wide), and a
 // portable scalar path — are resolved ONCE at startup from CPU features;
 // `PACGA_FORCE_KERNELS=scalar|avx2|avx512` pins a specific tier for testing
-// (refusing tiers the CPU cannot run), and `PACGA_FORCE_SCALAR=1` survives
-// as an alias for `PACGA_FORCE_KERNELS=scalar`.
+// (refusing tiers the CPU cannot run).
 //
 // Semantics are PINNED and dispatch-independent:
 //   * argmax/argmin and the fused min scans break ties toward the LOWEST
@@ -66,9 +65,9 @@ struct Dispatch {
 };
 
 /// The active table: resolved once (first use) from CPU features and the
-/// PACGA_FORCE_KERNELS / PACGA_FORCE_SCALAR environment variables. A forced
-/// tier the CPU cannot run (or an unrecognized value) aborts loudly rather
-/// than silently running something else.
+/// PACGA_FORCE_KERNELS environment variable. A forced tier the CPU cannot
+/// run (or an unrecognized value) aborts loudly rather than silently
+/// running something else.
 const Dispatch& active() noexcept;
 
 /// "avx512", "avx2" or "scalar" — what active() resolved to.
@@ -157,13 +156,11 @@ const Dispatch& avx512_table() noexcept;
 
 /// The pure resolution rule behind active(), exposed so tests can pin the
 /// precedence order without forking per environment combination:
-/// PACGA_FORCE_KERNELS (scalar|avx2|avx512) wins when set; otherwise a
-/// truthy PACGA_FORCE_SCALAR pins scalar; otherwise the best supported
-/// tier (avx512 > avx2 > scalar). Returns nullptr with `*error` set to a
+/// PACGA_FORCE_KERNELS (scalar|avx2|avx512) wins when set; otherwise the
+/// best supported tier (avx512 > avx2 > scalar). Returns nullptr with `*error` set to a
 /// static message when a forced tier is unsupported or the value is
 /// unrecognized — active() turns that into an abort.
-const Dispatch* resolve_tables(const char* force_kernels,
-                               const char* force_scalar, bool have_avx2,
+const Dispatch* resolve_tables(const char* force_kernels, bool have_avx2,
                                bool have_avx512, const char** error) noexcept;
 
 }  // namespace detail

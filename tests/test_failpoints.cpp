@@ -1,8 +1,6 @@
 // Failpoint registry unit tests: spec grammar, the counter-based trigger
 // schedules, the three actions (throw / delay / wedge), reconfiguration
-// semantics (hit counters reset, wedges release), and the stub-build
-// contract under PACGA_NO_FAILPOINTS (configure refuses, sites are
-// no-ops).
+// semantics (hit counters reset, wedges release).
 //
 // The registry is process-global, so every test uses its own site names
 // ("test.<case>.*") and disarms what it armed; reset_all() in a final
@@ -20,8 +18,6 @@
 
 namespace pacga::support {
 namespace {
-
-#ifndef PACGA_NO_FAILPOINTS
 
 /// Counts how many of `hits` macro hits fire (throw) at `site`.
 int fired_of(const char* site, int hits) {
@@ -231,25 +227,6 @@ TEST(Failpoints, ResetAllDisarmsEverything) {
     EXPECT_FALSE(failpoints().site(name).armed()) << name;
   (void)fired_of;  // silence unused when the helper set shrinks
 }
-
-#else  // PACGA_NO_FAILPOINTS ------------------------------------------------
-
-TEST(FailpointsStub, ConfigureRefusesWhenCompiledOut) {
-  EXPECT_THROW(failpoints().configure("any.site", "once"),
-               std::runtime_error);
-  EXPECT_THROW(failpoints().configure_from_string("a=once"),
-               std::runtime_error);
-  EXPECT_TRUE(failpoints().names().empty());
-  EXPECT_EQ(failpoints().wedged(), 0u);
-  failpoints().reset_all();  // must be a harmless no-op
-}
-
-TEST(FailpointsStub, MacroIsANoOp) {
-  PACGA_FAILPOINT("any.site");  // must compile to ((void)0)
-  EXPECT_FALSE(kFailpointsCompiledIn);
-}
-
-#endif  // PACGA_NO_FAILPOINTS
 
 }  // namespace
 }  // namespace pacga::support

@@ -336,40 +336,27 @@ TEST(Kernels, ForceResolutionOrderIsPinned) {
   const Dispatch* avx512 = &detail::avx512_table();
   const char* err = nullptr;
 
-  // Unforced: best supported tier wins.
-  EXPECT_EQ(detail::resolve_tables(nullptr, nullptr, true, true, &err), avx512);
-  EXPECT_EQ(detail::resolve_tables(nullptr, nullptr, true, false, &err), avx2);
-  EXPECT_EQ(detail::resolve_tables(nullptr, nullptr, false, false, &err),
-            scalar);
+  // Unforced (unset or empty): best supported tier wins.
+  EXPECT_EQ(detail::resolve_tables(nullptr, true, true, &err), avx512);
+  EXPECT_EQ(detail::resolve_tables("", true, true, &err), avx512);
+  EXPECT_EQ(detail::resolve_tables(nullptr, true, false, &err), avx2);
+  EXPECT_EQ(detail::resolve_tables(nullptr, false, false, &err), scalar);
 
   // PACGA_FORCE_KERNELS pins a tier; supported requests are honored...
-  EXPECT_EQ(detail::resolve_tables("scalar", nullptr, true, true, &err),
-            scalar);
-  EXPECT_EQ(detail::resolve_tables("avx2", nullptr, true, true, &err), avx2);
-  EXPECT_EQ(detail::resolve_tables("avx512", nullptr, true, true, &err),
-            avx512);
+  EXPECT_EQ(detail::resolve_tables("scalar", true, true, &err), scalar);
+  EXPECT_EQ(detail::resolve_tables("avx2", true, true, &err), avx2);
+  EXPECT_EQ(detail::resolve_tables("avx512", true, true, &err), avx512);
 
   // ...unsupported or malformed ones are refused loudly (null + message),
   // never silently downgraded.
-  EXPECT_EQ(detail::resolve_tables("avx512", nullptr, true, false, &err),
-            nullptr);
+  EXPECT_EQ(detail::resolve_tables("avx512", true, false, &err), nullptr);
   ASSERT_NE(err, nullptr);
   EXPECT_NE(std::string(err).find("avx512"), std::string::npos);
-  EXPECT_EQ(detail::resolve_tables("avx2", nullptr, false, false, &err),
-            nullptr);
+  EXPECT_EQ(detail::resolve_tables("avx2", false, false, &err), nullptr);
   ASSERT_NE(err, nullptr);
-  EXPECT_EQ(detail::resolve_tables("sse9", nullptr, true, true, &err), nullptr);
+  EXPECT_EQ(detail::resolve_tables("sse9", true, true, &err), nullptr);
   ASSERT_NE(err, nullptr);
   EXPECT_NE(std::string(err).find("unrecognized"), std::string::npos);
-
-  // The legacy PACGA_FORCE_SCALAR alias still pins scalar — but only when
-  // PACGA_FORCE_KERNELS is unset (or empty); the new variable wins.
-  EXPECT_EQ(detail::resolve_tables(nullptr, "1", true, true, &err), scalar);
-  EXPECT_EQ(detail::resolve_tables("", "1", true, true, &err), scalar);
-  EXPECT_EQ(detail::resolve_tables(nullptr, "0", true, true, &err), avx512);
-  EXPECT_EQ(detail::resolve_tables(nullptr, "", true, true, &err), avx512);
-  EXPECT_EQ(detail::resolve_tables("avx512", "1", true, true, &err), avx512);
-  EXPECT_EQ(detail::resolve_tables("avx2", "1", true, true, &err), avx2);
 }
 
 TEST(Kernels, ActiveDispatchIsOneOfTheTables) {
@@ -379,16 +366,10 @@ TEST(Kernels, ActiveDispatchIsOneOfTheTables) {
     EXPECT_EQ(name, "scalar");
   }
   // The forced-tier CI matrix runs the whole suite under each value of
-  // PACGA_FORCE_KERNELS; the legacy PACGA_FORCE_SCALAR alias applies only
-  // when the new variable is unset.
+  // PACGA_FORCE_KERNELS.
   const char* forced_tier = std::getenv("PACGA_FORCE_KERNELS");
   if (forced_tier && *forced_tier) {
     EXPECT_EQ(name, forced_tier);
-  } else {
-    const char* forced = std::getenv("PACGA_FORCE_SCALAR");
-    if (forced && *forced && std::string(forced) != "0") {
-      EXPECT_EQ(name, "scalar");
-    }
   }
 }
 

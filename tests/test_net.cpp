@@ -1,11 +1,12 @@
-// The TCP edge of the scheduler daemon (src/net): multi-client
-// correctness, protocol equivalence with the pipe transport, malformed
-// input over both transports, backpressure, and disconnect draining.
+// The transports of the scheduler daemon (src/net): multi-client
+// correctness, protocol equivalence between the socket edge and the pipe
+// loop, malformed input, backpressure, and disconnect draining.
 //
-// Every test stands up a real Server on an ephemeral loopback port with
-// the event loop on a background thread, and talks to it through real
+// Socket tests stand up a real Server on an ephemeral loopback port with
+// the event loop on a background thread, and talk to it through real
 // sockets — the same code path production clients take, including partial
-// reads, pipelining and half-closes.
+// reads, pipelining and half-closes. Pipe tests run net::serve_stream, the
+// loop the daemon serves stdin/stdout with, over string streams.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -16,6 +17,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -138,11 +140,17 @@ class NetTest : public ::testing::Test {
 
   void TearDown() override {
     if (server_) {
-      server_->stop();
-      loop_.join();
+      stop_loop();
       server_.reset();
     }
     if (svc_) svc_->shutdown();
+  }
+
+  /// Stops the event loop and joins its thread; afterwards the server's
+  /// loop-thread state is safe to read from the test thread.
+  void stop_loop() {
+    server_->stop();
+    if (loop_.joinable()) loop_.join();
   }
 
   std::uint16_t port() const { return server_->port(); }
@@ -457,28 +465,73 @@ TEST_F(NetTest, SlowButLiveClientWithParkedWaitIsNotReaped) {
   EXPECT_EQ(c.read_line(), "BYE");
 }
 
+TEST_F(NetTest, AnsweredJobsAreNotTrackedForTheConnectionsLife) {
+  start();
+  Client c(port());
+  constexpr int kJobs = 20;
+  for (int j = 1; j <= kJobs; ++j) {
+    const std::string id = std::to_string(j);
+    c.send_line(kSubmit);
+    EXPECT_EQ(c.read_line(), "JOB " + id);
+    // DRAIN first so the WAIT finds the job finished and answers at once
+    // instead of parking.
+    c.send_line("DRAIN");
+    EXPECT_EQ(c.read_line(), "DRAINED");
+    c.send_line("WAIT " + id);
+    const std::string result = c.read_line();
+    EXPECT_EQ(result.compare(0, 11 + id.size(), "RESULT id=" + id + " "), 0)
+        << result;
+  }
+  stop_loop();
+  EXPECT_EQ(server_->connections(), 1u);
+  // Every result was delivered: nothing is left to reap on disconnect.
+  EXPECT_EQ(server_->unreaped_jobs(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Transport equivalence: the same deterministic script must produce the
-// same bytes through a blocking (pipe) Session and through the socket.
+// same bytes through the pipe loop (net::serve_stream) and the socket.
 
-std::vector<std::string> run_script_blocking(
-    const std::vector<std::string>& script) {
-  service::ServiceOptions svc_options;
-  svc_options.workers = 2;
+service::ServiceOptions transcript_service() {
+  service::ServiceOptions o;
+  o.workers = 2;
+  // A warm cache would flip cache_hit between the two runs.
+  o.cache_capacity = 0;
+  return o;
+}
+
+/// Runs `script` through the daemon's pipe loop on a fresh service and
+/// returns the response lines.
+std::vector<std::string> run_script_pipe(
+    const std::vector<std::string>& script,
+    service::ServiceOptions svc_options = transcript_service(),
+    const std::string& policy = "minmin") {
   service::SchedulerService svc(svc_options);
   net::ProtocolOptions protocol;
-  protocol.policy = "minmin";
+  protocol.policy = policy;
   protocol.deterministic = true;
   net::InstancePool instances;
-  net::Session session(svc, protocol, instances, /*blocking=*/true);
-  std::vector<std::string> out;
-  for (const std::string& line : script) {
-    const net::Reply reply = session.handle(line);
-    if (!reply.text.empty()) out.push_back(reply.text);
-    if (reply.quit) break;
-  }
+  net::Session session(svc, protocol, instances, /*fail_fast=*/false);
+  std::string joined;
+  for (const std::string& line : script) joined += line + "\n";
+  std::istringstream in(joined);
+  std::ostringstream out;
+  net::serve_stream(session, in, out);
   svc.shutdown();
-  return out;
+  std::vector<std::string> lines;
+  std::istringstream reader(out.str());
+  for (std::string line; std::getline(reader, line);) lines.push_back(line);
+  return lines;
+}
+
+/// A TRACE timeline carries wall-clock offsets and worker-dependent spans;
+/// keep only whether the job has spans at all.
+std::string without_trace_timing(const std::string& line) {
+  if (line.compare(0, 6, "TRACE ") != 0) return line;
+  const std::size_t at = line.find(" spans=");
+  if (at == std::string::npos) return line;
+  const bool none = line.compare(at, std::string::npos, " spans=0") == 0;
+  return line.substr(0, at) + (none ? " spans=0" : " spans>0");
 }
 
 TEST_F(NetTest, SocketTranscriptMatchesPipeTranscript) {
@@ -488,6 +541,14 @@ TEST_F(NetTest, SocketTranscriptMatchesPipeTranscript) {
       "INSTANCE 0 60000 1 u_c_hilo.0",
       "WAIT 2",
       "WAIT 2",  // double-wait: same error on both transports
+      "WORKLOAD 0 60000 1 1024 32 3",
+      "WAIT 3",  // pending: the solve outlasts the round trip
+      "WORKLOAD 0 60000 2 64 8 4",
+      "DRAIN",
+      "WAIT 4",  // answered at once: DRAIN saw the job finish
+      "TRACE 1",
+      "TRACE 99",  // never issued on this session
+      "CANCEL 1",  // own id, already finished
       "DYNAMIC 64 8 7",
       "EVENT DOWN 2",
       "EVENT ARRIVE 2500",
@@ -495,20 +556,43 @@ TEST_F(NetTest, SocketTranscriptMatchesPipeTranscript) {
       "CANCEL 99",
       "QUIT",
   };
-  const std::vector<std::string> pipe_lines = run_script_blocking(script);
+  std::vector<std::string> pipe_lines = run_script_pipe(script);
+  for (std::string& line : pipe_lines) line = without_trace_timing(line);
+  ASSERT_EQ(pipe_lines.size(), script.size());  // one response per request
+  EXPECT_EQ(pipe_lines[8], "DRAINED");
+  EXPECT_EQ(pipe_lines[10], "TRACE id=1 spans>0");
+  EXPECT_EQ(pipe_lines[11], "TRACE id=99 spans=0");
+  EXPECT_EQ(pipe_lines[12], "CANCELLED 1 0");
 
-  service::ServiceOptions svc_options;
-  svc_options.workers = 2;
-  // A fresh cacheless service per transport would also work; a shared
-  // warm cache would flip cache_hit between runs, so disable it.
-  svc_options.cache_capacity = 0;
-  start(svc_options);
+  start(transcript_service());
   Client c(port());
   for (const std::string& line : script) c.send_line(line);
   std::vector<std::string> socket_lines;
   for (std::size_t i = 0; i < pipe_lines.size(); ++i)
-    socket_lines.push_back(c.read_line());
+    socket_lines.push_back(without_trace_timing(c.read_line()));
   EXPECT_EQ(socket_lines, pipe_lines);
+}
+
+// The one transport difference: a full queue shard blocks the pipe's
+// admission instead of answering ERR BUSY (the socket twin is
+// FullQueueAnswersBusyInsteadOfBlocking).
+TEST_F(NetTest, PipeAdmissionBlocksOnFullShard) {
+  service::ServiceOptions svc_options;
+  svc_options.workers = 1;
+  svc_options.queue_capacity = 1;
+  // pacga runs until the deadline and distinct workloads miss the cache:
+  // the worker holds one job, the queue the next, so the rest of the
+  // burst meets a full shard.
+  const std::vector<std::string> lines = run_script_pipe(
+      {"WORKLOAD 0 150 1 64 8 1", "WORKLOAD 0 150 1 64 8 2",
+       "WORKLOAD 0 150 1 64 8 3", "WORKLOAD 0 150 1 64 8 4", "STATS", "QUIT"},
+      svc_options, "pacga");
+  ASSERT_EQ(lines.size(), 6u);
+  for (int i = 0; i < 4; ++i)
+    EXPECT_EQ(lines[i], "JOB " + std::to_string(i + 1));
+  EXPECT_EQ(lines[4].compare(0, 6, "STATS "), 0) << lines[4];
+  EXPECT_NE(lines[4].find(" rejected=0 "), std::string::npos) << lines[4];
+  EXPECT_EQ(lines[5], "BYE");
 }
 
 // Same script, same transport, run twice: --deterministic means
@@ -518,7 +602,7 @@ TEST_F(NetTest, DeterministicScriptsAreReproducible) {
       "DYNAMIC 64 8 7",  "EVENT DOWN 2",         "EVENT COMMIT 100",
       "EVENT ARRIVE 2500", "RESCHEDULE 0 60000 1 0", "QUIT",
   };
-  EXPECT_EQ(run_script_blocking(script), run_script_blocking(script));
+  EXPECT_EQ(run_script_pipe(script), run_script_pipe(script));
 }
 
 // ---------------------------------------------------------------------------
@@ -529,7 +613,7 @@ TEST(TraceDump, UnopenablePathAnswersCannotOpen) {
   service::SchedulerService svc;
   net::ProtocolOptions protocol;
   net::InstancePool instances;
-  net::Session session(svc, protocol, instances, /*blocking=*/true);
+  net::Session session(svc, protocol, instances, /*fail_fast=*/false);
   const net::Reply reply =
       session.handle("TRACE DUMP /no/such/directory/trace.json");
   EXPECT_EQ(reply.text,
@@ -545,7 +629,7 @@ TEST(TraceDump, FailedWriteAnswersErrNotSuccess) {
   service::SchedulerService svc;
   net::ProtocolOptions protocol;
   net::InstancePool instances;
-  net::Session session(svc, protocol, instances, /*blocking=*/true);
+  net::Session session(svc, protocol, instances, /*fail_fast=*/false);
   const net::Reply reply = session.handle("TRACE DUMP /dev/full");
   EXPECT_EQ(reply.text, "ERR TRACE DUMP write failed /dev/full");
   svc.shutdown();

@@ -24,8 +24,6 @@
 namespace pacga::obs {
 namespace {
 
-#if !defined(PACGA_NO_OBS)
-
 // --- histogram geometry -----------------------------------------------------
 
 TEST(HistGeometry, ExactBelowSubBuckets) {
@@ -339,19 +337,6 @@ TEST(SpanKindNames, StableAndClassified) {
   EXPECT_FALSE(span_has_duration(SpanKind::kGeneration));
   EXPECT_FALSE(span_has_duration(SpanKind::kCompleted));
 }
-
-#else  // PACGA_NO_OBS: the stubs keep the interface but store nothing.
-
-TEST(NoObs, StubsAreInert) {
-  LatencyHistogram h;
-  h.record_ns(5);
-  EXPECT_TRUE(h.snapshot().empty());
-  TraceRing ring(64);
-  ring.push(SpanEvent{});
-  EXPECT_TRUE(ring.snapshot().empty());
-}
-
-#endif
 
 }  // namespace
 }  // namespace pacga::obs

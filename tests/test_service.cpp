@@ -1264,7 +1264,6 @@ TEST(SchedulerService, TraceRecordsTheJobLifecycle) {
   const JobResult r = svc.wait(id);
   ASSERT_EQ(r.status, JobStatus::kDone);
   svc.drain();
-#if !defined(PACGA_NO_OBS)
   const std::vector<obs::SpanEvent> spans = svc.trace().job_spans(id);
   ASSERT_FALSE(spans.empty());
   bool wait = false, serve = false, probe = false, completed = false;
@@ -1283,7 +1282,6 @@ TEST(SchedulerService, TraceRecordsTheJobLifecycle) {
   // terminal instant.
   for (std::size_t i = 1; i < spans.size(); ++i)
     EXPECT_LE(spans[i - 1].ts_ns, spans[i].ts_ns);
-#endif
 }
 
 TEST(SchedulerService, HistogramsCountEveryCompletion) {
@@ -1300,7 +1298,6 @@ TEST(SchedulerService, HistogramsCountEveryCompletion) {
   svc.drain();
   const auto snap = svc.metrics();
   EXPECT_EQ(snap.completed, kJobs);
-#if !defined(PACGA_NO_OBS)
   EXPECT_EQ(snap.queue_wait_hist.count(), kJobs);
   EXPECT_EQ(snap.solve_hist.count(), kJobs);
   EXPECT_EQ(snap.e2e_hist.count(), kJobs);
@@ -1308,7 +1305,6 @@ TEST(SchedulerService, HistogramsCountEveryCompletion) {
   // wait median.
   EXPECT_GE(snap.e2e_hist.quantile_ns(0.5),
             snap.queue_wait_hist.quantile_ns(0.5));
-#endif
 }
 
 TEST(SchedulerService, ObservabilityOffDisablesCollectionOnly) {
@@ -1517,8 +1513,6 @@ TEST(Supervisor, WatchdogRefusesStallVerdictWhileRetryClaimIsHeld) {
   sup.stop();
 }
 
-#ifndef PACGA_NO_FAILPOINTS
-
 /// Arms `site` for the test body, disarming on scope exit even on
 /// assertion failure — armed leftovers would poison later tests.
 class ScopedFailpoint {
@@ -1696,8 +1690,6 @@ TEST(SchedulerService, FailpointMidSeededSolveRetriesWithWarmPathIntact) {
   svc.drain();
   EXPECT_EQ(svc.metrics().quarantined, 0u);
 }
-
-#endif  // PACGA_NO_FAILPOINTS
 
 }  // namespace
 }  // namespace pacga::service

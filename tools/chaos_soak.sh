@@ -11,10 +11,6 @@
 #      retry machinery: the job comes back status=done retries=1.
 #   4. FAILPOINT <site> off must echo like any other reconfigure.
 #
-# Exits 77 (the ctest/CI skip code) when the binary answers
-# "ERR FAILPOINT failpoints compiled out" — a PACGA_NO_FAILPOINTS build
-# refuses to pretend, and this smoke has nothing to test there.
-#
 # Usage: chaos_soak.sh <path-to-scheduler_service>
 set -eu
 
@@ -27,18 +23,6 @@ trap cleanup EXIT INT TERM
 # minmin everywhere: the smoke tests the failure plumbing, not the
 # solver, and an anytime policy would legitimately run to the deadline.
 flags="--workers 1 --policy minmin"
-
-# Compiled-out probe first, so a no-failpoint build skips before any
-# expectation can fail.
-# shellcheck disable=SC2086
-printf 'FAILPOINT solver.solve once\nQUIT\n' | "$daemon" $flags \
-  > "$workdir/probe" 2>/dev/null
-if grep -q '^ERR FAILPOINT failpoints compiled out' "$workdir/probe"; then
-  echo "chaos soak SKIP: failpoints compiled out (PACGA_NO_FAILPOINTS)"
-  exit 77
-fi
-grep -q '^FAILPOINT solver.solve once$' "$workdir/probe" || {
-  echo "FAIL: FAILPOINT verb not acknowledged:"; cat "$workdir/probe"; exit 1; }
 
 # One session: bad grammar, a one-shot solver fault, the job after it.
 # shellcheck disable=SC2086
