@@ -10,9 +10,6 @@
 //     naive textbook loop (schedules asserted IDENTICAL);
 //   * H2LL: top-k selection + kernel scans vs the former per-iteration
 //     full sort (reference preserved inline here);
-//   * service kAuto escalation floor (Min-min + Sufferage under a tight
-//     deadline) through a real SchedulerService, naive vs accelerated via
-//     PACGA_NAIVE_HEURISTICS;
 //   * dynamic repair: full-orphan constructive repair (RescheduleSession
 //     init) vs the naive reference order, plus absolute machine-down
 //     repair latency.
@@ -21,8 +18,6 @@
 // (Min-min at 8192x256); --quick shrinks everything for CI smoke runs.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -33,7 +28,6 @@
 #include "etc/suite.hpp"
 #include "heuristics/minmin.hpp"
 #include "heuristics/sufferage.hpp"
-#include "service/service.hpp"
 #include "support/cli.hpp"
 #include "support/kernels.hpp"
 #include "support/rng.hpp"
@@ -52,9 +46,6 @@ struct Options {
   std::size_t h2ll_tasks = 4096;
   std::size_t h2ll_machines = 512;
   std::size_t h2ll_iterations = 20000;
-  std::size_t service_tasks = 1024;
-  std::size_t service_machines = 64;
-  std::size_t service_jobs = 8;
   std::size_t repair_tasks = 8192;
   std::size_t repair_machines = 16;
   std::uint64_t seed = 1;
@@ -69,9 +60,6 @@ struct Options {
       h2ll_tasks = 1024;
       h2ll_machines = 128;
       h2ll_iterations = 5000;
-      service_tasks = 256;
-      service_machines = 32;
-      service_jobs = 4;
       repair_tasks = 2048;
       repair_machines = 16;
     }
@@ -186,7 +174,7 @@ struct EndToEnd {
   double speedup = 0.0;
   bool identical = false;
   /// Only the heuristic arms are required (and checked) to produce the
-  /// reference's exact schedule; h2ll/kauto report null in the JSON.
+  /// reference's exact schedule; h2ll reports null in the JSON.
   bool identical_checked = false;
 };
 
@@ -285,46 +273,6 @@ EndToEnd bench_h2ll(const Options& opts) {
   return r;
 }
 
-// ---- end-to-end: service kAuto escalation floor --------------------------
-
-double kauto_ms_per_job(const std::shared_ptr<const etc::EtcMatrix>& m,
-                        std::size_t jobs, std::uint64_t seed) {
-  service::ServiceOptions so;
-  so.workers = 1;
-  so.cache_capacity = 0;  // every job must actually solve
-  service::SchedulerService svc(so);
-  support::WallTimer timer;
-  for (std::size_t j = 0; j < jobs; ++j) {
-    service::JobSpec spec;
-    spec.etc = m;
-    spec.seed = seed + j;
-    spec.deadline_ms = 1.0;  // urgent: kAuto stays on the heuristic floor
-    spec.policy = service::SolvePolicy::kAuto;
-    spec.use_cache = false;
-    const auto id = svc.submit(spec);
-    (void)svc.wait(id);
-  }
-  return timer.elapsed_seconds() * 1e3 / static_cast<double>(jobs);
-}
-
-EndToEnd bench_kauto(const Options& opts) {
-  const auto m = std::make_shared<const etc::EtcMatrix>(
-      random_matrix(opts.service_tasks, opts.service_machines, opts.seed + 11));
-  EndToEnd r;
-  r.name = "service-kauto";
-  r.tasks = m->tasks();
-  r.machines = m->machines();
-  r.accelerated_ms = kauto_ms_per_job(m, opts.service_jobs, opts.seed);
-  setenv("PACGA_NAIVE_HEURISTICS", "1", 1);
-  r.reference_ms = kauto_ms_per_job(m, opts.service_jobs, opts.seed);
-  unsetenv("PACGA_NAIVE_HEURISTICS");
-  r.speedup = r.reference_ms / r.accelerated_ms;
-  std::printf("  %-10s %zux%zu  naive %9.1f ms/job  accel %8.1f ms/job  %5.2fx\n",
-              "kauto", r.tasks, r.machines, r.reference_ms, r.accelerated_ms,
-              r.speedup);
-  return r;
-}
-
 // ---- end-to-end: dynamic repair ------------------------------------------
 
 struct RepairResult {
@@ -420,8 +368,6 @@ void write_json(const char* path, const Options& opts,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The accelerated arms must not be silently rerouted to the references.
-  unsetenv("PACGA_NAIVE_HEURISTICS");
   Options opts;
   support::Cli cli(
       "bench_kernels — SIMD kernel layer, scalar vs dispatched, plus "
@@ -464,7 +410,6 @@ int main(int argc, char** argv) {
                                   heur::detail::sufferage_naive));
   }
   e2e.push_back(bench_h2ll(opts));
-  e2e.push_back(bench_kauto(opts));
   const RepairResult repair = bench_repair(opts);
 
   write_json("BENCH_kernels.json", opts, points, e2e, repair);

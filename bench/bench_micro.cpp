@@ -1,6 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the performance claims the paper
-// makes about its representation, plus the design-choice ablations from
-// DESIGN.md §7:
+// makes about its representation, plus the design-choice ablations:
 //   * incremental completion-time updates vs full re-evaluation (§3.3);
 //   * TRANSPOSED (machine-major) vs task-major ETC layout — the paper's
 //     "5-10 % end-to-end" cache claim, exercised with the algorithm's
@@ -126,7 +125,7 @@ void BM_LocalTabuHop(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalTabuHop)->Arg(5)->Arg(10);
 
-// --- ETC layout ablation (paper §3.3, DESIGN.md E6) ---------------------
+// --- ETC layout ablation (paper §3.3) ---------------------------------
 // Access pattern of the hot loops: probe the ETCs of a window of
 // consecutive tasks on the same machine (what H2LL's candidate scan and
 // the incremental updates do when neighboring tasks share a machine).

@@ -3,7 +3,7 @@
 // Columns (paper): Struggle GA [19], cMA+LTH [20], PA-CGA at ~1/9 of the
 // budget, PA-CGA at the full budget — over the twelve Braun instances.
 //
-// Substitutions (DESIGN.md §6): the literature numbers come from our
+// Substitutions: the literature numbers come from our
 // reimplementations of Struggle GA and cMA+LTH run on our regenerated
 // instances (original code and instance files are unavailable), and the
 // paper's machine-ratio protocol (TSCP benchmark ratio 9 between the AMD

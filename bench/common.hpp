@@ -5,7 +5,8 @@
 // to keep `for b in build/bench/*; do $b; done` in the minutes range, and
 // every binary accepts --wall-ms / --runs / --full to recover the paper's
 // protocol. The SHAPE of the results (orderings, trends, crossovers) is the
-// reproduction target, not absolute makespans (DESIGN.md §4).
+// reproduction target, not absolute makespans: the instances are
+// regenerated and the hardware differs from the paper's.
 #pragma once
 
 #include <cstdint>

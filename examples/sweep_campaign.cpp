@@ -2,8 +2,8 @@
 // space: vary one axis (threads, local-search iterations, neighborhood,
 // crossover, selection, sweep policy, replacement) while holding the rest
 // at the paper's defaults, and report mean +/- 95 % CI of the best
-// makespan plus throughput. This is the ablation tool DESIGN.md §7 calls
-// for, and a template for running your own studies with the library.
+// makespan plus throughput. This is the repo's one-axis ablation tool,
+// and a template for running your own studies with the library.
 //
 // Examples:
 //   sweep_campaign --axis ls-iters

@@ -1,12 +1,12 @@
 // cMA+LTH baseline (Xhafa, Alba, Dorronsoro, Duran, JMMA 2008) — the
 // "CGA hybridized with Tabu search" column of the paper's Table 2.
 //
-// Reimplemented from its description (DESIGN.md §6.4): a SYNCHRONOUS
-// cellular memetic algorithm — generational cGA with an auxiliary
-// population — whose offspring are intensified with a Local Tabu Hop
-// before evaluation. Defaults follow the published parameterization where
-// stated (L5/NEWS neighborhood, binary tournament, one-point crossover,
-// move mutation) with sensible values elsewhere.
+// Reimplemented from its description (the original code is unavailable):
+// a SYNCHRONOUS cellular memetic algorithm — generational cGA with an
+// auxiliary population — whose offspring are intensified with a Local
+// Tabu Hop before evaluation. Defaults follow the published
+// parameterization where stated (L5/NEWS neighborhood, binary tournament,
+// one-point crossover, move mutation) with sensible values elsewhere.
 #pragma once
 
 #include "cga/config.hpp"

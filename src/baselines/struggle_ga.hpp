@@ -1,13 +1,13 @@
 // Struggle GA baseline (Xhafa, BIOMA 2006) — the non-decentralized GA
 // column of the paper's Table 2.
 //
-// Reimplemented from its description (DESIGN.md §6.4): a steady-state,
-// panmictic GA whose replacement operator is "struggle": the offspring
-// replaces the MOST SIMILAR individual of the population (minimum Hamming
-// distance between assignment strings), and only if it improves that
-// individual's fitness. Struggle replacement preserves diversity the way a
-// crowding scheme does, which is why it was the strongest replacement
-// operator in Xhafa's study.
+// Reimplemented from its description (the original code is unavailable):
+// a steady-state, panmictic GA whose replacement operator is "struggle":
+// the offspring replaces the MOST SIMILAR individual of the population
+// (minimum Hamming distance between assignment strings), and only if it
+// improves that individual's fitness. Struggle replacement preserves
+// diversity the way a crowding scheme does, which is why it was the
+// strongest replacement operator in Xhafa's study.
 #pragma once
 
 #include "cga/config.hpp"

@@ -68,13 +68,8 @@ class Breeder {
   /// row-pointer/output scratch (warm-up); steady state allocates nothing.
   void evaluate_batch(Individual* staged, std::size_t count);
 
-  /// Convenience forms returning the internal offspring buffer; the
-  /// reference is valid until the next breed call.
-  const Individual& breed(const Population& pop, std::size_t cell,
-                          support::Xoshiro256& rng) {
-    breed_into(pop, cell, rng, offspring_);
-    return offspring_;
-  }
+  /// breed_locked_into the internal offspring buffer; the reference is
+  /// valid until the next call.
   const Individual& breed_locked(Population& pop, std::size_t cell,
                                  support::Xoshiro256& rng) {
     breed_locked_into(pop, cell, rng, offspring_);

@@ -1,6 +1,5 @@
 #include "cga/engine.hpp"
 
-#include "cga/breeder.hpp"
 #include "cga/neighborhood.hpp"
 #include "cga/selection.hpp"
 
@@ -45,100 +44,134 @@ bool should_replace(ReplacementPolicy policy, double offspring,
 
 }  // namespace detail
 
-Result run_sequential(const etc::EtcMatrix& etc, const Config& config,
-                      const GenerationObserver& observer,
-                      const std::atomic<bool>* cancel) {
+bool SequentialEngine::ensure(const etc::EtcMatrix& etc,
+                              const Config& config) {
   config.validate();
-  support::Xoshiro256 rng(config.seed);
-  Grid grid(config.width, config.height);
-  Population pop(etc, grid, rng, config.seed_min_min, config.objective,
-                 config.lambda);
-  apply_warm_seed(pop, etc, config);
-  const std::size_t n = pop.size();
-  const bool synchronous = config.update == UpdatePolicy::kSynchronous;
+  const bool same_shape =
+      best_ && pop_->at(0).schedule.tasks() == etc.tasks() &&
+      pop_->at(0).schedule.machines() == etc.machines() &&
+      config.width == config_.width && config.height == config_.height &&
+      config.sweep == config_.sweep && config.update == config_.update;
+  config_ = config;
+  if (same_shape) return false;
 
-  // The shared core. Everything below is preallocated once; the breeding
-  // loop itself performs no heap allocation.
-  TerminationController termination(config.termination);
-  termination.bind_stop_flag(cancel);
-  BestTracker best(pop.at(pop.best_index()));
-  TraceRecorder trace(config.collect_trace);
-  Breeder breeder(etc, config);
-  SweepOrderCache order(config.sweep, n, rng);
-
-  // Offspring buffers: one scratch for the asynchronous mode; one slot per
-  // cell for the synchronous auxiliary population (staged[k] belongs to
-  // order[k] of the current sweep).
-  Individual scratch(sched::Schedule(etc), 0.0);
-  std::vector<Individual> staged;
-  if (synchronous) {
-    staged.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      staged.emplace_back(sched::Schedule(etc), 0.0);
-    }
+  // Cold build. The RNG state used here is irrelevant: run() reseeds the
+  // generator and the population before any of this state is read.
+  ++builds_;
+  pop_.emplace(etc, Grid(config_.width, config_.height), rng_,
+               /*seed_min_min=*/false, config_.objective, config_.lambda);
+  breeder_.emplace(etc, config_);
+  order_.emplace(config_.sweep, pop_->size(), rng_);
+  best_.emplace(pop_->at(0));
+  const std::size_t buffers =
+      config_.update == UpdatePolicy::kSynchronous ? pop_->size() : 1;
+  staged_.clear();
+  staged_.reserve(buffers);
+  for (std::size_t i = 0; i < buffers; ++i) {
+    staged_.emplace_back(sched::Schedule(etc), 0.0);
   }
-  std::size_t staged_count = 0;
+  return true;
+}
 
-  std::uint64_t evaluations = 0;
-  std::uint64_t generations = 0;
-  trace.sample(generations, termination.elapsed_seconds(), pop);
+RunStats SequentialEngine::run(const etc::EtcMatrix& etc,
+                               const Config& config,
+                               const GenerationObserver& observer,
+                               const std::atomic<bool>* cancel) {
+  ensure(etc, config);
+  // From here on the run is a pure function of (etc, config), whatever ran
+  // in the arena before.
+  Population& pop = *pop_;
+  rng_.reseed(config_.seed);
+  pop.reseed(etc, rng_, config_.seed_min_min, config_.objective,
+             config_.lambda);
+  apply_warm_seed(pop, etc, config_);
+  order_->reset(rng_);
+  BestTracker& best = *best_;
+  best.reset(pop.at(pop.best_index()));
+  const bool synchronous = config_.update == UpdatePolicy::kSynchronous;
+
+  // Everything is preallocated; the breeding loop itself performs no heap
+  // allocation.
+  TerminationController termination(config_.termination);
+  termination.bind_stop_flag(cancel);
+  TraceRecorder trace(config_.collect_trace);
+  std::size_t staged_count = 0;
+  RunStats stats;
+  trace.sample(stats.generations, termination.elapsed_seconds(), pop);
 
   run_sweep_loop(
-      order, rng,
+      *order_, rng_,
       [&](std::size_t idx) {  // one breeding step
         if (synchronous) {
           // Staged with evaluation deferred: the whole sweep's offspring
           // get their fitness from one batched kernel dispatch at end of
           // sweep (bit-identical to evaluating here).
-          breeder.breed_into_deferred(pop, idx, rng, staged[staged_count]);
+          breeder_->breed_into_deferred(pop, idx, rng_, staged_[staged_count]);
           ++staged_count;
         } else {
-          breeder.breed_into(pop, idx, rng, scratch);
-          best.observe(scratch);
-          if (detail::should_replace(config.replacement, scratch.fitness,
+          Individual& child = staged_[0];
+          breeder_->breed_into(pop, idx, rng_, child);
+          best.observe(child);
+          if (detail::should_replace(config_.replacement, child.fitness,
                                      pop.at(idx).fitness)) {
-            Breeder::replace(pop.at(idx), scratch);
+            Breeder::replace(pop.at(idx), child);
           }
         }
-        ++evaluations;
-        return termination.evaluations_exhausted(evaluations);
+        ++stats.evaluations;
+        return termination.evaluations_exhausted(stats.evaluations);
       },
       [&] {  // end of sweep
         if (synchronous) {
-          breeder.evaluate_batch(staged.data(), staged_count);
+          breeder_->evaluate_batch(staged_.data(), staged_count);
           for (std::size_t k = 0; k < staged_count; ++k) {
-            best.observe(staged[k]);
+            best.observe(staged_[k]);
           }
           // Generational commit: every staged offspring competes with the
           // cell it was bred for.
-          const auto& o = order.order();
+          const auto& o = order_->order();
           for (std::size_t k = 0; k < staged_count; ++k) {
-            if (detail::should_replace(config.replacement, staged[k].fitness,
+            if (detail::should_replace(config_.replacement, staged_[k].fitness,
                                        pop.at(o[k]).fitness)) {
-              Breeder::replace(pop.at(o[k]), staged[k]);
+              Breeder::replace(pop.at(o[k]), staged_[k]);
             }
           }
           staged_count = 0;
         }
-        ++generations;
-        trace.sample(generations, termination.elapsed_seconds(), pop);
+        ++stats.generations;
+        trace.sample(stats.generations, termination.elapsed_seconds(), pop);
         if (observer) {
-          observer({generations, evaluations, termination.elapsed_seconds(),
-                    best.fitness(), pop});
+          observer({stats.generations, stats.evaluations,
+                    termination.elapsed_seconds(), best.fitness(), pop});
         }
         // Wall-clock and generation budgets once per generation — the
         // paper's coarse-grained approximation (Algorithm 3 checks after
         // the block sweep).
-        return termination.sweep_done(generations, evaluations);
+        return termination.sweep_done(stats.generations, stats.evaluations);
       });
 
-  Individual winner = best.take();
+  stats.elapsed_seconds = termination.elapsed_seconds();
+  stats.trace = trace.take();
+  return stats;
+}
+
+Individual SequentialEngine::take_best() {
+  Individual winner = best_->take();
+  best_.reset();
+  return winner;
+}
+
+Result run_sequential(const etc::EtcMatrix& etc, const Config& config,
+                      const GenerationObserver& observer,
+                      const std::atomic<bool>* cancel) {
+  SequentialEngine engine;
+  RunStats stats = engine.run(etc, config, observer, cancel);
+  Individual winner = engine.take_best();
   Result result{std::move(winner.schedule)};
   result.best_fitness = winner.fitness;
-  result.evaluations = evaluations;
-  result.generations = generations;
-  result.elapsed_seconds = termination.elapsed_seconds();
-  result.trace = trace.take();
+  result.evaluations = stats.evaluations;
+  result.generations = stats.generations;
+  result.elapsed_seconds = stats.elapsed_seconds;
+  result.trace = std::move(stats.trace);
   return result;
 }
 

@@ -6,9 +6,15 @@
 // The loop body is assembled from the shared core (cga/loop.hpp +
 // cga/breeder.hpp): the same components drive the parallel engines, so a
 // steady-state breeding step allocates nothing and every engine exposes
-// the same per-generation observer hook.
+// the same per-generation observer hook. SequentialEngine keeps its state
+// across runs: the scheduler service's warm solver is a long-lived one.
 #pragma once
 
+#include <atomic>
+#include <optional>
+#include <vector>
+
+#include "cga/breeder.hpp"
 #include "cga/config.hpp"
 #include "cga/loop.hpp"
 #include "cga/population.hpp"
@@ -16,13 +22,63 @@
 
 namespace pacga::cga {
 
-/// Runs the sequential CGA on `etc` per `config`. Deterministic: same seed,
-/// same result. `config.threads` is ignored here. `observer` (optional) is
-/// called after every committed generation from a quiescent point —
-/// checkpointing and streaming stats hook in there. `cancel` (optional) is
-/// an external stop flag polled once per generation; raising it ends the
-/// run early with the best-so-far result (the service's job-cancellation
-/// path).
+/// What one SequentialEngine::run reports besides its best individual,
+/// which stays in the engine (best() / take_best()).
+struct RunStats {
+  std::uint64_t evaluations = 0;  ///< offspring evaluations (excludes init)
+  std::uint64_t generations = 0;  ///< full sweeps
+  double elapsed_seconds = 0.0;
+  std::vector<TracePoint> trace;  ///< empty unless config.collect_trace
+};
+
+/// The sequential CGA as a reusable arena. A run with the previous run's
+/// shape (tasks x machines, grid, sweep and update policy) reinitializes
+/// the buffers in place — allocation-free unless Min-min seeding is on —
+/// and any other run rebuilds them. Warm and cold runs are identical.
+/// NOT thread-safe, and pinned in memory (the breeder points into it).
+class SequentialEngine {
+ public:
+  SequentialEngine() = default;
+  SequentialEngine(const SequentialEngine&) = delete;
+  SequentialEngine& operator=(const SequentialEngine&) = delete;
+
+  /// Validates `config` and sizes the arena for `etc`; true when that
+  /// took a (re)build. run() calls it first.
+  bool ensure(const etc::EtcMatrix& etc, const Config& config);
+
+  /// One run on `etc` per `config` (`config.threads` is ignored).
+  /// Deterministic: same seed, same result. `observer` (optional) is
+  /// called after every committed generation from a quiescent point.
+  /// `cancel` (optional) is a stop flag polled once per generation.
+  RunStats run(const etc::EtcMatrix& etc, const Config& config,
+               const GenerationObserver& observer = {},
+               const std::atomic<bool>* cancel = nullptr);
+
+  /// Best individual of the last run.
+  const Individual& best() const noexcept { return best_->best(); }
+
+  /// Moves the last run's best individual out; the next run rebuilds.
+  Individual take_best();
+
+  /// Arena (re)builds since construction.
+  std::uint64_t builds() const noexcept { return builds_; }
+
+ private:
+  Config config_;  ///< the current run's config; breeder_ reads through it
+  std::uint64_t builds_ = 0;
+  support::Xoshiro256 rng_;
+  std::optional<Population> pop_;
+  std::optional<Breeder> breeder_;
+  std::optional<SweepOrderCache> order_;
+  std::optional<BestTracker> best_;  ///< empty: no arena (or best taken)
+  /// Offspring buffers: staged_[0] in asynchronous mode; one per cell for
+  /// the synchronous auxiliary population (staged_[k] belongs to order[k]
+  /// of the current sweep).
+  std::vector<Individual> staged_;
+};
+
+/// One run of a fresh SequentialEngine, its best individual moved into
+/// the Result (see SequentialEngine::run for the parameters).
 Result run_sequential(const etc::EtcMatrix& etc, const Config& config,
                       const GenerationObserver& observer = {},
                       const std::atomic<bool>* cancel = nullptr);

@@ -46,8 +46,7 @@ class SweepOrderCache {
 
   /// Re-arms the cache for a NEW run over the same population size:
   /// regenerates the initial order in place from `rng`, drawing exactly as
-  /// construction does. Warm-solver arenas call this once per job instead
-  /// of reconstructing the cache (the buffer is never reallocated).
+  /// construction does (SequentialEngine's warm runs; no reallocation).
   void reset(support::Xoshiro256& rng) { fill(rng); }
 
   const std::vector<std::size_t>& order() const noexcept { return order_; }
@@ -116,8 +115,7 @@ class BestTracker {
   explicit BestTracker(const Individual& seed) : best_(seed) {}
 
   /// Re-arms the tracker for a new run, copying `seed` into the EXISTING
-  /// storage — alloc-free when the shapes match. The warm-solver arenas
-  /// keep one tracker alive across jobs instead of reconstructing it.
+  /// storage — alloc-free when the shapes match (SequentialEngine).
   void reset(const Individual& seed) {
     best_.schedule.assign_from(seed.schedule);
     best_.fitness = seed.fitness;
@@ -179,8 +177,7 @@ class TraceRecorder {
 
 /// The cell a warm seed occupies: cell 1 when Min-min seeding holds cell 0
 /// (so both survive into the initial population), cell 0 otherwise. One
-/// shared answer to "where does the seed live" for every engine and the
-/// warm solver.
+/// shared answer to "where does the seed live" for every engine.
 inline constexpr std::size_t warm_seed_cell(bool seed_min_min,
                                             std::size_t pop_size) noexcept {
   return seed_min_min && pop_size > 1 ? 1 : 0;

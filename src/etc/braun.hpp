@@ -1,7 +1,7 @@
 // Range-based ETC instance generator (Ali, Siegel, Maheswaran, Hensgen,
 // Ali 2000), the method behind the Braun et al. `u_x_yyzz.k` benchmark.
 //
-// Substitution note (DESIGN.md §6.1): the authors' original instance files
+// Substitution note: the authors' original instance files
 // are not redistributable, so we regenerate instances with the published
 // method and deterministic per-name seeds. Heterogeneity ranges and
 // consistency classes match the paper's reported p_j bounds.

@@ -1,6 +1,5 @@
 #include "heuristics/minmin.hpp"
 
-#include <cstdlib>
 #include <limits>
 #include <vector>
 
@@ -116,11 +115,6 @@ sched::Schedule min_max_min_fast(const etc::EtcMatrix& etc, bool pick_max) {
 
 namespace detail {
 
-bool naive_requested() noexcept {
-  const char* v = std::getenv("PACGA_NAIVE_HEURISTICS");
-  return v != nullptr && *v != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 sched::Schedule min_min_naive(const etc::EtcMatrix& etc) {
   return min_max_min_naive(etc, /*pick_max=*/false);
 }
@@ -132,12 +126,10 @@ sched::Schedule max_min_naive(const etc::EtcMatrix& etc) {
 }  // namespace detail
 
 sched::Schedule min_min(const etc::EtcMatrix& etc) {
-  if (detail::naive_requested()) return detail::min_min_naive(etc);
   return min_max_min_fast(etc, /*pick_max=*/false);
 }
 
 sched::Schedule max_min(const etc::EtcMatrix& etc) {
-  if (detail::naive_requested()) return detail::max_min_naive(etc);
   return min_max_min_fast(etc, /*pick_max=*/true);
 }
 

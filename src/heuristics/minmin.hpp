@@ -11,9 +11,8 @@
 // cost drops from O(tasks^2 * machines) to ~O(tasks * machines + tasks^2 +
 // machines * rescans), with rescans and the per-round argmin/argmax going
 // through the SIMD kernel layer. The schedules are IDENTICAL to the naive
-// textbook loops, tie-break for tie-break (test_heuristics proves it);
-// setting PACGA_NAIVE_HEURISTICS=1 in the environment routes the public
-// entry points to the naive references (checked per call).
+// textbook loops, tie-break for tie-break (test_heuristics proves it
+// against the detail:: references below).
 #pragma once
 
 #include "sched/schedule.hpp"
@@ -35,12 +34,10 @@ sched::Schedule duplex(const etc::EtcMatrix& etc);
 
 namespace detail {
 
-/// True when PACGA_NAIVE_HEURISTICS selects the reference implementations
-/// (re-read from the environment on every call, so benches can flip it).
-bool naive_requested() noexcept;
-
 /// The textbook O(tasks^2 * machines) loops — the semantic reference the
-/// accelerated paths must match schedule-for-schedule.
+/// accelerated paths must match schedule-for-schedule. Called directly by
+/// test_heuristics and bench_kernels; the public entry points never route
+/// here.
 sched::Schedule min_min_naive(const etc::EtcMatrix& etc);
 sched::Schedule max_min_naive(const etc::EtcMatrix& etc);
 

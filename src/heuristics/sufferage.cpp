@@ -3,7 +3,6 @@
 #include <limits>
 #include <vector>
 
-#include "heuristics/minmin.hpp"  // detail::naive_requested
 #include "support/kernels.hpp"
 
 namespace pacga::heur {
@@ -125,7 +124,6 @@ sched::Schedule sufferage_fast(const etc::EtcMatrix& etc) {
 }  // namespace
 
 sched::Schedule sufferage(const etc::EtcMatrix& etc) {
-  if (detail::naive_requested()) return detail::sufferage_naive(etc);
   return sufferage_fast(etc);
 }
 

@@ -6,8 +6,7 @@
 // rescans tasks whose cached best or second machine just took load (loads
 // are monotone increasing, so every other cache entry is provably still
 // exact). Schedules are identical to the naive O(tasks^2 * machines) loop
-// (test_heuristics proves it); PACGA_NAIVE_HEURISTICS=1 routes the public
-// entry point to the reference.
+// (test_heuristics proves it against detail::sufferage_naive).
 #pragma once
 
 #include "sched/schedule.hpp"
@@ -21,7 +20,7 @@ sched::Schedule sufferage(const etc::EtcMatrix& etc);
 
 namespace detail {
 
-/// The textbook reference loop (see minmin.hpp for the switching contract).
+/// The textbook reference loop (see minmin.hpp's detail:: references).
 sched::Schedule sufferage_naive(const etc::EtcMatrix& etc);
 
 }  // namespace detail

@@ -22,10 +22,23 @@ double seconds_between(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double>(to - from).count();
 }
 
-void fill_result_from(JobResult& out, const cga::Individual& best) {
-  const auto a = best.schedule.assignment();
+void fill_result(JobResult& out, const sched::Schedule& best,
+                 double fitness, SolvePolicy policy) {
+  const auto a = best.assignment();
   out.assignment.assign(a.begin(), a.end());
-  out.makespan = best.fitness;
+  out.makespan = fitness;
+  out.policy_used = policy;
+}
+
+/// A CGA job's stop rule: the remaining wall budget plus the optional
+/// generation cap. The budget is floored: an explicit-kCga or kPaCga job
+/// popped past its deadline arrives with 0, which Config::validate
+/// rejects — it is served late rather than failed.
+cga::Termination job_termination(const JobSpec& spec, double budget_seconds) {
+  cga::Termination t = cga::Termination::after_seconds(
+      std::max(budget_seconds, kHeuristicBudgetSeconds));
+  if (spec.max_generations > 0) t.max_generations = spec.max_generations;
+  return t;
 }
 
 }  // namespace
@@ -33,7 +46,17 @@ void fill_result_from(JobResult& out, const cga::Individual& best) {
 WarmSolver::WarmSolver(cga::Config base) : base_(std::move(base)) {
   base_.collect_trace = false;  // tracing would allocate per generation
   base_.validate();
-  arena_config_ = base_;
+  job_config_ = base_;
+  // Sequential runs ignore threads; a PA-CGA-sized count must not fail
+  // Config::validate on a shrunk grid.
+  job_config_.threads = 1;
+  generation_probe_ = [this](const cga::GenerationEvent& e) {
+    if (job_tracer_ && cga::sampled_generation(e.generation)) {
+      job_tracer_->instant(obs::SpanKind::kGeneration, job_id_, e.generation,
+                           std::bit_cast<std::uint64_t>(e.best_fitness));
+    }
+    if (*job_observer_) (*job_observer_)(e);
+  };
 }
 
 SolvePolicy WarmSolver::decide(const JobSpec& spec, const etc::EtcMatrix& etc,
@@ -50,51 +73,6 @@ SolvePolicy WarmSolver::decide(const JobSpec& spec, const etc::EtcMatrix& etc,
   return SolvePolicy::kCga;
 }
 
-void WarmSolver::ensure_shape(const etc::EtcMatrix& etc,
-                              obs::WorkerTracer* tracer,
-                              std::uint64_t job_id) {
-  if (population_ && tasks_ == etc.tasks() && machines_ == etc.machines())
-    return;
-  const std::uint64_t t0 =
-      tracer && tracer->enabled() ? tracer->now_ns() : 0;
-  tasks_ = etc.tasks();
-  machines_ = etc.machines();
-  ++arena_builds_;
-
-  // Shrink the grid for small instances (same rationale as the batch
-  // pa_cga_policy: a 16x16 population on a 3-task batch is pure overhead).
-  // min-of-max, not std::clamp: a base grid below 16 cells would violate
-  // clamp's lo <= hi precondition. Jobs big enough to want the whole
-  // population keep the base grid EXACTLY (square or not); only genuinely
-  // small instances get the square shrunk arena.
-  arena_config_ = base_;
-  const std::size_t base_pop = base_.population_size();
-  const std::size_t target_pop =
-      std::min(base_pop, std::max<std::size_t>(16, 4 * etc.tasks()));
-  if (target_pop < base_pop) {
-    std::size_t side = 4;
-    while ((side + 1) * (side + 1) <= target_pop) ++side;
-    arena_config_.width = side;
-    arena_config_.height = side;
-  }
-
-  // Cold build of the arena for this shape. The RNG state used here is
-  // irrelevant: solve() reseeds both the generator and the population
-  // before any of this state is read, so warm and cold paths produce
-  // identical trajectories for the same (etc, spec).
-  cga::Grid grid(arena_config_.width, arena_config_.height);
-  population_.emplace(etc, grid, rng_, /*seed_min_min=*/false,
-                      arena_config_.objective, arena_config_.lambda);
-  breeder_.emplace(etc, arena_config_);
-  order_.emplace(arena_config_.sweep, population_->size(), rng_);
-  scratch_.emplace(sched::Schedule(etc), 0.0);
-  tracker_.emplace(population_->at(0));
-  if (tracer && tracer->enabled()) {
-    tracer->span(obs::SpanKind::kArenaBuild, job_id, t0, tracer->now_ns(),
-                 tasks_, machines_);
-  }
-}
-
 void WarmSolver::solve_heuristic(const etc::EtcMatrix& etc, SolvePolicy policy,
                                  JobResult& out) {
   const auto score = [&](const sched::Schedule& s) {
@@ -102,10 +80,7 @@ void WarmSolver::solve_heuristic(const etc::EtcMatrix& etc, SolvePolicy policy,
   };
   if (policy == SolvePolicy::kSufferage) {
     const sched::Schedule s = heur::sufferage(etc);
-    const auto a = s.assignment();
-    out.assignment.assign(a.begin(), a.end());
-    out.makespan = score(s);
-    out.policy_used = SolvePolicy::kSufferage;
+    fill_result(out, s, score(s), SolvePolicy::kSufferage);
     return;
   }
   // kMinMin explicit, or the kAuto tiny-or-urgent escalation: Min-min with
@@ -114,20 +89,16 @@ void WarmSolver::solve_heuristic(const etc::EtcMatrix& etc, SolvePolicy policy,
   const sched::Schedule mm = heur::min_min(etc);
   const double mm_fit = score(mm);
   if (policy == SolvePolicy::kMinMin) {
-    const auto a = mm.assignment();
-    out.assignment.assign(a.begin(), a.end());
-    out.makespan = mm_fit;
-    out.policy_used = SolvePolicy::kMinMin;
+    fill_result(out, mm, mm_fit, SolvePolicy::kMinMin);
     return;
   }
   const sched::Schedule sf = heur::sufferage(etc);
   const double sf_fit = score(sf);
-  const sched::Schedule& winner = sf_fit < mm_fit ? sf : mm;
-  const auto a = winner.assignment();
-  out.assignment.assign(a.begin(), a.end());
-  out.makespan = std::min(mm_fit, sf_fit);
-  out.policy_used =
-      sf_fit < mm_fit ? SolvePolicy::kSufferage : SolvePolicy::kMinMin;
+  if (sf_fit < mm_fit) {
+    fill_result(out, sf, sf_fit, SolvePolicy::kSufferage);
+  } else {
+    fill_result(out, mm, mm_fit, SolvePolicy::kMinMin);
+  }
 }
 
 void WarmSolver::solve_cga(const etc::EtcMatrix& etc, const JobSpec& spec,
@@ -135,73 +106,49 @@ void WarmSolver::solve_cga(const etc::EtcMatrix& etc, const JobSpec& spec,
                            const std::atomic<bool>* cancel, JobResult& out,
                            const cga::GenerationObserver& observer,
                            obs::WorkerTracer* tracer, std::uint64_t job_id) {
-  ensure_shape(etc, tracer, job_id);
-  cga::Population& pop = *population_;
-  // Tracing stays on this branchy flag — never wrapped into `observer`,
-  // which would heap-allocate a std::function per job.
-  const bool tracing = tracer && tracer->enabled();
-  const std::uint64_t cga_start = tracing ? tracer->now_ns() : 0;
-
-  // Per-job determinism: generator, population, and sweep order are all a
-  // pure function of (etc, spec.seed) from here on.
-  rng_.reseed(spec.seed);
-  pop.reseed(etc, rng_, base_.seed_min_min, arena_config_.objective,
-             arena_config_.lambda);
-  if (!spec.warm_start.empty()) {
-    // Dynamic rescheduling: the repaired schedule becomes one individual
-    // (cga::warm_seed_cell — the cell after the optional Min-min seed, so
-    // both survive) and the anytime loop can only improve on it. seed_cell
-    // adopts into existing storage — the warm arena stays allocation-free.
-    const std::size_t cell = cga::warm_seed_cell(base_.seed_min_min,
-                                                 pop.size());
-    pop.seed_cell(cell, etc, spec.warm_start, arena_config_.objective,
-                  arena_config_.lambda);
-    out.warm_started = true;
+  // Shrink the grid for small instances (same rationale as the batch
+  // pa_cga_policy: a 16x16 population on a 3-task batch is pure overhead).
+  // min-of-max, not std::clamp: a base grid below 16 cells would violate
+  // clamp's lo <= hi precondition. Jobs big enough to want the whole
+  // population keep the base grid EXACTLY (square or not); only genuinely
+  // small instances get the square shrunk arena.
+  job_config_.width = base_.width;
+  job_config_.height = base_.height;
+  const std::size_t base_pop = base_.population_size();
+  const std::size_t target_pop =
+      std::min(base_pop, std::max<std::size_t>(16, 4 * etc.tasks()));
+  if (target_pop < base_pop) {
+    std::size_t side = 4;
+    while ((side + 1) * (side + 1) <= target_pop) ++side;
+    job_config_.width = side;
+    job_config_.height = side;
   }
-  order_->reset(rng_);
-  tracker_->reset(pop.at(pop.best_index()));
+  job_config_.seed = spec.seed;
+  job_config_.termination = job_termination(spec, budget_seconds);
+  // Dynamic rescheduling: the repaired schedule joins the initial
+  // population (cga::apply_warm_seed); copy-assignment reuses the buffer.
+  job_config_.warm_seed = spec.warm_start;
 
-  cga::Termination limits;  // defaults: never — the service is deadline-driven
-  limits.wall_seconds = budget_seconds;
-  if (spec.max_generations > 0) limits.max_generations = spec.max_generations;
-  cga::TerminationController termination(limits);
-  termination.bind_stop_flag(cancel);
+  const bool tracing = tracer && tracer->enabled();
+  const std::uint64_t build_start = tracing ? tracer->now_ns() : 0;
+  if (engine_.ensure(etc, job_config_) && tracing) {
+    tracer->span(obs::SpanKind::kArenaBuild, job_id, build_start,
+                 tracer->now_ns(), etc.tasks(), etc.machines());
+  }
+  const std::uint64_t cga_start = tracing ? tracer->now_ns() : 0;
+  job_tracer_ = tracing ? tracer : nullptr;
+  job_id_ = job_id;
+  job_observer_ = &observer;
+  const cga::RunStats stats =
+      engine_.run(etc, job_config_, generation_probe_, cancel);
 
-  std::uint64_t evaluations = 0;
-  std::uint64_t generations = 0;
-  cga::run_sweep_loop(
-      *order_, rng_,
-      [&](std::size_t idx) {  // one breeding step (asynchronous replacement)
-        breeder_->breed_into(pop, idx, rng_, *scratch_);
-        ++evaluations;
-        tracker_->observe(*scratch_);
-        if (cga::detail::should_replace(arena_config_.replacement,
-                                        scratch_->fitness,
-                                        pop.at(idx).fitness)) {
-          cga::Breeder::replace(pop.at(idx), *scratch_);
-        }
-        return false;
-      },
-      [&] {  // end of sweep: the anytime checkpoint
-        ++generations;
-        if (tracing && cga::sampled_generation(generations)) {
-          tracer->instant(obs::SpanKind::kGeneration, job_id, generations,
-                          std::bit_cast<std::uint64_t>(tracker_->fitness()));
-        }
-        if (observer) {
-          observer({generations, evaluations, termination.elapsed_seconds(),
-                    tracker_->fitness(), pop});
-        }
-        return termination.sweep_done(generations, evaluations);
-      });
-
-  fill_result_from(out, tracker_->best());
-  out.generations = generations;
-  out.evaluations = evaluations;
-  out.policy_used = SolvePolicy::kCga;
+  const cga::Individual& best = engine_.best();
+  fill_result(out, best.schedule, best.fitness, SolvePolicy::kCga);
+  out.generations = stats.generations;
+  out.evaluations = stats.evaluations;
   if (tracing) {
     tracer->span(obs::SpanKind::kWarmCga, job_id, cga_start, tracer->now_ns(),
-                 generations);
+                 stats.generations);
   }
 }
 
@@ -211,12 +158,7 @@ void WarmSolver::solve_parallel(const etc::EtcMatrix& etc, const JobSpec& spec,
                                 JobResult& out) {
   cga::Config config = base_;
   config.seed = spec.seed;
-  // Floor the budget: an explicit-kPaCga job popped past its deadline
-  // arrives with 0, which Config::validate rejects.
-  config.termination = cga::Termination::after_seconds(
-      std::max(budget_seconds, kHeuristicBudgetSeconds));
-  if (spec.max_generations > 0)
-    config.termination.max_generations = spec.max_generations;
+  config.termination = job_termination(spec, budget_seconds);
   if (!spec.warm_start.empty()) {
     // The repaired schedule rides into the engine's initial population
     // (cga::apply_warm_seed), so the PA-CGA re-optimizes FROM the seed and
@@ -226,12 +168,9 @@ void WarmSolver::solve_parallel(const etc::EtcMatrix& etc, const JobSpec& spec,
     out.warm_started = true;
   }
   const par::ParallelResult r = par::run_parallel(etc, config, {}, cancel);
-  const auto a = r.result.best.assignment();
-  out.assignment.assign(a.begin(), a.end());
-  out.makespan = r.result.best_fitness;
+  fill_result(out, r.result.best, r.result.best_fitness, SolvePolicy::kPaCga);
   out.generations = r.result.generations;
   out.evaluations = r.result.evaluations;
-  out.policy_used = SolvePolicy::kPaCga;
 }
 
 void WarmSolver::solve(const etc::EtcMatrix& etc, const JobSpec& spec,
@@ -274,8 +213,7 @@ void WarmSolver::solve(const etc::EtcMatrix& etc, const JobSpec& spec,
   if (!spec.warm_start.empty()) {
     // The reschedule contract: never answer worse than the seed. Both CGA
     // engines hold this by construction (the seed is in the initial
-    // population — solve_cga via seed_cell, solve_parallel via
-    // Config::warm_seed), so the explicit clamp is the final safety net
+    // population via Config::warm_seed), so the explicit clamp is the final safety net
     // for the heuristic escalation of a budget-starved (expired-deadline)
     // reschedule only — the repaired schedule IS a valid anytime answer.
     const sched::Schedule seed(
@@ -283,9 +221,7 @@ void WarmSolver::solve(const etc::EtcMatrix& etc, const JobSpec& spec,
     const double seed_fitness =
         sched::evaluate(seed, base_.objective, base_.lambda);
     if (out.assignment.empty() || seed_fitness < out.makespan) {
-      out.assignment = spec.warm_start;
-      out.makespan = seed_fitness;
-      out.policy_used = SolvePolicy::kWarmStart;
+      fill_result(out, seed, seed_fitness, SolvePolicy::kWarmStart);
     }
     out.warm_started = true;
   }

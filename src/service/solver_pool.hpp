@@ -4,13 +4,13 @@
 // The economics of serving: on a small instance the CGA's useful work per
 // job is milliseconds, so per-job setup (population construction, breeder
 // scratch, sweep order — a dozen vector allocations each sized
-// tasks*machines) would dominate. A WarmSolver therefore owns ALL of that
-// state as an arena keyed on the instance shape: jobs of the same
-// (tasks x machines) shape re-initialize the existing buffers in place
-// (Population::reseed, Schedule::randomize_from, SweepOrderCache::reset,
-// BestTracker::reset), so the steady-state serving path performs ZERO heap
+// tasks*machines) would dominate. A WarmSolver therefore keeps one
+// cga::SequentialEngine — the same engine run_sequential runs — as its
+// arena: jobs of the same (tasks x machines) shape re-initialize its
+// buffers in place, so the steady-state serving path performs ZERO heap
 // allocations for kCga jobs without Min-min seeding — the breeding path
-// itself is allocation-free with seeding too (test_service pins both).
+// itself is allocation-free with seeding too (test_service pins both,
+// and pins warm solves equal to run_sequential).
 //
 // Policy escalation (kAuto): tiny-or-urgent jobs get Min-min+Sufferage
 // (microseconds, near-optimal at that scale); real budgets get the warm
@@ -23,22 +23,17 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
-#include "cga/breeder.hpp"
 #include "cga/config.hpp"
 #include "cga/engine.hpp"
-#include "cga/loop.hpp"
-#include "cga/population.hpp"
 #include "obs/trace.hpp"
 #include "service/cache.hpp"
 #include "service/job.hpp"
 #include "service/metrics.hpp"
 #include "service/queue.hpp"
 #include "service/supervisor.hpp"
-#include "support/rng.hpp"
 #include "support/threading.hpp"
 
 namespace pacga::service {
@@ -66,6 +61,8 @@ class WarmSolver {
   /// shrunk automatically for small instances (population <= ~4x tasks,
   /// never below 4x4), one arena shape at a time.
   explicit WarmSolver(cga::Config base);
+  WarmSolver(const WarmSolver&) = delete;  // generation_probe_ holds `this`
+  WarmSolver& operator=(const WarmSolver&) = delete;
 
   /// Solves one job into `out` (assignment, makespan=fitness, policy_used,
   /// generations, evaluations). `budget_seconds` is the remaining wall
@@ -75,8 +72,8 @@ class WarmSolver {
   /// result a pure function of (etc, spec) given a generation cap.
   /// `tracer` (optional) records phase spans (arena build, heuristic,
   /// warm-CGA, PA-CGA) and power-of-two-generation convergence instants
-  /// tagged `job_id` — the probe is inlined rather than wrapped into
-  /// `observer` so tracing never allocates on the serving path.
+  /// tagged `job_id` — through a probe built once, so tracing never
+  /// allocates on the serving path.
   void solve(const etc::EtcMatrix& etc, const JobSpec& spec,
              double budget_seconds, const std::atomic<bool>* cancel,
              JobResult& out, const cga::GenerationObserver& observer = {},
@@ -91,11 +88,9 @@ class WarmSolver {
   /// Cold arena (re)builds since construction — the shape-affinity figure
   /// of merit. A worker fed an unbroken run of same-shape jobs builds once;
   /// every extra build is a shape switch that threw the warm arena away.
-  std::uint64_t arena_builds() const noexcept { return arena_builds_; }
+  std::uint64_t arena_builds() const noexcept { return engine_.builds(); }
 
  private:
-  void ensure_shape(const etc::EtcMatrix& etc, obs::WorkerTracer* tracer,
-                    std::uint64_t job_id);
   void solve_heuristic(const etc::EtcMatrix& etc, SolvePolicy policy,
                        JobResult& out);
   void solve_cga(const etc::EtcMatrix& etc, const JobSpec& spec,
@@ -107,16 +102,15 @@ class WarmSolver {
                       JobResult& out);
 
   cga::Config base_;
-  cga::Config arena_config_;  ///< base_ with the grid shrunk for the shape
-  std::size_t tasks_ = 0;
-  std::size_t machines_ = 0;
-  std::uint64_t arena_builds_ = 0;
-  support::Xoshiro256 rng_{1};
-  std::optional<cga::Population> population_;
-  std::optional<cga::Breeder> breeder_;
-  std::optional<cga::SweepOrderCache> order_;
-  std::optional<cga::Individual> scratch_;     ///< offspring buffer
-  std::optional<cga::BestTracker> tracker_;
+  cga::Config job_config_;  ///< base_ with the job's grid, seed and budget
+  cga::SequentialEngine engine_;  ///< the warm arena
+  /// engine_'s per-generation hook: the `generation` trace instants plus
+  /// the caller's observer, read from the job_* members of the job being
+  /// solved. Built once, so no job constructs a std::function.
+  cga::GenerationObserver generation_probe_;
+  obs::WorkerTracer* job_tracer_ = nullptr;  ///< null when not tracing
+  std::uint64_t job_id_ = 0;
+  const cga::GenerationObserver* job_observer_ = nullptr;
 };
 
 /// Options of the worker pool (and, via ServiceOptions, the service).

@@ -730,39 +730,51 @@ TEST(SchedulerService, UnwaitedResultsAreBounded) {
 TEST(SchedulerService, ExpiredPaCgaJobIsServedNotCrashed) {
   // Regression: an explicit-kPaCga job popped past its deadline used to
   // hand run_parallel a zero wall budget, whose Config::validate throw
-  // escaped the worker thread and aborted the process.
-  SchedulerService svc(small_service(1, 8, 0));
-  auto m = instance();
-  const JobId blocker = svc.submit(long_job(m, 300.0));
-  JobSpec spec;
-  spec.etc = m;
-  spec.policy = SolvePolicy::kPaCga;
-  spec.deadline_ms = 5.0;  // expires while the blocker holds the worker
-  spec.use_cache = false;
-  const JobId late = svc.submit(spec);
-  const JobResult r = svc.wait(late);
-  EXPECT_EQ(r.status, JobStatus::kDone);
-  EXPECT_TRUE(r.deadline_missed);
-  EXPECT_EQ(r.assignment.size(), m->tasks());
-  (void)svc.wait(blocker);
-  EXPECT_EQ(svc.metrics().failed, 0u);
+  // escaped the worker thread and aborted the process. The explicit-kCga
+  // path gets the same zero budget and must serve the job as well.
+  for (const SolvePolicy policy : {SolvePolicy::kPaCga, SolvePolicy::kCga}) {
+    SCOPED_TRACE(to_string(policy));
+    SchedulerService svc(small_service(1, 8, 0));
+    auto m = instance();
+    const JobId blocker = svc.submit(long_job(m, 300.0));
+    JobSpec spec;
+    spec.etc = m;
+    spec.policy = policy;
+    spec.deadline_ms = 5.0;  // expires while the blocker holds the worker
+    spec.use_cache = false;
+    const JobId late = svc.submit(spec);
+    const JobResult r = svc.wait(late);
+    EXPECT_EQ(r.status, JobStatus::kDone);
+    EXPECT_TRUE(r.deadline_missed);
+    EXPECT_EQ(r.assignment.size(), m->tasks());
+    (void)svc.wait(blocker);
+    EXPECT_EQ(svc.metrics().failed, 0u);
+  }
 }
 
 TEST(SchedulerService, TinyBaseGridIsSafe) {
   // Regression: a sub-16-cell solver grid drove std::clamp with lo > hi
-  // (UB) in the arena's grid-shrink computation.
-  ServiceOptions o = small_service(1, 8, 0);
-  o.solver.width = 3;
-  o.solver.height = 3;
-  SchedulerService svc(o);
-  JobSpec spec;
-  spec.etc = instance();
-  spec.policy = SolvePolicy::kCga;
-  spec.deadline_ms = 500.0;
-  spec.max_generations = 5;
-  const JobResult r = svc.wait(svc.submit(spec));
-  EXPECT_EQ(r.status, JobStatus::kDone);
-  EXPECT_EQ(r.generations, 5u);
+  // (UB) in the arena's grid-shrink computation. The second input: a
+  // thread count sized for PA-CGA must not fail Config::validate on the
+  // 5x5 arena an 8-task job shrinks to (the sequential engine ignores it).
+  struct Base {
+    std::size_t side, threads, tasks;
+  };
+  for (const Base b : {Base{3, 3, 32}, Base{16, 32, 8}}) {
+    ServiceOptions o = small_service(1, 8, 0);
+    o.solver.width = b.side;
+    o.solver.height = b.side;
+    o.solver.threads = b.threads;
+    SchedulerService svc(o);
+    JobSpec spec;
+    spec.etc = instance(b.tasks);
+    spec.policy = SolvePolicy::kCga;
+    spec.deadline_ms = 500.0;
+    spec.max_generations = 5;
+    const JobResult r = svc.wait(svc.submit(spec));
+    EXPECT_EQ(r.status, JobStatus::kDone) << r.error;
+    EXPECT_EQ(r.generations, 5u);
+  }
 }
 
 TEST(SchedulerService, BudgetStarvedAutoResultIsNotCached) {
@@ -1250,6 +1262,67 @@ TEST(WarmSolver, BreedingPathAllocationFreeWithMinMinSeeding) {
   solver.solve(*m, spec, 10.0, nullptr, out, observer);
   EXPECT_EQ(at_last_generation, at_first_generation)
       << "generations 2..n of a warm solve must not allocate";
+}
+
+TEST(WarmSolver, CgaSolveEqualsRunSequential) {
+  // The warm arena and cga::run_sequential are one algorithm: over the
+  // same arena config and seed, a generation-capped kCga solve returns
+  // exactly run_sequential's result. Each WarmSolver serves every case of
+  // its seeding setting in turn, so all but its first solve run warm
+  // (shape switches included). The 32x16 base shrinks to 16x16 for 64
+  // tasks and stays 32x16 for 128 and 512.
+  struct Shape {
+    std::size_t tasks, machines, width, height;
+  };
+  const Shape shapes[] = {{64, 8, 16, 16}, {128, 8, 32, 16}, {512, 16, 32, 16}};
+  constexpr std::uint64_t kGenerations = 12;
+  for (const bool min_min : {true, false}) {
+    cga::Config base;
+    base.width = 32;
+    base.height = 16;
+    base.seed_min_min = min_min;
+    WarmSolver solver(base);
+    for (const Shape& shape : shapes) {
+      auto m = instance(shape.tasks, shape.machines, shape.tasks);
+      for (const bool warm : {false, true}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          SCOPED_TRACE(testing::Message()
+                       << shape.tasks << "x" << shape.machines
+                       << " min_min=" << min_min << " warm=" << warm
+                       << " seed=" << seed);
+          JobSpec spec;
+          spec.policy = SolvePolicy::kCga;
+          spec.seed = seed;
+          spec.max_generations = kGenerations;
+          spec.use_cache = false;
+          if (warm) {
+            const sched::Schedule seed_schedule = heur::sufferage(*m);
+            const auto a = seed_schedule.assignment();
+            spec.warm_start.assign(a.begin(), a.end());
+          }
+          JobResult out;
+          solver.solve(*m, spec, 10.0, nullptr, out);
+
+          cga::Config config = base;
+          config.width = shape.width;
+          config.height = shape.height;
+          config.seed = seed;
+          config.termination = cga::Termination::after_seconds(10.0);
+          config.termination.max_generations = kGenerations;
+          config.warm_seed = spec.warm_start;
+          const cga::Result ref = cga::run_sequential(*m, config);
+
+          const auto a = ref.best.assignment();
+          EXPECT_EQ(out.assignment,
+                    std::vector<sched::MachineId>(a.begin(), a.end()));
+          EXPECT_EQ(out.makespan, ref.best_fitness);
+          EXPECT_EQ(out.generations, ref.generations);
+          EXPECT_EQ(out.evaluations, ref.evaluations);
+          EXPECT_EQ(out.policy_used, SolvePolicy::kCga);
+        }
+      }
+    }
+  }
 }
 
 // --- observability integration ---------------------------------------------
