@@ -2,124 +2,11 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "support/rng.hpp"
 
 namespace pacga::service {
-
-JobQueue::JobQueue(std::size_t capacity) : capacity_(capacity) {
-  if (capacity == 0)
-    throw std::invalid_argument("JobQueue: capacity must be >= 1");
-  heap_.reserve(capacity);
-}
-
-void JobQueue::push_locked(JobTicket&& job) {
-  Entry e;
-  e.priority = job->spec.priority;
-  e.seq = next_seq_++;
-  e.job = std::move(job);
-  heap_.push_back(std::move(e));
-  std::push_heap(heap_.begin(), heap_.end(), heap_before);
-}
-
-JobTicket JobQueue::pop_locked() {
-  std::pop_heap(heap_.begin(), heap_.end(), heap_before);
-  JobTicket job = std::move(heap_.back().job);
-  heap_.pop_back();
-  return job;
-}
-
-bool JobQueue::try_submit(JobTicket job) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_ || heap_.size() >= capacity_) return false;
-    push_locked(std::move(job));
-  }
-  not_empty_.notify_one();
-  return true;
-}
-
-bool JobQueue::submit(JobTicket job) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock,
-                   [this] { return closed_ || heap_.size() < capacity_; });
-    if (closed_) return false;
-    push_locked(std::move(job));
-  }
-  not_empty_.notify_one();
-  return true;
-}
-
-JobTicket JobQueue::pop() {
-  JobTicket job;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [this] { return closed_ || !heap_.empty(); });
-    if (heap_.empty()) return nullptr;  // closed and drained
-    job = pop_locked();
-  }
-  not_full_.notify_one();
-  return job;
-}
-
-JobTicket JobQueue::try_pop() {
-  JobTicket job;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (heap_.empty()) return nullptr;
-    job = pop_locked();
-  }
-  not_full_.notify_one();
-  return job;
-}
-
-void JobQueue::wait_for_work(std::chrono::nanoseconds timeout) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  not_empty_.wait_for(lock, timeout,
-                      [this] { return closed_ || !heap_.empty(); });
-}
-
-bool JobQueue::remove(const JobState* job) {
-  bool removed = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it =
-        std::find_if(heap_.begin(), heap_.end(),
-                     [job](const Entry& e) { return e.job.get() == job; });
-    if (it != heap_.end()) {
-      heap_.erase(it);
-      std::make_heap(heap_.begin(), heap_.end(), heap_before);
-      removed = true;
-    }
-  }
-  if (removed) not_full_.notify_one();
-  return removed;
-}
-
-void JobQueue::close() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-  }
-  not_empty_.notify_all();
-  not_full_.notify_all();
-}
-
-bool JobQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return closed_;
-}
-
-bool JobQueue::done() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return closed_ && heap_.empty();
-}
-
-std::size_t JobQueue::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return heap_.size();
-}
 
 ShardedJobQueue::ShardedJobQueue(std::size_t capacity, std::size_t shards) {
   if (shards == 0)
@@ -137,7 +24,7 @@ ShardedJobQueue::ShardedJobQueue(std::size_t capacity, std::size_t shards) {
   for (std::size_t i = 0; i < shards; ++i) {
     const std::size_t per_shard =
         std::max<std::size_t>(1, base + (i < remainder ? 1 : 0));
-    shards_.push_back(std::make_unique<JobQueue>(per_shard));
+    shards_.push_back(std::make_unique<Shard>(per_shard));
   }
 }
 
@@ -149,88 +36,202 @@ std::size_t ShardedJobQueue::shard_of_shape(
          shards_.size();
 }
 
+bool ShardedJobQueue::admit(JobTicket job, bool block) {
+  const std::size_t i = job->shard % shards_.size();
+  Shard& s = shard(i);
+  bool owner_busy = false;
+  {
+    std::unique_lock<std::mutex> lock(s.mutex);
+    if (block) {
+      s.not_full.wait(lock,
+                      [&s] { return s.closed || s.heap.size() < s.capacity; });
+    }
+    if (s.closed || s.heap.size() >= s.capacity) return false;
+    const int priority = job->spec.priority;
+    s.heap.push_back(Entry{priority, s.next_seq++, std::move(job)});
+    std::push_heap(s.heap.begin(), s.heap.end(), heap_before);
+    owner_busy = s.owner != Owner::kIdle;
+  }
+  s.not_empty.notify_one();
+  // Rule 2: an idle owner was just notified and takes the job itself; a
+  // serving or absent one cannot, so a parked peer comes to steal it.
+  if (owner_busy) wake_peer(i);
+  return true;
+}
+
 bool ShardedJobQueue::try_submit(JobTicket job) {
-  JobQueue& shard = *shards_[job->shard % shards_.size()];
-  return shard.try_submit(std::move(job));
+  return admit(std::move(job), /*block=*/false);
 }
 
 bool ShardedJobQueue::submit(JobTicket job) {
-  JobQueue& shard = *shards_[job->shard % shards_.size()];
-  return shard.submit(std::move(job));
+  return admit(std::move(job), /*block=*/true);
+}
+
+void ShardedJobQueue::mark_idle(std::size_t home, std::uint64_t generation) {
+  Shard& mine = shard(home);
+  std::lock_guard<std::mutex> lock(mine.mutex);
+  if (generation < mine.owner_generation) return;  // superseded worker
+  mine.owner_generation = generation;
+  mine.owner = Owner::kIdle;
+}
+
+JobTicket ShardedJobQueue::take(std::size_t from, std::size_t home) {
+  Shard& src = shard(from);
+  Shard& mine = shard(home);
+  JobTicket job;
+  bool left_behind = false;
+  {
+    std::lock_guard<std::mutex> lock(src.mutex);
+    if (src.heap.empty()) return nullptr;
+    if (from != home && src.owner == Owner::kIdle && !src.closed)
+      return nullptr;  // rule 1: its owner was notified and is on its way
+    std::pop_heap(src.heap.begin(), src.heap.end(), heap_before);
+    job = std::move(src.heap.back().job);
+    src.heap.pop_back();
+    left_behind = from != home && !src.heap.empty();
+  }
+  src.not_full.notify_one();
+  bool kicked = false;
+  bool home_backlog = false;
+  {
+    std::lock_guard<std::mutex> lock(mine.mutex);
+    mine.owner = Owner::kServing;
+    mine.parked = false;
+    kicked = std::exchange(mine.kicked, false);
+    home_backlog = !mine.heap.empty();
+  }
+  // Rule 3: work left queued behind a now-serving owner goes to a parked
+  // peer. A kick that reached us mid-re-scan may have been meant for a job
+  // other than the one we took, so it is passed on rather than dropped.
+  if (left_behind) wake_peer(from);
+  if (home_backlog) wake_peer(home);
+  if (kicked) wake_peer(home);
+  return job;
+}
+
+void ShardedJobQueue::wake_peer(std::size_t from) {
+  const std::size_t n = shards_.size();
+  for (std::size_t off = 1; off < n; ++off) {
+    Shard& peer = shard(from + off);
+    {
+      std::lock_guard<std::mutex> lock(peer.mutex);
+      if (!peer.parked || peer.kicked) continue;
+      peer.kicked = true;
+    }
+    peer.not_empty.notify_one();
+    return;
+  }
 }
 
 JobTicket ShardedJobQueue::pop(std::size_t home, bool* stolen) {
   const std::size_t n = shards_.size();
   home %= n;
-  if (stolen) *stolen = false;
-  for (;;) {
-    // Home shard first: the pinned worker has absolute priority on its own
-    // (shape-affine) traffic, so warm arenas see unbroken same-shape runs.
-    if (JobTicket job = shards_[home]->try_pop()) return job;
-
-    // Steal ONE job from the first non-empty neighbor, ring order. Bounded
-    // to one per attempt so the thief re-checks home before stealing again
-    // — a burst on the home shard reclaims its worker within one job.
-    for (std::size_t off = 1; off < n; ++off) {
-      const std::size_t victim = (home + off) % n;
-      if (JobTicket job = shards_[victim]->try_pop()) {
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        if (stolen) *stolen = true;
+  Shard& mine = shard(home);
+  {
+    std::lock_guard<std::mutex> lock(mine.mutex);
+    mine.owner = Owner::kIdle;
+  }
+  // Home shard first: the pinned worker has absolute priority on its own
+  // (shape-affine) traffic, so warm arenas see unbroken same-shape runs.
+  // Then ONE job from the first neighbor it may steal from, so the thief
+  // re-checks home before stealing again.
+  const auto scan = [&]() -> JobTicket {
+    for (std::size_t off = 0; off < n; ++off) {
+      if (JobTicket job = take((home + off) % n, home)) {
+        if (off > 0) steals_.fetch_add(1, std::memory_order_relaxed);
+        if (stolen) *stolen = off > 0;
         return job;
       }
     }
-
-    // Nothing anywhere. Exit only when every shard is closed AND drained —
-    // monotone after close() (closed shards only drain), so a false "not
-    // done" here just means another loop iteration. A job submitted to any
-    // shard between our scan and this check is picked up after the nap at
-    // the latest (wait_for_work wakes immediately for home submissions).
-    bool all_done = true;
-    for (const auto& s : shards_)
-      if (!s->done()) {
-        all_done = false;
-        break;
-      }
-    if (all_done) return nullptr;
-
-    shards_[home]->wait_for_work(kStealPatience);
+    return nullptr;
+  };
+  for (;;) {
+    if (JobTicket job = scan()) return job;
+    {
+      std::lock_guard<std::mutex> lock(mine.mutex);
+      mine.parked = true;
+    }
+    // Rule 4: a job admitted after the flag went up finds it and kicks
+    // us; one admitted before it is found by this re-scan.
+    if (JobTicket job = scan()) return job;
+    // Exit only when every shard is closed AND drained — monotone after
+    // close(), so a false "not done" just means another round.
+    const bool done =
+        std::all_of(shards_.begin(), shards_.end(), [](const auto& s) {
+          std::lock_guard<std::mutex> lock(s->mutex);
+          return s->closed && s->heap.empty();
+        });
+    std::unique_lock<std::mutex> lock(mine.mutex);
+    if (done) {
+      mine.owner = Owner::kAbsent;
+      mine.parked = false;
+      return nullptr;
+    }
+    mine.not_empty.wait(lock, [&mine] {
+      return mine.closed || mine.kicked || !mine.heap.empty();
+    });
+    mine.parked = false;
+    mine.kicked = false;
   }
 }
 
 bool ShardedJobQueue::remove(const JobState* job) {
-  return shards_[job->shard % shards_.size()]->remove(job);
+  Shard& s = shard(job->shard);
+  {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    const auto it =
+        std::find_if(s.heap.begin(), s.heap.end(),
+                     [job](const Entry& e) { return e.job.get() == job; });
+    if (it == s.heap.end()) return false;
+    s.heap.erase(it);
+    std::make_heap(s.heap.begin(), s.heap.end(), heap_before);
+  }
+  s.not_full.notify_one();
+  return true;
 }
 
 void ShardedJobQueue::close() {
-  for (auto& s : shards_) s->close();
+  for (auto& s : shards_) {
+    {
+      std::lock_guard<std::mutex> lock(s->mutex);
+      s->closed = true;
+    }
+    s->not_empty.notify_all();
+    s->not_full.notify_all();
+  }
 }
 
-bool ShardedJobQueue::closed() const { return shards_.front()->closed(); }
+bool ShardedJobQueue::closed() const {
+  std::lock_guard<std::mutex> lock(shards_.front()->mutex);
+  return shards_.front()->closed;
+}
 
 std::size_t ShardedJobQueue::size() const {
   std::size_t total = 0;
-  for (const auto& s : shards_) total += s->size();
+  for (std::size_t i = 0; i < shards_.size(); ++i) total += depth(i);
   return total;
 }
 
 std::vector<std::size_t> ShardedJobQueue::depths() const {
   std::vector<std::size_t> d;
   d.reserve(shards_.size());
-  for (const auto& s : shards_) d.push_back(s->size());
+  for (std::size_t i = 0; i < shards_.size(); ++i) d.push_back(depth(i));
   return d;
 }
 
-std::size_t ShardedJobQueue::depth(std::size_t shard) const {
-  return shards_[shard % shards_.size()]->size();
+std::size_t ShardedJobQueue::depth(std::size_t i) const {
+  const Shard& s = shard(i);
+  std::lock_guard<std::mutex> lock(s.mutex);
+  return s.heap.size();
 }
 
-std::size_t ShardedJobQueue::shard_capacity(std::size_t shard) const noexcept {
-  return shards_[shard % shards_.size()]->capacity();
+std::size_t ShardedJobQueue::shard_capacity(std::size_t i) const noexcept {
+  return shard(i).capacity;
 }
 
 std::size_t ShardedJobQueue::capacity() const noexcept {
   std::size_t total = 0;
-  for (const auto& s : shards_) total += s->capacity();
+  for (const auto& s : shards_) total += s->capacity;
   return total;
 }
 

@@ -263,6 +263,7 @@ void SolverPool::spawn_worker(std::size_t worker) {
   std::lock_guard<std::mutex> lock(threads_mutex_);
   if (joining_) return;  // shutting down: a replacement would leak
   const std::uint64_t generation = supervisor_->generation(worker);
+  queue_.mark_idle(worker % queue_.shards(), generation);
   threads_.emplace_back(
       [this, worker, generation] { run_worker(worker, generation); });
 }
@@ -274,7 +275,7 @@ void SolverPool::run_worker(std::size_t worker, std::uint64_t generation) {
   bool stolen = false;
   while (JobTicket job = queue_.pop(home, &stolen)) {
     supervisor_->begin_serve(worker, generation, job);
-    serve(job, solver, worker, tracer, stolen);
+    serve(job, solver, worker, generation, tracer, stolen);
     supervisor_->end_serve(worker, generation);
     // Exit iff the watchdog handed this slot to a replacement — the
     // authoritative signal, checked after EVERY serve. A lost commit
@@ -318,6 +319,7 @@ std::uint64_t SolverPool::cache_key(const etc::EtcMatrix& etc,
 SolverPool::ServeOutcome SolverPool::serve(const JobTicket& ticket,
                                            WarmSolver& solver,
                                            std::size_t worker,
+                                           std::uint64_t generation,
                                            obs::WorkerTracer& tracer,
                                            bool stolen) {
   JobState& job = *ticket;
@@ -477,6 +479,9 @@ SolverPool::ServeOutcome SolverPool::serve(const JobTicket& ticket,
     }
   }
 
+  // Idle before the commit wakes the client: a closed-loop resubmission
+  // must find its home worker idle, or it would hand the job to a thief.
+  queue_.mark_idle(worker % queue_.shards(), generation);
   // Accounting runs inside the commit, under the job mutex, BEFORE the
   // result becomes visible: a client that wait()s this job and then reads
   // a metrics snapshot must see the job counted. `out` is still intact

@@ -188,8 +188,8 @@ class SolverPool {
   };
 
   ServeOutcome serve(const JobTicket& ticket, WarmSolver& solver,
-                     std::size_t worker, obs::WorkerTracer& tracer,
-                     bool stolen);
+                     std::size_t worker, std::uint64_t generation,
+                     obs::WorkerTracer& tracer, bool stolen);
   void run_worker(std::size_t worker, std::uint64_t generation);
   /// Starts (or restarts, from the watchdog) the thread of worker index w.
   void spawn_worker(std::size_t worker);

@@ -66,7 +66,11 @@ daemon_pid=$!
 port=""
 tries=0
 while [ "$tries" -lt 100 ]; do
-  port=$(sed -n 's/^LISTENING .*:\([0-9]*\)$/\1/p' "$workdir/daemon_out")
+  # The backgrounded shell may not have created daemon_out yet; a sed on a
+  # missing file would trip set -e into a cleanup that waits on the daemon.
+  if [ -f "$workdir/daemon_out" ]; then
+    port=$(sed -n 's/^LISTENING .*:\([0-9]*\)$/\1/p' "$workdir/daemon_out")
+  fi
   [ -n "$port" ] && break
   kill -0 "$daemon_pid" 2>/dev/null || { echo "FAIL: daemon died at startup"; cat "$workdir/daemon_err"; exit 1; }
   sleep 0.1
