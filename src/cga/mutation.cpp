@@ -1,5 +1,12 @@
 #include "cga/mutation.hpp"
 
+#include <bit>
+#include <cstdint>
+#include <type_traits>
+#include <vector>
+
+#include "support/kernels.hpp"
+
 namespace pacga::cga {
 
 const char* to_string(MutationKind k) noexcept {
@@ -14,15 +21,31 @@ const char* to_string(MutationKind k) noexcept {
 std::size_t random_task_on_machine(const sched::Schedule& s,
                                    sched::MachineId m,
                                    support::Xoshiro256& rng) {
-  std::size_t chosen = s.tasks();
-  std::size_t seen = 0;
-  for (std::size_t t = 0; t < s.tasks(); ++t) {
-    if (s.machine_of(t) != m) continue;
-    ++seen;
-    // Reservoir of size 1: replace with probability 1/seen.
-    if (rng.index(seen) == 0) chosen = t;
+  static_assert(std::is_same_v<sched::MachineId, std::uint16_t>,
+                "the match mask compares 16-bit genes");
+  // Mask words; reused across calls (thread-local to stay allocation-free
+  // on the hot path).
+  thread_local std::vector<std::uint64_t> mask;
+  mask.resize((s.tasks() + 63) / 64);
+  const std::size_t count = support::kernels::eq_mask_u16(
+      s.assignment().data(), s.tasks(), m, mask.data());
+  if (count == 0) return s.tasks();
+  // The size-1 reservoir's draws: the seen-th match replaces the choice
+  // when index(seen) is 0. Only the draws depend on the RNG, so they run
+  // without touching the genes.
+  std::size_t pick = 0;
+  for (std::size_t seen = 1; seen <= count; ++seen) {
+    if (rng.index(seen) == 0) pick = seen;
   }
-  return chosen;
+  // The pick-th set bit (1-based) is the chosen task.
+  std::size_t w = 0;
+  while (pick > static_cast<std::size_t>(std::popcount(mask[w]))) {
+    pick -= static_cast<std::size_t>(std::popcount(mask[w]));
+    ++w;
+  }
+  std::uint64_t bits = mask[w];
+  for (; pick > 1; --pick) bits &= bits - 1;
+  return 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
 }
 
 void mutate(MutationKind kind, sched::Schedule& s, support::Xoshiro256& rng) {

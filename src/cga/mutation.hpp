@@ -19,9 +19,15 @@ const char* to_string(MutationKind k) noexcept;
 /// Applies one mutation of `kind` in place.
 void mutate(MutationKind kind, sched::Schedule& s, support::Xoshiro256& rng);
 
-/// Picks one task uniformly among those assigned to machine `m` via a
-/// single reservoir-sampling pass. Returns tasks() when `m` is empty.
-/// Shared with H2LL (which draws from the most loaded machine).
+/// Picks one task uniformly among those assigned to machine `m`; returns
+/// tasks() when `m` is empty. Shared with H2LL (which draws from the most
+/// loaded machine).
+///
+/// Draw contract: with `count` tasks on `m`, it makes exactly `count`
+/// calls, rng.index(1), rng.index(2), ..., rng.index(count), and returns
+/// the task of the last match whose draw was 0 — the choice and the RNG
+/// stream of a size-1 reservoir pass over the tasks, so trajectories do
+/// not depend on how the matches are found (a SIMD match mask here).
 std::size_t random_task_on_machine(const sched::Schedule& s,
                                    sched::MachineId m,
                                    support::Xoshiro256& rng);

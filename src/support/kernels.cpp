@@ -1,5 +1,7 @@
 #include "support/kernels.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -117,10 +119,24 @@ void scalar_batch_max(const double* const* rows, std::size_t count,
   for (std::size_t r = 0; r < count; ++r) out[r] = scalar_max_value(rows[r], n);
 }
 
+std::size_t scalar_eq_mask_u16(const std::uint16_t* d, std::size_t n,
+                               std::uint16_t value, std::uint64_t* words) {
+  std::size_t count = 0;
+  for (std::size_t w = 0; 64 * w < n; ++w) {
+    std::uint64_t bits = 0;
+    for (std::size_t i = 0; i < std::min<std::size_t>(64, n - 64 * w); ++i) {
+      bits |= std::uint64_t{d[64 * w + i] == value} << i;
+    }
+    words[w] = bits;
+    count += static_cast<std::size_t>(std::popcount(bits));
+  }
+  return count;
+}
+
 constexpr Dispatch kScalar{
     scalar_max_value, scalar_min_value,     scalar_argmax,     scalar_argmin,
     scalar_min_plus,  scalar_scale_inplace, scalar_hash_block,
-    scalar_batch_max, "scalar"};
+    scalar_batch_max, scalar_eq_mask_u16,   "scalar"};
 
 // ---- AVX2 path -----------------------------------------------------------
 
@@ -393,9 +409,41 @@ __attribute__((target("avx2"))) void avx2_batch_max(const double* const* rows,
   for (std::size_t r = 0; r < count; ++r) out[r] = avx2_max_value(rows[r], n);
 }
 
-constexpr Dispatch kAvx2{avx2_max_value, avx2_min_value,     avx2_argmax,
-                         avx2_argmin,    avx2_min_plus,      avx2_scale_inplace,
-                         avx2_hash_block, avx2_batch_max,    "avx2"};
+// 64 genes per mask word: two 16-lane compares per 32 genes, narrowed to
+// bytes by packs (0xFFFF saturates to 0xFF). packs interleaves the 128-bit
+// halves of its operands, so the 64-bit permute restores gene order before
+// movemask reads one bit per gene. A partial last word takes the scalar
+// body.
+__attribute__((target("avx2"))) std::size_t avx2_eq_mask_u16(
+    const std::uint16_t* d, std::size_t n, std::uint16_t value,
+    std::uint64_t* words) {
+  const __m256i v = _mm256_set1_epi16(static_cast<short>(value));
+  std::size_t count = 0;
+  std::size_t w = 0;
+  for (; 64 * w + 64 <= n; ++w) {
+    std::uint64_t bits = 0;
+    for (std::size_t half = 0; half < 2; ++half) {
+      const std::uint16_t* p = d + 64 * w + 32 * half;
+      const __m256i a = _mm256_cmpeq_epi16(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)), v);
+      const __m256i b = _mm256_cmpeq_epi16(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 16)), v);
+      const __m256i bytes = _mm256_permute4x64_epi64(
+          _mm256_packs_epi16(a, b), _MM_SHUFFLE(3, 1, 2, 0));
+      bits |= std::uint64_t{static_cast<std::uint32_t>(
+                  _mm256_movemask_epi8(bytes))}
+              << (32 * half);
+    }
+    words[w] = bits;
+    count += static_cast<std::size_t>(std::popcount(bits));
+  }
+  return count + scalar_eq_mask_u16(d + 64 * w, n - 64 * w, value, words + w);
+}
+
+constexpr Dispatch kAvx2{avx2_max_value,   avx2_min_value,  avx2_argmax,
+                         avx2_argmin,      avx2_min_plus,   avx2_scale_inplace,
+                         avx2_hash_block,  avx2_batch_max,  avx2_eq_mask_u16,
+                         "avx2"};
 
 // ---- AVX-512 path --------------------------------------------------------
 //
@@ -409,7 +457,9 @@ constexpr Dispatch kAvx2{avx2_max_value, avx2_min_value,     avx2_argmax,
 // required. hash_block stays on the AVX2 path: its semantics are DEFINED
 // as a 4-lane interleaved mix, so an 8-wide register buys nothing — the
 // table reuses avx2_hash_block verbatim (avx512_supported() therefore also
-// requires AVX2, a subset of every real AVX-512 CPU).
+// requires AVX2, a subset of every real AVX-512 CPU). eq_mask_u16 reuses
+// the AVX2 body too: 16-bit compares need AVX-512BW, and once the scan is
+// vectorised the caller's RNG draws dominate, not the scan width.
 
 __attribute__((target("avx512f"))) double avx512_max_value(const double* d,
                                                            std::size_t n) {
@@ -632,7 +682,7 @@ constexpr Dispatch kAvx512{avx512_max_value, avx512_min_value,
                            avx512_argmax,    avx512_argmin,
                            avx512_min_plus,  avx512_scale_inplace,
                            avx2_hash_block,  avx512_batch_max,
-                           "avx512"};
+                           avx2_eq_mask_u16, "avx512"};
 
 #endif  // PACGA_KERNELS_X86_AVX2
 

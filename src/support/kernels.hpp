@@ -4,9 +4,10 @@
 // Every hot reduction in the repo (makespan max-scans, argmax/argmin over
 // machine completions, the fused `ct[m] + etc_row[m]` min-scan at the heart
 // of Min-min / Sufferage / H2LL candidate selection, machine-column scaling,
-// content fingerprinting, batched offspring evaluation) funnels through this
-// header. Three tiers — AVX-512 (8-wide doubles), AVX2 (4-wide), and a
-// portable scalar path — are resolved ONCE at startup from CPU features;
+// content fingerprinting, batched offspring evaluation, the gene match mask
+// behind H2LL's and rebalance's task pick) funnels through this header.
+// Three tiers — AVX-512 (8-wide doubles), AVX2 (4-wide), and a portable
+// scalar path — are resolved ONCE at startup from CPU features;
 // `PACGA_FORCE_KERNELS=scalar|avx2|avx512` pins a specific tier for testing
 // (refusing tiers the CPU cannot run).
 //
@@ -61,6 +62,11 @@ struct Dispatch {
   /// pay the indirect call once per sweep instead of once per child.
   void (*batch_max)(const double* const* rows, std::size_t count,
                     std::size_t n, double* out);
+  /// Match mask over 16-bit genes: writes ceil(n/64) words, bit i of word
+  /// w set iff data[64w + i] == value, bits past n zero. Returns the
+  /// number of matches. n may be 0 (no word is written).
+  std::size_t (*eq_mask_u16)(const std::uint16_t* data, std::size_t n,
+                             std::uint16_t value, std::uint64_t* words);
   const char* name;
 };
 
@@ -130,6 +136,12 @@ inline std::uint64_t hash_block(const double* data, std::size_t n,
 inline void batch_max(const double* const* rows, std::size_t count,
                       std::size_t n, double* out) noexcept {
   active().batch_max(rows, count, n, out);
+}
+
+inline std::size_t eq_mask_u16(const std::uint16_t* data, std::size_t n,
+                               std::uint16_t value,
+                               std::uint64_t* words) noexcept {
+  return active().eq_mask_u16(data, n, value, words);
 }
 
 // ---- direct access to both paths (equivalence tests, benchmarks) ---------

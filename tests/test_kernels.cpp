@@ -313,6 +313,65 @@ TEST(Kernels, BatchMaxMatchesPerRowMaxBitForBit) {
   }
 }
 
+TEST(Kernels, EqMaskU16BitIdenticalAcrossPaths) {
+  // Every tier writes the same mask words as an independent per-gene
+  // reference, returns their popcount, leaves tail bits zero and writes
+  // nothing past ceil(n/64) words. Values: 0, 0xFFFF (the packs
+  // saturation edge), one absent from the data, and all-equal data.
+  constexpr std::uint64_t kSentinel = 0xA5A5A5A5A5A5A5A5ULL;
+  Xoshiro256 rng(41);
+  for (const std::size_t n : {0ul, 1ul, 15ul, 16ul, 17ul, 31ul, 32ul, 33ul,
+                              63ul, 64ul, 65ul, 100ul, 512ul, 4096ul}) {
+    std::vector<std::uint16_t> mixed(n);
+    for (auto& g : mixed) {
+      switch (rng.index(4)) {
+        case 0: g = 0; break;
+        case 1: g = 0xFFFF; break;
+        default: g = static_cast<std::uint16_t>(1 + rng.index(16)); break;
+      }
+    }
+    const std::vector<std::uint16_t> same(n, 0x8000);
+    const struct {
+      const std::vector<std::uint16_t>* data;
+      std::uint16_t value;
+      const char* label;
+    } cases[] = {{&mixed, 0, "zero"},
+                 {&mixed, 0xFFFF, "ffff"},
+                 {&mixed, 7, "mid"},
+                 {&mixed, 0x1234, "absent"},
+                 {&same, 0x8000, "all-equal"}};
+    const std::size_t n_words = (n + 63) / 64;
+    for (const auto& c : cases) {
+      std::vector<std::uint64_t> ref(n_words, 0);
+      std::size_t ref_count = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if ((*c.data)[i] != c.value) continue;
+        ref[i / 64] |= std::uint64_t{1} << (i % 64);
+        ++ref_count;
+      }
+      for (const Dispatch* t : testable_tables()) {
+        SCOPED_TRACE(std::string("eq_mask n=") + std::to_string(n) + " " +
+                     c.label + " via " + t->name);
+        std::vector<std::uint64_t> words(n_words + 2, kSentinel);
+        const std::size_t count =
+            t->eq_mask_u16(c.data->data(), n, c.value, words.data());
+        EXPECT_EQ(count, ref_count);
+        std::size_t popcount = 0;
+        for (std::size_t w = 0; w < n_words; ++w) {
+          EXPECT_EQ(words[w], ref[w]) << "word " << w;
+          popcount += static_cast<std::size_t>(std::popcount(words[w]));
+        }
+        EXPECT_EQ(count, popcount);
+        if (n % 64 != 0) {
+          EXPECT_EQ(words[n_words - 1] >> (n % 64), 0u) << "tail bits";
+        }
+        EXPECT_EQ(words[n_words], kSentinel);
+        EXPECT_EQ(words[n_words + 1], kSentinel);
+      }
+    }
+  }
+}
+
 TEST(Kernels, Avx512TierRunsOnThisHostOrSkips) {
   // The dedicated presence check: on AVX-512 hosts the tier must actually
   // execute (a direct call, not just table registration); elsewhere the

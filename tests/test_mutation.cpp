@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "etc/braun.hpp"
 
@@ -95,6 +97,60 @@ TEST(RandomTaskOnMachine, SingleTask) {
   support::Xoshiro256 rng(6);
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(random_task_on_machine(s, 5, rng), 37u);
+  }
+}
+
+/// The size-1 reservoir pass random_task_on_machine replaced, kept verbatim
+/// as the reference for its choice and its RNG draws.
+std::size_t reservoir_reference(const sched::Schedule& s, sched::MachineId m,
+                                support::Xoshiro256& rng) {
+  std::size_t chosen = s.tasks();
+  std::size_t seen = 0;
+  for (std::size_t t = 0; t < s.tasks(); ++t) {
+    if (s.machine_of(t) != m) continue;
+    ++seen;
+    // Reservoir of size 1: replace with probability 1/seen.
+    if (rng.index(seen) == 0) chosen = t;
+  }
+  return chosen;
+}
+
+TEST(RandomTaskOnMachine, MatchesReservoirReference) {
+  // Same task and same draws as the reservoir pass: after each call the
+  // next output of both generators must agree. Shapes straddle the 64-gene
+  // mask words; machines cover empty ones and one holding every task.
+  constexpr std::size_t kMachines = 8;
+  support::Xoshiro256 gen(8);
+  for (const std::size_t tasks :
+       {1ul, 2ul, 31ul, 32ul, 33ul, 63ul, 64ul, 65ul, 127ul, 512ul, 4096ul}) {
+    const etc::EtcMatrix m(tasks, kMachines,
+                           std::vector<double>(tasks * kMachines, 1.0));
+    // Uniform over all machines; skewed onto machines 0..2 (the rest
+    // empty); every task on machine 5.
+    std::vector<std::vector<sched::MachineId>> layouts(3);
+    for (std::size_t t = 0; t < tasks; ++t) {
+      layouts[0].push_back(static_cast<sched::MachineId>(gen.index(kMachines)));
+      layouts[1].push_back(static_cast<sched::MachineId>(
+          gen.index(4) == 0 ? gen.index(3) : 1));
+      layouts[2].push_back(5);
+    }
+    for (std::size_t l = 0; l < layouts.size(); ++l) {
+      const sched::Schedule s(m, layouts[l]);
+      for (std::size_t machine = 0; machine < kMachines; ++machine) {
+        for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+          SCOPED_TRACE("tasks=" + std::to_string(tasks) + " layout=" +
+                       std::to_string(l) + " machine=" +
+                       std::to_string(machine) + " seed=" +
+                       std::to_string(seed));
+          support::Xoshiro256 got_rng(seed * 7919 + tasks);
+          support::Xoshiro256 ref_rng = got_rng;
+          const auto id = static_cast<sched::MachineId>(machine);
+          ASSERT_EQ(random_task_on_machine(s, id, got_rng),
+                    reservoir_reference(s, id, ref_rng));
+          ASSERT_EQ(got_rng(), ref_rng());
+        }
+      }
+    }
   }
 }
 

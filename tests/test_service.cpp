@@ -781,7 +781,10 @@ TEST(SchedulerService, HugeFiniteDeadlineDoesNotWrap) {
 TEST(SchedulerService, UnwaitedResultsAreBounded) {
   // Fire-and-forget tenants must not grow the registry without bound:
   // only the most recent kRetainedResults finished jobs stay waitable.
-  SchedulerService svc(small_service(2, 64, 0));
+  // One worker serves the jobs in admission order, so `first` is
+  // certainly the oldest finished job; with two, a descheduled worker
+  // could finish it after the others and keep it among the retained.
+  SchedulerService svc(small_service(1, 64, 0));
   auto m = instance(8, 4);  // tiny: heuristic path, microseconds per job
   JobSpec spec;
   spec.etc = m;
