@@ -8,8 +8,8 @@
 // pre-rewrite reference —
 //   * Min-min / Max-min / Sufferage: cached-best-machine rewrite vs the
 //     naive textbook loop (schedules asserted IDENTICAL);
-//   * H2LL: top-k selection + kernel scans vs the former per-iteration
-//     full sort (reference preserved inline here);
+//   * H2LL: the lightest-machines mask + kernel scans vs the former
+//     per-iteration full sort (reference preserved inline here);
 //   * dynamic repair: full-orphan constructive repair (RescheduleSession
 //     init) vs the naive reference order, plus absolute machine-down
 //     repair latency.

@@ -1,9 +1,9 @@
 #include "cga/local_search.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <span>
 #include <vector>
 
@@ -45,29 +45,27 @@ void apply_local_search(LocalSearchKind kind, sched::Schedule& s,
 
 namespace {
 
-/// Fills `cand[0..k)` with the k machines of smallest (completion, index),
-/// sorted ascending by machine index. O(machines) selection via
-/// nth_element — this replaced H2LL's former per-iteration full sort of
-/// all machine completions. Ties at the selection boundary break toward
-/// the lower machine index, so the candidate set is a deterministic
-/// function of the completion array (the golden replays depend on that;
-/// std::sort over equal completions was not).
-void least_loaded(const sched::Schedule& s, std::size_t k,
-                  std::vector<std::uint32_t>& cand) {
+/// Marks the k machines of smallest (completion, index), minus `skip`, in
+/// `mask` (one bit per machine). Ties at the selection boundary break
+/// toward the lower machine index, so the candidate set is a deterministic
+/// function of the completion array (the golden replays depend on that).
+/// Callers visit the set bits in ascending machine index.
+void candidate_mask(const sched::Schedule& s, std::size_t k, std::size_t skip,
+                    std::vector<std::uint64_t>& mask) {
   const std::size_t machines = s.machines();
-  cand.resize(machines);
-  std::iota(cand.begin(), cand.end(), std::uint32_t{0});
-  const auto lighter = [&](std::uint32_t a, std::uint32_t b) {
-    const double ca = s.completion(a);
-    const double cb = s.completion(b);
-    return ca < cb || (ca == cb && a < b);
-  };
-  if (k < machines) {
-    std::nth_element(cand.begin(),
-                     cand.begin() + static_cast<std::ptrdiff_t>(k), cand.end(),
-                     lighter);
+  mask.resize((machines + 63) / 64);
+  kernels::lightest_mask(s.completions().data(), machines, k, mask.data());
+  mask[skip / 64] &= ~(std::uint64_t{1} << (skip % 64));
+}
+
+/// Calls f(machine) for every set bit of `mask`, in ascending order.
+template <class F>
+void for_each_candidate(const std::vector<std::uint64_t>& mask, F&& f) {
+  for (std::size_t w = 0; w < mask.size(); ++w) {
+    for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+      f(64 * w + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
   }
-  std::sort(cand.begin(), cand.begin() + static_cast<std::ptrdiff_t>(k));
 }
 
 /// Index of the most loaded machine other than `skip` (highest completion;
@@ -94,9 +92,9 @@ void h2ll(sched::Schedule& s, const H2LLParams& params,
           ? machines / 2
           : std::min(params.candidates, machines - 1);
 
-  // Candidate machine indices; reused across iterations (thread-local to
-  // stay allocation-free on the hot path).
-  thread_local std::vector<std::uint32_t> cand;
+  // Candidate mask words; reused across iterations (thread-local to stay
+  // allocation-free on the hot path).
+  thread_local std::vector<std::uint64_t> mask;
 
   for (std::size_t it = 0; it < params.iterations; ++it) {
     const std::size_t most_loaded =
@@ -105,22 +103,21 @@ void h2ll(sched::Schedule& s, const H2LLParams& params,
         s, static_cast<sched::MachineId>(most_loaded), rng);
     if (task == s.tasks()) continue;  // machine holds only ready-time load
 
-    least_loaded(s, n_candidates, cand);
+    candidate_mask(s, n_candidates, most_loaded, mask);
 
     // Paper Alg. 4: best_score starts at the makespan; a candidate is
     // accepted only if it strictly undercuts it. Candidates are visited in
     // ascending machine index, so score ties keep the lowest machine.
+    const auto row = s.etc().of_task(task);
     double best_score = s.completion(most_loaded);
     std::size_t best_mac = machines;  // sentinel: no move
-    for (std::size_t c = 0; c < n_candidates; ++c) {
-      const std::size_t mac = cand[c];
-      if (mac == most_loaded) continue;
-      const double new_score = s.completion(mac) + s.etc()(task, mac);
+    for_each_candidate(mask, [&](std::size_t mac) {
+      const double new_score = s.completion(mac) + row[mac];
       if (new_score < best_score) {
         best_score = new_score;
         best_mac = mac;
       }
-    }
+    });
     if (best_mac != machines) {
       s.move_task(task, static_cast<sched::MachineId>(best_mac));
     }
@@ -134,7 +131,7 @@ void h2ll_steepest(sched::Schedule& s, const H2LLParams& params) {
       params.candidates == 0 ? machines / 2
                              : std::min(params.candidates, machines - 1);
 
-  thread_local std::vector<std::uint32_t> cand;
+  thread_local std::vector<std::uint64_t> mask;
 
   for (std::size_t it = 0; it < params.iterations; ++it) {
     const auto ct = s.completions();
@@ -153,7 +150,7 @@ void h2ll_steepest(sched::Schedule& s, const H2LLParams& params) {
       }
     }
 
-    least_loaded(s, n_candidates, cand);
+    candidate_mask(s, n_candidates, most_loaded, mask);
 
     // True steepest descent on the makespan: evaluate the RESULTING
     // makespan of every (task on loaded machine, candidate) move and take
@@ -166,20 +163,18 @@ void h2ll_steepest(sched::Schedule& s, const H2LLParams& params) {
     std::size_t best_mac = machines;
     for (std::size_t t = 0; t < s.tasks(); ++t) {
       if (s.machine_of(t) != most_loaded) continue;
-      const double src_after = current_ms - s.etc()(t, most_loaded);
-      for (std::size_t c = 0; c < n_candidates; ++c) {
-        const std::size_t mac = cand[c];
-        if (mac == most_loaded) continue;
-        const double dst_after = s.completion(mac) + s.etc()(t, mac);
+      const auto row = s.etc().of_task(t);
+      const double src_after = current_ms - row[most_loaded];
+      for_each_candidate(mask, [&](std::size_t mac) {
+        const double dst_after = s.completion(mac) + row[mac];
         const double rest = mac == second ? third_ct : s.completion(second);
-        const double new_ms =
-            std::max({src_after, dst_after, rest});
+        const double new_ms = std::max({src_after, dst_after, rest});
         if (new_ms < best_ms) {
           best_ms = new_ms;
           best_task = t;
           best_mac = mac;
         }
-      }
+      });
     }
     if (best_task == s.tasks()) return;  // local optimum: converged
     s.move_task(best_task, static_cast<sched::MachineId>(best_mac));

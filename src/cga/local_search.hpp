@@ -36,13 +36,15 @@ struct H2LLParams {
   std::size_t candidates = 0;
 };
 
-/// Applies H2LL in place. Each pass is O(machines log machines + tasks).
+/// Applies H2LL in place. Each pass costs one task pick, O(tasks), plus one
+/// candidate selection: O(machines^2 / lanes) rank counting while the
+/// machines fit one 64-bit mask word, O(machines) selection above that.
 void h2ll(sched::Schedule& s, const H2LLParams& params,
           support::Xoshiro256& rng);
 
 /// Steepest variant of H2LL (ablation of the paper's "randomly chosen"
 /// task): each pass considers EVERY task on the most loaded machine and
-/// applies the single move with the lowest resulting completion time.
+/// applies the single move with the lowest resulting makespan.
 /// Stronger per pass but O(tasks * candidates) instead of O(tasks), and
 /// deterministic given the schedule — less stochastic exploration.
 void h2ll_steepest(sched::Schedule& s, const H2LLParams& params);

@@ -5,7 +5,9 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <string_view>
+#include <vector>
 
 #include "support/rng.hpp"
 
@@ -133,10 +135,34 @@ std::size_t scalar_eq_mask_u16(const std::uint16_t* d, std::size_t n,
   return count;
 }
 
+// Selection by nth_element over an index scratch: under the (value, index)
+// order no two entries are equivalent, so the first k slots hold exactly
+// the k lightest entries whatever the library's partitioning does.
+void scalar_lightest_mask(const double* d, std::size_t n, std::size_t k,
+                          std::uint64_t* words) {
+  std::fill_n(words, (n + 63) / 64, std::uint64_t{0});
+  k = std::min(k, n);
+  // Index scratch; reused across calls (thread-local to stay
+  // allocation-free on the hot path).
+  thread_local std::vector<std::uint32_t> idx;
+  idx.resize(n);
+  std::iota(idx.begin(), idx.end(), std::uint32_t{0});
+  const auto lighter = [d](std::uint32_t a, std::uint32_t b) {
+    return d[a] < d[b] || (d[a] == d[b] && a < b);
+  };
+  if (k < n) {
+    std::nth_element(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
+                     idx.end(), lighter);
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    words[idx[i] / 64] |= std::uint64_t{1} << (idx[i] % 64);
+  }
+}
+
 constexpr Dispatch kScalar{
     scalar_max_value, scalar_min_value,     scalar_argmax,     scalar_argmin,
     scalar_min_plus,  scalar_scale_inplace, scalar_hash_block,
-    scalar_batch_max, scalar_eq_mask_u16,   "scalar"};
+    scalar_batch_max, scalar_eq_mask_u16,   scalar_lightest_mask, "scalar"};
 
 // ---- AVX2 path -----------------------------------------------------------
 
@@ -440,10 +466,64 @@ __attribute__((target("avx2"))) std::size_t avx2_eq_mask_u16(
   return count + scalar_eq_mask_u16(d + 64 * w, n - 64 * w, value, words + w);
 }
 
+// Rank counting, 4 entries m per block: lane m counts j when
+// (d[j], j) < (d[m], m). Entries before the block precede every lane, so
+// ties count (d[j] <= d[m]); entries after it follow every lane, so ties
+// do not (d[j] < d[m]); the block's own entries pick LE or LT per lane,
+// which also keeps m from counting itself. A compare is all-ones per
+// counted lane, so subtracting it increments the rank. Lanes past n load
+// zeros and are cleared from the result; j only reads real entries.
+// Counting costs O(n^2 / lanes) against the selection's O(n), so the
+// vector bodies stop at one mask word (n <= 64) and hand larger n to the
+// scalar body.
+__attribute__((target("avx2"))) void avx2_lightest_mask(const double* d,
+                                                        std::size_t n,
+                                                        std::size_t k,
+                                                        std::uint64_t* words) {
+  if (n > 64) {
+    scalar_lightest_mask(d, n, k, words);
+    return;
+  }
+  if (n == 0) return;
+  const __m256i kv =
+      _mm256_set1_epi64x(static_cast<long long>(std::min(k, n)));
+  std::uint64_t bits = 0;
+  for (std::size_t b = 0; b < n; b += 4) {
+    const std::size_t lanes = std::min<std::size_t>(4, n - b);
+    const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+    const __m256d vm = _mm256_maskload_pd(
+        d + b, _mm256_cmpgt_epi64(
+                   _mm256_set1_epi64x(static_cast<long long>(lanes)), lane));
+    __m256i rank = _mm256_setzero_si256();
+    for (std::size_t j = 0; j < b; ++j) {
+      const __m256d le = _mm256_cmp_pd(_mm256_set1_pd(d[j]), vm, _CMP_LE_OQ);
+      rank = _mm256_sub_epi64(rank, _mm256_castpd_si256(le));
+    }
+    for (std::size_t j = b; j < b + lanes; ++j) {
+      const __m256d dj = _mm256_set1_pd(d[j]);
+      const __m256i after = _mm256_cmpgt_epi64(
+          lane, _mm256_set1_epi64x(static_cast<long long>(j - b)));
+      const __m256d counted =
+          _mm256_blendv_pd(_mm256_cmp_pd(dj, vm, _CMP_LT_OQ),
+                           _mm256_cmp_pd(dj, vm, _CMP_LE_OQ),
+                           _mm256_castsi256_pd(after));
+      rank = _mm256_sub_epi64(rank, _mm256_castpd_si256(counted));
+    }
+    for (std::size_t j = b + lanes; j < n; ++j) {
+      const __m256d lt = _mm256_cmp_pd(_mm256_set1_pd(d[j]), vm, _CMP_LT_OQ);
+      rank = _mm256_sub_epi64(rank, _mm256_castpd_si256(lt));
+    }
+    const auto lighter = static_cast<std::uint64_t>(_mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpgt_epi64(kv, rank))));
+    bits |= (lighter & ((std::uint64_t{1} << lanes) - 1)) << b;
+  }
+  words[0] = bits;
+}
+
 constexpr Dispatch kAvx2{avx2_max_value,   avx2_min_value,  avx2_argmax,
                          avx2_argmin,      avx2_min_plus,   avx2_scale_inplace,
                          avx2_hash_block,  avx2_batch_max,  avx2_eq_mask_u16,
-                         "avx2"};
+                         avx2_lightest_mask, "avx2"};
 
 // ---- AVX-512 path --------------------------------------------------------
 //
@@ -678,11 +758,55 @@ __attribute__((target("avx512f"))) void avx512_batch_max(
   for (std::size_t r = 0; r < count; ++r) out[r] = avx512_max_value(rows[r], n);
 }
 
+// The AVX2 rank count, 8 entries per block. On the block's own entries
+// a compare mask picks LE under the lanes after j and LT under the rest;
+// a masked add bumps the counted lanes' ranks.
+__attribute__((target("avx512f"))) void avx512_lightest_mask(
+    const double* d, std::size_t n, std::size_t k, std::uint64_t* words) {
+  if (n > 64) {
+    scalar_lightest_mask(d, n, k, words);
+    return;
+  }
+  if (n == 0) return;
+  const __m512i kv = _mm512_set1_epi64(static_cast<long long>(std::min(k, n)));
+  const __m512i one = _mm512_set1_epi64(1);
+  std::uint64_t bits = 0;
+  for (std::size_t b = 0; b < n; b += 8) {
+    const std::size_t lanes = std::min<std::size_t>(8, n - b);
+    const auto valid = static_cast<__mmask8>((1u << lanes) - 1);
+    const __m512d vm = _mm512_maskz_loadu_pd(valid, d + b);
+    __m512i rank = _mm512_setzero_si512();
+    for (std::size_t j = 0; j < b; ++j) {
+      const __mmask8 le =
+          _mm512_cmp_pd_mask(_mm512_set1_pd(d[j]), vm, _CMP_LE_OQ);
+      rank = _mm512_mask_add_epi64(rank, le, rank, one);
+    }
+    for (std::size_t j = b; j < b + lanes; ++j) {
+      const __m512d dj = _mm512_set1_pd(d[j]);
+      const auto after = static_cast<__mmask8>(0xFEu << (j - b));
+      const __mmask8 counted =
+          _mm512_mask_cmp_pd_mask(after, dj, vm, _CMP_LE_OQ) |
+          _mm512_mask_cmp_pd_mask(static_cast<__mmask8>(~after), dj, vm,
+                                  _CMP_LT_OQ);
+      rank = _mm512_mask_add_epi64(rank, counted, rank, one);
+    }
+    for (std::size_t j = b + lanes; j < n; ++j) {
+      const __mmask8 lt =
+          _mm512_cmp_pd_mask(_mm512_set1_pd(d[j]), vm, _CMP_LT_OQ);
+      rank = _mm512_mask_add_epi64(rank, lt, rank, one);
+    }
+    bits |= std::uint64_t{static_cast<std::uint8_t>(
+                _mm512_cmplt_epi64_mask(rank, kv) & valid)}
+            << b;
+  }
+  words[0] = bits;
+}
+
 constexpr Dispatch kAvx512{avx512_max_value, avx512_min_value,
                            avx512_argmax,    avx512_argmin,
                            avx512_min_plus,  avx512_scale_inplace,
                            avx2_hash_block,  avx512_batch_max,
-                           avx2_eq_mask_u16, "avx512"};
+                           avx2_eq_mask_u16, avx512_lightest_mask, "avx512"};
 
 #endif  // PACGA_KERNELS_X86_AVX2
 

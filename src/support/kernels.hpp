@@ -5,7 +5,8 @@
 // machine completions, the fused `ct[m] + etc_row[m]` min-scan at the heart
 // of Min-min / Sufferage / H2LL candidate selection, machine-column scaling,
 // content fingerprinting, batched offspring evaluation, the gene match mask
-// behind H2LL's and rebalance's task pick) funnels through this header.
+// behind H2LL's and rebalance's task pick, the lightest-machines mask behind
+// H2LL's candidate set) funnels through this header.
 // Three tiers — AVX-512 (8-wide doubles), AVX2 (4-wide), and a portable
 // scalar path — are resolved ONCE at startup from CPU features;
 // `PACGA_FORCE_KERNELS=scalar|avx2|avx512` pins a specific tier for testing
@@ -67,6 +68,15 @@ struct Dispatch {
   /// number of matches. n may be 0 (no word is written).
   std::size_t (*eq_mask_u16)(const std::uint16_t* data, std::size_t n,
                              std::uint16_t value, std::uint64_t* words);
+  /// The k lightest entries as a mask: writes ceil(n/64) words, bit m set
+  /// iff fewer than k indices j have (data[j], j) < (data[m], m) — value
+  /// first, lower index on ties — so exactly min(k, n) bits are set and
+  /// bits past n are zero. n may be 0 (no word is written). The vector
+  /// tiers rank-count every entry against every other (O(n^2 / lanes),
+  /// branch-free) while n fits one mask word (n <= 64); above that they
+  /// run the scalar body, an O(n) nth_element selection.
+  void (*lightest_mask)(const double* data, std::size_t n, std::size_t k,
+                        std::uint64_t* words);
   const char* name;
 };
 
@@ -142,6 +152,11 @@ inline std::size_t eq_mask_u16(const std::uint16_t* data, std::size_t n,
                                std::uint16_t value,
                                std::uint64_t* words) noexcept {
   return active().eq_mask_u16(data, n, value, words);
+}
+
+inline void lightest_mask(const double* data, std::size_t n, std::size_t k,
+                          std::uint64_t* words) noexcept {
+  active().lightest_mask(data, n, k, words);
 }
 
 // ---- direct access to both paths (equivalence tests, benchmarks) ---------

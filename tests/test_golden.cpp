@@ -8,6 +8,7 @@
 #include <cstdint>
 
 #include "cga/engine.hpp"
+#include "etc/braun.hpp"
 #include "etc/suite.hpp"
 #include "heuristics/minmin.hpp"
 #include "pacga/parallel_engine.hpp"
@@ -94,6 +95,60 @@ TEST(Golden, RebalanceMutationFixedSeed) {
   const auto r = cga::run_sequential(m, c);
   EXPECT_EQ(r.best_fitness, 0x1.d49bb5dccb4a1p+22);
   EXPECT_EQ(assignment_hash(r.best), 0x7b02361bf7c96ddbULL);
+}
+
+/// A Braun class regenerated at another shape (same class and seed).
+etc::EtcMatrix resized(const char* name, std::size_t tasks,
+                       std::size_t machines) {
+  auto spec = etc::parse_instance_name(name);
+  EXPECT_TRUE(spec.has_value()) << name;
+  spec->tasks = tasks;
+  spec->machines = machines;
+  return etc::generate(*spec);
+}
+
+/// One run_sequential of the default Config with the given operator, seed
+/// and generation budget.
+cga::Result run_with(const etc::EtcMatrix& m, cga::LocalSearchKind ls,
+                   std::uint64_t seed, std::uint64_t generations) {
+  cga::Config c;
+  c.ls_kind = ls;
+  c.seed = seed;
+  c.termination = cga::Termination::after_generations(generations);
+  return cga::run_sequential(m, c);
+}
+
+// Candidate-set pins: H2LL's least-loaded candidates at the paper shape,
+// at the largest shape whose machines fit one mask word (1024x64), above it
+// (1024x128) and just above it for the steepest variant (256x65).
+
+TEST(Golden, H2llSteepestFixedSeed) {
+  const auto r = run_with(etc::generate_by_name("u_i_hilo.0"),
+                          cga::LocalSearchKind::kH2LLSteepest, 5, 30);
+  EXPECT_EQ(r.evaluations, 7680u);
+  EXPECT_EQ(r.best_fitness, 0x1.25343cd07ff24p+16);
+  EXPECT_EQ(assignment_hash(r.best), 0x665b2cfb7fdf9d85ULL);
+}
+
+TEST(Golden, H2llOneMaskWordFixedSeed) {
+  const auto r = run_with(resized("u_i_hihi.0", 1024, 64),
+                          cga::LocalSearchKind::kH2LL, 11, 10);
+  EXPECT_EQ(r.best_fitness, 0x1.e9e831d809395p+18);
+  EXPECT_EQ(assignment_hash(r.best), 0x179eb148c8248f25ULL);
+}
+
+TEST(Golden, H2llManyMaskWordsFixedSeed) {
+  const auto r = run_with(resized("u_i_hihi.0", 1024, 128),
+                          cga::LocalSearchKind::kH2LL, 11, 10);
+  EXPECT_EQ(r.best_fitness, 0x1.1f6d4aff554c1p+17);
+  EXPECT_EQ(assignment_hash(r.best), 0x8f5de3cdda8f8cddULL);
+}
+
+TEST(Golden, H2llSteepestTwoMaskWordsFixedSeed) {
+  const auto r = run_with(resized("u_c_lolo.0", 256, 65),
+                          cga::LocalSearchKind::kH2LLSteepest, 13, 10);
+  EXPECT_EQ(r.best_fitness, 0x1.851b4739e139ep+9);
+  EXPECT_EQ(assignment_hash(r.best), 0x9f141b4e0e1545baULL);
 }
 
 TEST(Golden, RngStreamFingerprint) {

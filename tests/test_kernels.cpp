@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
@@ -367,6 +368,83 @@ TEST(Kernels, EqMaskU16BitIdenticalAcrossPaths) {
         }
         EXPECT_EQ(words[n_words], kSentinel);
         EXPECT_EQ(words[n_words + 1], kSentinel);
+      }
+    }
+  }
+}
+
+TEST(Kernels, LightestMaskBitIdenticalAcrossPaths) {
+  // Every tier marks exactly the entries an independent nth_element
+  // selection under (value, index) picks: popcount min(k, n), tail bits
+  // zero, nothing written past ceil(n/64) words. Sizes cover both sides of
+  // the one-word rank-count cutoff; inputs are random, all-equal, exact
+  // tie pairs straddling the 4-, 8- and 64-lane boundaries, signed zeros,
+  // denormals and parked infinities.
+  constexpr std::uint64_t kSentinel = 0xA5A5A5A5A5A5A5A5ULL;
+  Xoshiro256 rng(43);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 130; ++n) sizes.push_back(n);
+  for (const std::size_t n : {255ul, 256ul, 513ul}) sizes.push_back(n);
+  for (const std::size_t n : sizes) {
+    std::vector<double> random(n);
+    for (auto& v : random) v = rng.uniform(0.0, 100.0);
+    std::vector<double> ties(n);
+    for (auto& v : ties) v = static_cast<double>(8 + rng.index(8));
+    for (const std::size_t edge : {4ul, 8ul, 64ul}) {
+      for (std::size_t b = edge; b < n; b += edge) {
+        ties[b - 1] = ties[b] = static_cast<double>(rng.index(8));
+      }
+    }
+    std::vector<double> special(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      switch (rng.index(5)) {
+        case 0: special[i] = 0.0; break;
+        case 1: special[i] = -0.0; break;
+        case 2: special[i] = kDenorm; break;
+        case 3: special[i] = kInf; break;
+        default: special[i] = rng.uniform(0.0, 1.0); break;
+      }
+    }
+    const std::vector<double> same(n, 3.5);
+    const struct {
+      const std::vector<double>* data;
+      const char* label;
+    } inputs[] = {{&random, "random"},
+                  {&ties, "ties"},
+                  {&special, "special"},
+                  {&same, "all-equal"}};
+    const std::size_t n_words = (n + 63) / 64;
+    for (const auto& in : inputs) {
+      const std::vector<double>& d = *in.data;
+      for (const std::size_t k : {0ul, 1ul, n / 2, n - 1, n}) {
+        std::vector<std::uint32_t> idx(n);
+        for (std::uint32_t i = 0; i < n; ++i) idx[i] = i;
+        std::nth_element(idx.begin(), idx.begin() + static_cast<long>(k),
+                         idx.end(), [&](std::uint32_t a, std::uint32_t b) {
+                           return d[a] < d[b] || (d[a] == d[b] && a < b);
+                         });
+        std::vector<std::uint64_t> ref(n_words, 0);
+        for (std::size_t i = 0; i < k; ++i) {
+          ref[idx[i] / 64] |= std::uint64_t{1} << (idx[i] % 64);
+        }
+        for (const Dispatch* t : testable_tables()) {
+          SCOPED_TRACE(std::string("lightest_mask n=") + std::to_string(n) +
+                       " k=" + std::to_string(k) + " " + in.label + " via " +
+                       t->name);
+          std::vector<std::uint64_t> words(n_words + 2, kSentinel);
+          t->lightest_mask(d.data(), n, k, words.data());
+          std::size_t popcount = 0;
+          for (std::size_t w = 0; w < n_words; ++w) {
+            EXPECT_EQ(words[w], ref[w]) << "word " << w;
+            popcount += static_cast<std::size_t>(std::popcount(words[w]));
+          }
+          EXPECT_EQ(popcount, k);
+          if (n % 64 != 0) {
+            EXPECT_EQ(words[n_words - 1] >> (n % 64), 0u) << "tail bits";
+          }
+          EXPECT_EQ(words[n_words], kSentinel);
+          EXPECT_EQ(words[n_words + 1], kSentinel);
+        }
       }
     }
   }

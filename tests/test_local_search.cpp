@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include "support/stats.hpp"
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <span>
+#include <vector>
 
+#include "cga/mutation.hpp"
 #include "etc/suite.hpp"
+#include "support/kernels.hpp"
+#include "support/stats.hpp"
 
 namespace pacga::cga {
 namespace {
@@ -252,6 +260,206 @@ TEST(ApplyLocalSearch, KindNames) {
   EXPECT_STREQ(to_string(LocalSearchKind::kH2LLSteepest), "h2ll-steepest");
   EXPECT_STREQ(to_string(LocalSearchKind::kTabuHop), "tabu-hop");
   EXPECT_STREQ(to_string(LocalSearchKind::kNone), "none");
+}
+
+// ---- sorted-candidate references -------------------------------------------
+//
+// The operators as they were written before the lightest-machines mask: an
+// nth_element selection of the candidate machines, sorted by index, then a
+// plain loop over them. Kept verbatim; the mask must pick the same moves.
+
+namespace reference {
+
+namespace kernels = support::kernels;
+
+void least_loaded(const sched::Schedule& s, std::size_t k,
+                  std::vector<std::uint32_t>& cand) {
+  const std::size_t machines = s.machines();
+  cand.resize(machines);
+  std::iota(cand.begin(), cand.end(), std::uint32_t{0});
+  const auto lighter = [&](std::uint32_t a, std::uint32_t b) {
+    const double ca = s.completion(a);
+    const double cb = s.completion(b);
+    return ca < cb || (ca == cb && a < b);
+  };
+  if (k < machines) {
+    std::nth_element(cand.begin(),
+                     cand.begin() + static_cast<std::ptrdiff_t>(k), cand.end(),
+                     lighter);
+  }
+  std::sort(cand.begin(), cand.begin() + static_cast<std::ptrdiff_t>(k));
+}
+
+std::size_t argmax_machine_skip(std::span<const double> ct, std::size_t skip) {
+  std::size_t best = ct.size();  // sentinel: nothing seen yet
+  if (skip > 0) best = kernels::argmax(ct.data(), skip);
+  if (skip + 1 < ct.size()) {
+    const std::size_t hi =
+        skip + 1 + kernels::argmax(ct.data() + skip + 1, ct.size() - skip - 1);
+    if (best == ct.size() || ct[hi] > ct[best]) best = hi;
+  }
+  return best;
+}
+
+void h2ll(sched::Schedule& s, const H2LLParams& params,
+          support::Xoshiro256& rng) {
+  const std::size_t machines = s.machines();
+  if (machines < 2 || s.tasks() == 0) return;
+  const std::size_t n_candidates =
+      params.candidates == 0
+          ? machines / 2
+          : std::min(params.candidates, machines - 1);
+  std::vector<std::uint32_t> cand;
+  for (std::size_t it = 0; it < params.iterations; ++it) {
+    const std::size_t most_loaded =
+        kernels::argmax(s.completions().data(), machines);
+    const std::size_t task = random_task_on_machine(
+        s, static_cast<sched::MachineId>(most_loaded), rng);
+    if (task == s.tasks()) continue;
+    least_loaded(s, n_candidates, cand);
+    double best_score = s.completion(most_loaded);
+    std::size_t best_mac = machines;
+    for (std::size_t c = 0; c < n_candidates; ++c) {
+      const std::size_t mac = cand[c];
+      if (mac == most_loaded) continue;
+      const double new_score = s.completion(mac) + s.etc()(task, mac);
+      if (new_score < best_score) {
+        best_score = new_score;
+        best_mac = mac;
+      }
+    }
+    if (best_mac != machines) {
+      s.move_task(task, static_cast<sched::MachineId>(best_mac));
+    }
+  }
+}
+
+void h2ll_steepest(sched::Schedule& s, const H2LLParams& params) {
+  const std::size_t machines = s.machines();
+  if (machines < 2 || s.tasks() == 0) return;
+  const std::size_t n_candidates =
+      params.candidates == 0 ? machines / 2
+                             : std::min(params.candidates, machines - 1);
+  std::vector<std::uint32_t> cand;
+  for (std::size_t it = 0; it < params.iterations; ++it) {
+    const auto ct = s.completions();
+    const std::size_t most_loaded = kernels::argmax(ct.data(), machines);
+    const std::size_t second = argmax_machine_skip(ct, most_loaded);
+    double third_ct = 0.0;
+    if (machines >= 3) {
+      third_ct = -std::numeric_limits<double>::infinity();
+      for (std::size_t m = 0; m < machines; ++m) {
+        if (m == most_loaded || m == second) continue;
+        third_ct = std::max(third_ct, ct[m]);
+      }
+    }
+    least_loaded(s, n_candidates, cand);
+    const double current_ms = s.completion(most_loaded);
+    double best_ms = current_ms;
+    std::size_t best_task = s.tasks();
+    std::size_t best_mac = machines;
+    for (std::size_t t = 0; t < s.tasks(); ++t) {
+      if (s.machine_of(t) != most_loaded) continue;
+      const double src_after = current_ms - s.etc()(t, most_loaded);
+      for (std::size_t c = 0; c < n_candidates; ++c) {
+        const std::size_t mac = cand[c];
+        if (mac == most_loaded) continue;
+        const double dst_after = s.completion(mac) + s.etc()(t, mac);
+        const double rest = mac == second ? third_ct : s.completion(second);
+        const double new_ms =
+            std::max({src_after, dst_after, rest});
+        if (new_ms < best_ms) {
+          best_ms = new_ms;
+          best_task = t;
+          best_mac = mac;
+        }
+      }
+    }
+    if (best_task == s.tasks()) return;
+    s.move_task(best_task, static_cast<sched::MachineId>(best_mac));
+  }
+}
+
+}  // namespace reference
+
+/// Tie-heavy instances for the reference walls: every task costs the same
+/// on every machine ("flat"), small integer ETCs with zero ready times
+/// ("integer"), and a generated inconsistent instance ("braun").
+std::vector<etc::EtcMatrix> tie_heavy_instances(std::size_t machines,
+                                                std::uint64_t seed) {
+  const std::size_t tasks = 3 * machines + 5;
+  support::Xoshiro256 rng(seed);
+  std::vector<double> flat(tasks * machines);
+  for (std::size_t t = 0; t < tasks; ++t) {
+    const auto v = static_cast<double>(1 + rng.index(4));
+    std::fill_n(flat.begin() + static_cast<std::ptrdiff_t>(t * machines),
+                machines, v);
+  }
+  std::vector<double> integer(tasks * machines);
+  for (auto& v : integer) v = static_cast<double>(1 + rng.index(3));
+  etc::GenSpec spec;
+  spec.tasks = tasks;
+  spec.machines = machines;
+  spec.consistency = etc::Consistency::kInconsistent;
+  spec.seed = seed;
+  std::vector<etc::EtcMatrix> out;
+  out.emplace_back(tasks, machines, std::move(flat));
+  out.emplace_back(tasks, machines, std::move(integer));
+  out.push_back(etc::generate(spec));
+  return out;
+}
+
+constexpr std::size_t kWallMachines[] = {2, 3, 4, 8, 16, 17, 63, 64, 65, 128};
+
+TEST(H2LL, MatchesSortedCandidateReference) {
+  for (const std::size_t machines : kWallMachines) {
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+      const auto instances = tie_heavy_instances(machines, 100 + seed);
+      for (std::size_t i = 0; i < instances.size(); ++i) {
+        for (const std::size_t cands : {std::size_t{0}, std::size_t{1},
+                                        machines - 1}) {
+          SCOPED_TRACE("machines=" + std::to_string(machines) +
+                       " seed=" + std::to_string(seed) + " instance=" +
+                       std::to_string(i) + " candidates=" +
+                       std::to_string(cands));
+          support::Xoshiro256 start(seed);
+          const auto base = sched::Schedule::random(instances[i], start);
+          support::Xoshiro256 r_lib(seed + 7), r_ref(seed + 7);
+          auto lib = base;
+          auto ref = base;
+          h2ll(lib, {20, cands}, r_lib);
+          reference::h2ll(ref, {20, cands}, r_ref);
+          EXPECT_TRUE(lib == ref);
+          EXPECT_EQ(r_lib(), r_ref());
+        }
+      }
+    }
+  }
+}
+
+TEST(H2llSteepest, MatchesSortedCandidateReference) {
+  for (const std::size_t machines : kWallMachines) {
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+      const auto instances = tie_heavy_instances(machines, 200 + seed);
+      for (std::size_t i = 0; i < instances.size(); ++i) {
+        for (const std::size_t cands : {std::size_t{0}, std::size_t{1},
+                                        machines - 1}) {
+          SCOPED_TRACE("machines=" + std::to_string(machines) +
+                       " seed=" + std::to_string(seed) + " instance=" +
+                       std::to_string(i) + " candidates=" +
+                       std::to_string(cands));
+          support::Xoshiro256 start(seed);
+          const auto base = sched::Schedule::random(instances[i], start);
+          auto lib = base;
+          auto ref = base;
+          h2ll_steepest(lib, {20, cands});
+          reference::h2ll_steepest(ref, {20, cands});
+          EXPECT_TRUE(lib == ref);
+          EXPECT_EQ(lib.makespan(), ref.makespan());
+        }
+      }
+    }
+  }
 }
 
 /// Property sweep over the Braun suite: H2LL respects its contract on all
