@@ -92,18 +92,32 @@ void h2ll(sched::Schedule& s, const H2LLParams& params,
           ? machines / 2
           : std::min(params.candidates, machines - 1);
 
-  // Candidate mask words; reused across iterations (thread-local to stay
-  // allocation-free on the hot path).
-  thread_local std::vector<std::uint64_t> mask;
+  // Pass state: the most loaded machine, the match mask and count of its
+  // tasks, and the candidate mask (words thread-local to stay
+  // allocation-free on the hot path). It is a function of the genes and
+  // completions alone, and a pass that moves nothing changes neither, so it
+  // is recomputed only on entry and after a move: the kept state is exactly
+  // what a recompute would return, and the draws and moves are unchanged.
+  thread_local std::vector<std::uint64_t> tasks_mask;
+  thread_local std::vector<std::uint64_t> cand_mask;
+  tasks_mask.resize((s.tasks() + 63) / 64);
+  std::size_t most_loaded = 0;
+  std::size_t count = 0;
+  bool stale = true;
 
   for (std::size_t it = 0; it < params.iterations; ++it) {
-    const std::size_t most_loaded =
-        kernels::argmax(s.completions().data(), machines);
-    const std::size_t task = random_task_on_machine(
-        s, static_cast<sched::MachineId>(most_loaded), rng);
-    if (task == s.tasks()) continue;  // machine holds only ready-time load
-
-    candidate_mask(s, n_candidates, most_loaded, mask);
+    if (stale) {
+      most_loaded = kernels::argmax(s.completions().data(), machines);
+      count = kernels::eq_mask_u16(s.assignment().data(), s.tasks(),
+                                   static_cast<sched::MachineId>(most_loaded),
+                                   tasks_mask.data());
+      // A machine holding only ready-time load makes no draws and moves
+      // nothing, so neither does any later pass.
+      if (count == 0) return;
+      candidate_mask(s, n_candidates, most_loaded, cand_mask);
+      stale = false;
+    }
+    const std::size_t task = pick_task(tasks_mask, count, rng);
 
     // Paper Alg. 4: best_score starts at the makespan; a candidate is
     // accepted only if it strictly undercuts it. Candidates are visited in
@@ -111,7 +125,7 @@ void h2ll(sched::Schedule& s, const H2LLParams& params,
     const auto row = s.etc().of_task(task);
     double best_score = s.completion(most_loaded);
     std::size_t best_mac = machines;  // sentinel: no move
-    for_each_candidate(mask, [&](std::size_t mac) {
+    for_each_candidate(cand_mask, [&](std::size_t mac) {
       const double new_score = s.completion(mac) + row[mac];
       if (new_score < best_score) {
         best_score = new_score;
@@ -120,6 +134,7 @@ void h2ll(sched::Schedule& s, const H2LLParams& params,
     });
     if (best_mac != machines) {
       s.move_task(task, static_cast<sched::MachineId>(best_mac));
+      stale = true;
     }
   }
 }

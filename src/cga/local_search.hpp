@@ -36,9 +36,15 @@ struct H2LLParams {
   std::size_t candidates = 0;
 };
 
-/// Applies H2LL in place. Each pass costs one task pick, O(tasks), plus one
-/// candidate selection: O(machines^2 / lanes) rank counting while the
-/// machines fit one 64-bit mask word, O(machines) selection above that.
+/// Applies H2LL in place. Each pass draws a task off the most loaded
+/// machine and scores it against the candidates. The pass state (the most
+/// loaded machine, the mask of its tasks, the candidate machines) is
+/// computed on entry and after a pass that moved a task, at O(tasks) for the
+/// task mask plus O(machines^2 / lanes) rank counting while the machines fit
+/// one 64-bit mask word, O(machines) selection above that. A pass that moves
+/// nothing changes no gene and no completion time, so the next pass reuses
+/// the state a recompute would return: the draws and moves, and so every
+/// trajectory, are those of recomputing it every pass.
 void h2ll(sched::Schedule& s, const H2LLParams& params,
           support::Xoshiro256& rng);
 

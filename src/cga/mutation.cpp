@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -30,6 +31,11 @@ std::size_t random_task_on_machine(const sched::Schedule& s,
   const std::size_t count = support::kernels::eq_mask_u16(
       s.assignment().data(), s.tasks(), m, mask.data());
   if (count == 0) return s.tasks();
+  return pick_task(mask, count, rng);
+}
+
+std::size_t pick_task(std::span<const std::uint64_t> matches,
+                      std::size_t count, support::Xoshiro256& rng) {
   // The size-1 reservoir's draws: the seen-th match replaces the choice
   // when index(seen) is 0. Only the draws depend on the RNG, so they run
   // without touching the genes.
@@ -39,11 +45,11 @@ std::size_t random_task_on_machine(const sched::Schedule& s,
   }
   // The pick-th set bit (1-based) is the chosen task.
   std::size_t w = 0;
-  while (pick > static_cast<std::size_t>(std::popcount(mask[w]))) {
-    pick -= static_cast<std::size_t>(std::popcount(mask[w]));
+  while (pick > static_cast<std::size_t>(std::popcount(matches[w]))) {
+    pick -= static_cast<std::size_t>(std::popcount(matches[w]));
     ++w;
   }
-  std::uint64_t bits = mask[w];
+  std::uint64_t bits = matches[w];
   for (; pick > 1; --pick) bits &= bits - 1;
   return 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
 }

@@ -3,6 +3,10 @@
 // companions in the grid-scheduling literature, kept for ablations.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
+
 #include "sched/schedule.hpp"
 #include "support/rng.hpp"
 
@@ -20,16 +24,22 @@ const char* to_string(MutationKind k) noexcept;
 void mutate(MutationKind kind, sched::Schedule& s, support::Xoshiro256& rng);
 
 /// Picks one task uniformly among those assigned to machine `m`; returns
-/// tasks() when `m` is empty. Shared with H2LL (which draws from the most
-/// loaded machine).
-///
-/// Draw contract: with `count` tasks on `m`, it makes exactly `count`
-/// calls, rng.index(1), rng.index(2), ..., rng.index(count), and returns
-/// the task of the last match whose draw was 0 — the choice and the RNG
-/// stream of a size-1 reservoir pass over the tasks, so trajectories do
-/// not depend on how the matches are found (a SIMD match mask here).
+/// tasks() when `m` is empty. One `eq_mask_u16` match mask plus pick_task.
 std::size_t random_task_on_machine(const sched::Schedule& s,
                                    sched::MachineId m,
                                    support::Xoshiro256& rng);
+
+/// Picks one task uniformly among the set bits of the match mask `matches`
+/// (bit t set iff task t matches); `count` is its popcount, at least 1.
+/// The one place the task-pick draws live: H2LL and the rebalance mutation
+/// (through random_task_on_machine) both call it.
+///
+/// Draw contract: it makes exactly `count` calls, rng.index(1),
+/// rng.index(2), ..., rng.index(count), and returns the task of the last
+/// match whose draw was 0 — the choice and the RNG stream of a size-1
+/// reservoir pass over the tasks, so trajectories do not depend on how the
+/// matches are found (a SIMD match mask here).
+std::size_t pick_task(std::span<const std::uint64_t> matches,
+                      std::size_t count, support::Xoshiro256& rng);
 
 }  // namespace pacga::cga

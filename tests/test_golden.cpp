@@ -151,6 +151,30 @@ TEST(Golden, H2llSteepestTwoMaskWordsFixedSeed) {
   EXPECT_EQ(assignment_hash(r.best), 0x9f141b4e0e1545baULL);
 }
 
+// Late-run pins: populations near convergence, where most H2LL passes
+// move nothing and the operator keeps its pass state across them; the
+// second pin runs 40 passes per offspring, so long runs of such passes.
+
+TEST(Golden, H2llLateRunFixedSeed) {
+  const auto r = run_with(etc::generate_by_name("u_c_lolo.0"),
+                          cga::LocalSearchKind::kH2LL, 9, 60);
+  EXPECT_EQ(r.evaluations, 15360u);
+  EXPECT_EQ(r.best_fitness, 0x1.4940f539cbb7fp+12);
+  EXPECT_EQ(assignment_hash(r.best), 0x1bfd562b7812ddbaULL);
+}
+
+TEST(Golden, H2llFortyPassesFixedSeed) {
+  const auto m = etc::generate_by_name("u_s_lolo.0");
+  cga::Config c;
+  c.local_search.iterations = 40;
+  c.seed = 21;
+  c.termination = cga::Termination::after_generations(25);
+  const auto r = cga::run_sequential(m, c);
+  EXPECT_EQ(r.evaluations, 6400u);
+  EXPECT_EQ(r.best_fitness, 0x1.5d9e51b26f46fp+11);
+  EXPECT_EQ(assignment_hash(r.best), 0xc6e03e11b4460eb3ULL);
+}
+
 TEST(Golden, RngStreamFingerprint) {
   // First outputs of the canonical seeds; pins the SplitMix64 expansion
   // and the xoshiro step (a silent RNG change invalidates every recorded

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <numeric>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "cga/mutation.hpp"
@@ -266,11 +268,46 @@ TEST(ApplyLocalSearch, KindNames) {
 //
 // The operators as they were written before the lightest-machines mask: an
 // nth_element selection of the candidate machines, sorted by index, then a
-// plain loop over them. Kept verbatim; the mask must pick the same moves.
+// plain loop over them, with every pass recomputing the loaded machine, the
+// task pick and the candidates. Kept verbatim; the library must make the
+// same moves and the same draws.
 
 namespace reference {
 
 namespace kernels = support::kernels;
+
+/// The task pick as it was before the reservoir draws moved into
+/// pick_task, kept verbatim so the reference H2LL shares no pick code with
+/// the operator under test.
+std::size_t random_task_on_machine(const sched::Schedule& s,
+                                   sched::MachineId m,
+                                   support::Xoshiro256& rng) {
+  static_assert(std::is_same_v<sched::MachineId, std::uint16_t>,
+                "the match mask compares 16-bit genes");
+  // Mask words; reused across calls (thread-local to stay allocation-free
+  // on the hot path).
+  thread_local std::vector<std::uint64_t> mask;
+  mask.resize((s.tasks() + 63) / 64);
+  const std::size_t count = support::kernels::eq_mask_u16(
+      s.assignment().data(), s.tasks(), m, mask.data());
+  if (count == 0) return s.tasks();
+  // The size-1 reservoir's draws: the seen-th match replaces the choice
+  // when index(seen) is 0. Only the draws depend on the RNG, so they run
+  // without touching the genes.
+  std::size_t pick = 0;
+  for (std::size_t seen = 1; seen <= count; ++seen) {
+    if (rng.index(seen) == 0) pick = seen;
+  }
+  // The pick-th set bit (1-based) is the chosen task.
+  std::size_t w = 0;
+  while (pick > static_cast<std::size_t>(std::popcount(mask[w]))) {
+    pick -= static_cast<std::size_t>(std::popcount(mask[w]));
+    ++w;
+  }
+  std::uint64_t bits = mask[w];
+  for (; pick > 1; --pick) bits &= bits - 1;
+  return 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+}
 
 void least_loaded(const sched::Schedule& s, std::size_t k,
                   std::vector<std::uint32_t>& cand) {
@@ -384,7 +421,9 @@ void h2ll_steepest(sched::Schedule& s, const H2LLParams& params) {
 
 /// Tie-heavy instances for the reference walls: every task costs the same
 /// on every machine ("flat"), small integer ETCs with zero ready times
-/// ("integer"), and a generated inconsistent instance ("braun").
+/// ("integer"), a generated inconsistent instance ("braun"), and small
+/// integer ETCs plus one machine whose ready time exceeds any schedule's
+/// load ("ready"): H2LL empties it, then finds it loaded with no task.
 std::vector<etc::EtcMatrix> tie_heavy_instances(std::size_t machines,
                                                 std::uint64_t seed) {
   const std::size_t tasks = 3 * machines + 5;
@@ -404,8 +443,11 @@ std::vector<etc::EtcMatrix> tie_heavy_instances(std::size_t machines,
   spec.seed = seed;
   std::vector<etc::EtcMatrix> out;
   out.emplace_back(tasks, machines, std::move(flat));
-  out.emplace_back(tasks, machines, std::move(integer));
+  out.emplace_back(tasks, machines, integer);
   out.push_back(etc::generate(spec));
+  std::vector<double> ready(machines, 0.0);
+  ready[machines / 2] = 1e6;
+  out.emplace_back(tasks, machines, std::move(integer), std::move(ready));
   return out;
 }
 
@@ -435,6 +477,50 @@ TEST(H2LL, MatchesSortedCandidateReference) {
       }
     }
   }
+}
+
+TEST(H2LL, MatchesReferenceFromLocalOptimum) {
+  // Late-run schedules, where most passes move nothing and the operator
+  // keeps its pass state across them: start where the reference has
+  // already run 200 passes, then run a few more on both. The reference is
+  // stepped one pass at a time to count the passes that move nothing.
+  std::size_t passes = 0;
+  std::size_t still = 0;
+  for (const std::size_t machines : kWallMachines) {
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+      const auto instances = tie_heavy_instances(machines, 300 + seed);
+      for (std::size_t i = 0; i < instances.size(); ++i) {
+        for (const std::size_t cands : {std::size_t{0}, std::size_t{1},
+                                        machines - 1}) {
+          support::Xoshiro256 rng(seed);
+          auto converged = sched::Schedule::random(instances[i], rng);
+          reference::h2ll(converged, {200, cands}, rng);
+          for (const std::size_t more : {1, 2, 10, 40}) {
+            SCOPED_TRACE("machines=" + std::to_string(machines) +
+                         " seed=" + std::to_string(seed) + " instance=" +
+                         std::to_string(i) + " candidates=" +
+                         std::to_string(cands) + " passes=" +
+                         std::to_string(more));
+            support::Xoshiro256 r_lib = rng;
+            support::Xoshiro256 r_ref = rng;
+            auto lib = converged;
+            auto ref = converged;
+            h2ll(lib, {more, cands}, r_lib);
+            for (std::size_t p = 0; p < more; ++p) {
+              const auto before = ref;
+              reference::h2ll(ref, {1, cands}, r_ref);
+              ++passes;
+              still += ref == before;
+            }
+            EXPECT_TRUE(lib == ref);
+            EXPECT_EQ(r_lib(), r_ref());
+          }
+        }
+      }
+    }
+  }
+  // The wall is only a wall if most of its passes reuse kept state.
+  EXPECT_GT(2 * still, passes);
 }
 
 TEST(H2llSteepest, MatchesSortedCandidateReference) {
