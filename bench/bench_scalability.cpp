@@ -4,14 +4,9 @@
 // and thread count: evaluations/second (throughput), best makespan
 // normalized to Min-min (quality), and the Min-min seed cost itself
 // (which grows O(T^2 M) and starts to matter at large sizes).
-//
-// Also compares PA-CGA against the island-model GA (coarse-grained
-// parallelism) at equal thread counts — the ablation the paper motivates
-// when it contrasts fine-grained CGAs with cluster-style parallel GAs.
 #include <cstdio>
 #include <iostream>
 
-#include "baselines/island_ga.hpp"
 #include "common.hpp"
 #include "heuristics/minmin.hpp"
 #include "support/cli.hpp"
@@ -27,15 +22,13 @@ int run(int argc, char** argv) {
   opts.wall_ms = 400.0;
   opts.runs = 2;
   std::size_t threads = 3;
-  bool with_island = true;
   support::Cli cli(
       "bench_scalability — PA-CGA on growing instance sizes (paper future "
-      "work: bigger instances), with an island-GA comparison at equal "
-      "thread counts");
+      "work: bigger instances)");
   cli.option("wall-ms", &opts.wall_ms, "budget per run in ms")
       .option("runs", &opts.runs, "independent runs per point")
       .option("seed", &opts.seed, "master seed")
-      .option("threads", &threads, "threads for both parallel models")
+      .option("threads", &threads, "PA-CGA threads")
       .flag("full", &opts.full, "paper-scale protocol: 90 s x 100 runs")
       .flag("csv", &opts.csv, "CSV output");
   if (!cli.parse(argc, argv)) return 0;
@@ -51,7 +44,7 @@ int run(int argc, char** argv) {
               opts.runs, threads);
   support::ConsoleTable table({"tasks", "machines", "minmin_ms",
                                "minmin_cost_s", "pacga/minmin",
-                               "island/minmin", "pacga_evals/s"});
+                               "pacga_evals/s"});
 
   for (const Size& size : sizes) {
     etc::GenSpec spec;
@@ -66,7 +59,7 @@ int run(int argc, char** argv) {
     const double minmin_ms = heur::min_min(m).makespan();
     const double minmin_cost = minmin_timer.elapsed_seconds();
 
-    support::RunningStats pa_quality, pa_throughput, island_quality;
+    support::RunningStats pa_quality, pa_throughput;
     for (std::size_t r = 0; r < opts.runs; ++r) {
       cga::Config pc;
       pc.threads = threads;
@@ -76,32 +69,20 @@ int run(int argc, char** argv) {
       pa_quality.add(pa.result.best_fitness / minmin_ms);
       pa_throughput.add(static_cast<double>(pa.total_evaluations()) /
                         pa.result.elapsed_seconds);
-
-      if (with_island) {
-        baseline::IslandConfig ic;
-        ic.islands = threads;
-        ic.island_population = 256 / threads;
-        ic.local_search = cga::H2LLParams{10, 0};
-        ic.seed = opts.seed + r;
-        ic.termination =
-            cga::Termination::after_seconds(opts.wall_seconds());
-        island_quality.add(run_island_ga(m, ic).best_fitness / minmin_ms);
-      }
     }
 
     table.add_row({std::to_string(size.tasks), std::to_string(size.machines),
                    support::format_number(minmin_ms),
                    support::format_number(minmin_cost, 3),
                    support::format_number(pa_quality.mean(), 5),
-                   support::format_number(island_quality.mean(), 5),
                    support::format_number(pa_throughput.mean(), 5)});
   }
 
   if (opts.csv) table.print_csv(std::cout);
   else table.print(std::cout);
   std::printf(
-      "\n# quality columns are best makespan / Min-min makespan (< 1 means "
-      "the metaheuristic beat the seed). Larger instances need more budget "
+      "\n# pacga/minmin is best makespan / Min-min makespan (< 1 means "
+      "PA-CGA beat the seed). Larger instances need more budget "
       "to pull away from Min-min — the motivation for more parallelism.\n");
   return 0;
 }

@@ -7,8 +7,8 @@
 // scenario:
 //
 //   1. COLD arm: StreamingSession with warm = false — every epoch is an
-//      independent solve under the per-epoch deadline D (what
-//      batch::simulate-style serving would do);
+//      independent solve under the per-epoch deadline D (serving with
+//      no memory between epochs);
 //   2. WARM arm: the same arrival trace with warm seeding, at deadlines
 //      D, D/2 and D/4. The smallest-budget warm run whose final
 //      completion time is no worse than the cold arm's is the headline:

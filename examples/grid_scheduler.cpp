@@ -16,8 +16,6 @@
 #include <optional>
 
 #include "baselines/cma_lth.hpp"
-#include "baselines/island_ga.hpp"
-#include "baselines/sa.hpp"
 #include "baselines/struggle_ga.hpp"
 #include "cga/engine.hpp"
 #include "etc/io.hpp"
@@ -54,8 +52,8 @@ int run(int argc, char** argv) {
   support::Cli cli(
       "grid_scheduler — schedule a batch of independent tasks on "
       "heterogeneous machines (ETC model).\n"
-      "Algorithms: pa-cga, cga-seq, cellwise, island, sa, struggle, cma-lth, minmin, maxmin, "
-      "sufferage, mct, met, olb");
+      "Algorithms: pa-cga, cga-seq, cellwise, struggle, cma-lth, minmin, "
+      "maxmin, sufferage, mct, met, olb");
   cli.option("instance", &instance, "Braun instance name to generate")
       .option("etc-file", &etc_file,
               "load the ETC matrix from a file instead of generating")
@@ -97,19 +95,6 @@ int run(int argc, char** argv) {
     c.objective = objective;
     c.termination = budget;
     schedule = par::run_cellwise(m, c).result.best;
-  } else if (algo == "island") {
-    baseline::IslandConfig c;
-    c.islands = threads;
-    c.seed = seed;
-    c.objective = objective;
-    c.termination = budget;
-    schedule = baseline::run_island_ga(m, c).best;
-  } else if (algo == "sa") {
-    baseline::SaConfig c;
-    c.seed = seed;
-    c.objective = objective;
-    c.termination = budget;
-    schedule = baseline::run_simulated_annealing(m, c).best;
   } else if (algo == "struggle") {
     baseline::StruggleConfig c;
     c.seed = seed;

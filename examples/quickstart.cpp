@@ -5,7 +5,7 @@
 //   3. Run PA-CGA for one second on 3 threads.
 //   4. Print both makespans and the machine loads of the GA schedule.
 //
-// Build & run:  ./build/examples/quickstart
+// Build & run:  ./build/quickstart
 #include <cstdio>
 
 #include "etc/suite.hpp"

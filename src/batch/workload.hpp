@@ -60,7 +60,7 @@ struct Workload {
 /// Throws std::invalid_argument naming the offending parameter when `spec`
 /// is degenerate (zero tasks/machines, non-positive or non-finite rate,
 /// inverted workload/mips ranges, negative inconsistency) — the guard that
-/// keeps inf/NaN arrival times out of the simulator and the service.
+/// keeps inf/NaN arrival times out of the streaming session and the service.
 void validate(const WorkloadSpec& spec);
 
 /// Generates a workload per `spec`. Deterministic in the seed. Validates

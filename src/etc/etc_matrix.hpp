@@ -80,12 +80,12 @@ class EtcMatrix {
   /// Stable 64-bit content hash over (tasks, machines, every ETC entry,
   /// every ready time), computed once at construction. Two matrices with
   /// the same fingerprint hold bit-identical content for any practical
-  /// purpose; the service's solution cache keys on it and the instance
-  /// repository uses it as an integrity check against cached files.
+  /// purpose; the service's solution cache keys on it, and the dynamic
+  /// tests use it to check an in-place mutation against a rebuild.
   std::uint64_t fingerprint() const noexcept { return fingerprint_; }
 
   /// Coefficient of variation of row/column means — crude heterogeneity
-  /// summaries used by instance_explorer and tests.
+  /// summaries the generator tests check the hi/lo classes with.
   double task_heterogeneity() const;
   double machine_heterogeneity() const;
 

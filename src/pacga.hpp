@@ -10,22 +10,14 @@
 #pragma once
 
 #include "baselines/cma_lth.hpp"
-#include "baselines/island_ga.hpp"
-#include "baselines/sa.hpp"
 #include "baselines/struggle_ga.hpp"
-#include "batch/policies.hpp"
-#include "batch/simulator.hpp"
 #include "batch/workload.hpp"
 #include "cga/breeder.hpp"
 #include "cga/config.hpp"
-#include "cga/diversity.hpp"
 #include "cga/engine.hpp"
 #include "cga/loop.hpp"
-#include "cga/multiobjective.hpp"
-#include "cga/population_io.hpp"
 #include "etc/braun.hpp"
 #include "etc/io.hpp"
-#include "etc/repository.hpp"
 #include "etc/suite.hpp"
 #include "heuristics/listsched.hpp"
 #include "heuristics/minmin.hpp"

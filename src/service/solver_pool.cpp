@@ -106,8 +106,8 @@ void WarmSolver::solve_cga(const etc::EtcMatrix& etc, const JobSpec& spec,
                            const std::atomic<bool>* cancel, JobResult& out,
                            const cga::GenerationObserver& observer,
                            obs::WorkerTracer* tracer, std::uint64_t job_id) {
-  // Shrink the grid for small instances (same rationale as the batch
-  // pa_cga_policy: a 16x16 population on a 3-task batch is pure overhead).
+  // Shrink the grid for small instances: a 16x16 population on a 3-task
+  // batch is pure overhead.
   // min-of-max, not std::clamp: a base grid below 16 cells would violate
   // clamp's lo <= hi precondition. Jobs big enough to want the whole
   // population keep the base grid EXACTLY (square or not); only genuinely

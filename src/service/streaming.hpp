@@ -1,8 +1,8 @@
 // StreamingSession — epoch-batched arrivals served through the scheduler
 // service, each epoch warm-seeded with the previous epoch's tail.
 //
-// batch::simulate answers "what does a policy do over a whole arrival
-// trace?" but treats every epoch as an independent cold solve. The real
+// Solving every epoch of an arrival trace as an independent cold solve
+// (spec.warm = false below) throws away what the last epoch learned. The
 // broker the paper targets (§2.1) does better: between two epoch
 // boundaries only a little changes — some tasks started (they are
 // committed, their remainders become machine ready times), some new ones

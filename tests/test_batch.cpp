@@ -1,5 +1,3 @@
-#include "batch/policies.hpp"
-#include "batch/simulator.hpp"
 #include "batch/workload.hpp"
 
 #include <gtest/gtest.h>
@@ -169,129 +167,6 @@ TEST(BatchEtc, ZeroNoiseGivesConsistentMatrix) {
   std::vector<double> ready(machine_ids.size(), 0.0);
   const auto etc = make_batch_etc(w, task_ids, machine_ids, ready, 0.0, 1);
   EXPECT_TRUE(etc.is_consistent());
-}
-
-TEST(Simulator, CompletesAllTasksWithHeuristicPolicy) {
-  const auto w = generate_workload(small_spec());
-  SimSpec sim;
-  sim.epoch_length = 1.0;
-  const auto metrics = simulate(w, sim, min_min_policy());
-  EXPECT_EQ(metrics.scheduled_tasks, w.tasks.size());
-  EXPECT_EQ(metrics.resubmissions, 0u);
-  EXPECT_GT(metrics.completion_time, 0.0);
-  EXPECT_GE(metrics.mean_response, metrics.mean_wait);
-  EXPECT_GE(metrics.mean_wait, 0.0);
-  EXPECT_GT(metrics.utilization, 0.0);
-  EXPECT_LE(metrics.utilization, 1.0 + 1e-9);
-}
-
-TEST(Simulator, DeterministicWithDeterministicPolicy) {
-  const auto w = generate_workload(small_spec());
-  SimSpec sim;
-  const auto a = simulate(w, sim, mct_policy());
-  const auto b = simulate(w, sim, mct_policy());
-  EXPECT_DOUBLE_EQ(a.completion_time, b.completion_time);
-  EXPECT_DOUBLE_EQ(a.mean_response, b.mean_response);
-  EXPECT_EQ(a.epochs, b.epochs);
-}
-
-TEST(Simulator, MinMinBeatsRandomPolicy) {
-  auto spec = small_spec();
-  spec.tasks = 120;
-  const auto w = generate_workload(spec);
-  SimSpec sim;
-  const auto good = simulate(w, sim, min_min_policy());
-  const auto bad = simulate(w, sim, random_policy(9));
-  EXPECT_LT(good.completion_time, bad.completion_time);
-  EXPECT_LT(good.mean_response, bad.mean_response);
-}
-
-TEST(Simulator, ShorterEpochsReduceWait) {
-  const auto w = generate_workload(small_spec());
-  SimSpec coarse;
-  coarse.epoch_length = 8.0;
-  SimSpec fine;
-  fine.epoch_length = 0.5;
-  const auto slow = simulate(w, coarse, min_min_policy());
-  const auto fast = simulate(w, fine, min_min_policy());
-  EXPECT_LT(fast.mean_wait, slow.mean_wait);
-}
-
-TEST(Simulator, MachineDropsCauseResubmissions) {
-  auto spec = small_spec();
-  spec.tasks = 100;
-  const auto w = generate_workload(spec);
-  SimSpec sim;
-  sim.epoch_length = 0.5;
-  sim.machine_drop_prob = 0.3;
-  sim.machine_join_prob = 0.5;
-  sim.seed = 3;
-  const auto metrics = simulate(w, sim, mct_policy());
-  // All tasks still finish; drops occurred and forced re-scheduling.
-  EXPECT_GT(metrics.drops, 0u);
-  EXPECT_GE(metrics.scheduled_tasks, w.tasks.size());
-  EXPECT_EQ(metrics.scheduled_tasks - w.tasks.size(), metrics.resubmissions);
-}
-
-TEST(Simulator, ChurnNeverLosesTasks) {
-  // Heavy churn stress: every task must still complete exactly once.
-  auto spec = small_spec();
-  spec.tasks = 80;
-  const auto w = generate_workload(spec);
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    SimSpec sim;
-    sim.epoch_length = 0.5;
-    sim.machine_drop_prob = 0.4;
-    sim.machine_join_prob = 0.6;
-    sim.seed = seed;
-    const auto metrics = simulate(w, sim, mct_policy());
-    EXPECT_GT(metrics.completion_time, 0.0) << "seed " << seed;
-    EXPECT_GE(metrics.scheduled_tasks, w.tasks.size()) << "seed " << seed;
-  }
-}
-
-TEST(Simulator, PaCgaPolicyRunsWithinBudget) {
-  auto spec = small_spec();
-  spec.tasks = 40;
-  const auto w = generate_workload(spec);
-  SimSpec sim;
-  sim.epoch_length = 2.0;
-  cga::Config base;
-  base.threads = 2;
-  const auto metrics = simulate(w, sim, pa_cga_policy(base, 20.0));
-  EXPECT_EQ(metrics.scheduled_tasks, w.tasks.size());
-}
-
-TEST(Simulator, PaCgaPolicyNotWorseThanRandom) {
-  auto spec = small_spec();
-  spec.tasks = 80;
-  const auto w = generate_workload(spec);
-  SimSpec sim;
-  sim.epoch_length = 2.0;
-  cga::Config base;
-  base.threads = 2;
-  const auto ga = simulate(w, sim, pa_cga_policy(base, 30.0));
-  const auto rnd = simulate(w, sim, random_policy(5));
-  EXPECT_LT(ga.completion_time, rnd.completion_time);
-}
-
-TEST(Simulator, RejectsWrongSizePolicy) {
-  const auto w = generate_workload(small_spec());
-  SimSpec sim;
-  // A policy that ignores the batch and schedules a different-size
-  // problem: the simulator must detect the contract violation.
-  Policy broken = [&w](const etc::EtcMatrix&) {
-    etc::EtcMatrix other(1, 1, {1.0});
-    return sched::Schedule(other, {0});
-  };
-  EXPECT_THROW(simulate(w, sim, broken), std::runtime_error);
-}
-
-TEST(Simulator, RejectsBadSpec) {
-  const auto w = generate_workload(small_spec());
-  SimSpec sim;
-  sim.epoch_length = 0.0;
-  EXPECT_THROW(simulate(w, sim, mct_policy()), std::invalid_argument);
 }
 
 }  // namespace

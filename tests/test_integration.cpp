@@ -147,8 +147,7 @@ TEST(Integration, LongerBudgetNeverHurts) {
 }
 
 /// Paper-scale smoke (disabled by default: 90 s wall time). Run with
-///   ./pacga_tests --gtest_also_run_disabled_tests \
-///                 --gtest_filter='*FullPaperBudget*'
+///   ./test_integration --gtest_also_run_disabled_tests --gtest_filter='*FullPaperBudget*'
 TEST(Integration, DISABLED_FullPaperBudget) {
   const auto m = etc::generate_by_name("u_c_hihi.0");
   cga::Config c;  // Table 1 defaults: tpx, H2LL(10), 3 threads

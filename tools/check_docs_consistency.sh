@@ -3,9 +3,10 @@
 # the shared protocol handler (src/net/protocol.cpp) must be documented in
 # docs/DAEMON_PROTOCOL.md, every daemon command-line flag must appear
 # there too, and every runtime environment switch read anywhere in src/
-# must appear in the README's switch table. Run from anywhere; CI (and
-# `ctest -R docs_consistency`) fails when code grows a verb, flag or
-# switch without its docs.
+# must appear in the README's switch table; every example must be run by
+# a ctest entry. Run from anywhere; CI (and `ctest -R docs_consistency`)
+# fails when code grows a verb, flag, switch or example without its docs
+# or test.
 set -eu
 cd "$(dirname "$0")/.."
 fail=0
@@ -73,6 +74,19 @@ for s in $sites; do
   fi
 done
 
+# --- examples ----------------------------------------------------------------
+# Every example binary must be run by some ctest entry (named as
+# `$<TARGET_FILE:name>` in CMakeLists.txt), so an example no test runs
+# cannot come back.
+examples=$(ls examples/*.cpp | sed 's|.*/\(.*\)\.cpp$|\1|')
+[ -n "$examples" ] || { echo "BUG: no examples found — check the ls"; exit 1; }
+for e in $examples; do
+  if ! grep -qF "\$<TARGET_FILE:$e>" CMakeLists.txt; then
+    echo "MISSING: example $e is run by no ctest entry in CMakeLists.txt"
+    fail=1
+  fi
+done
+
 # --- runtime environment switches ------------------------------------------
 switches=$(grep -rho 'getenv("PACGA_[A-Z_]*")' src \
              | sed 's/.*"\(PACGA_[A-Z_]*\)".*/\1/' | sort -u)
@@ -85,6 +99,6 @@ for s in $switches; do
 done
 
 if [ "$fail" -eq 0 ]; then
-  echo "docs consistency OK ($(echo "$verbs" | wc -w | tr -d ' ') verbs, $(echo "$subs" | wc -w | tr -d ' ') EVENT subcommands, $(echo "$flags" | wc -w | tr -d ' ') flags, $(echo "$sites" | wc -w | tr -d ' ') failpoint sites, $(echo "$switches" | wc -w | tr -d ' ') switches)"
+  echo "docs consistency OK ($(echo "$verbs" | wc -w | tr -d ' ') verbs, $(echo "$subs" | wc -w | tr -d ' ') EVENT subcommands, $(echo "$flags" | wc -w | tr -d ' ') flags, $(echo "$sites" | wc -w | tr -d ' ') failpoint sites, $(echo "$examples" | wc -w | tr -d ' ') examples, $(echo "$switches" | wc -w | tr -d ' ') switches)"
 fi
 exit $fail
