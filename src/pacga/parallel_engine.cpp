@@ -249,12 +249,14 @@ ParallelResult run_parallel(const etc::EtcMatrix& etc,
     });
   }  // join
 
-  // All workers joined: unsynchronized scans are safe again.
+  // All workers joined: unsynchronized scans are safe again. The thread
+  // bests go first, so on a fitness tie the earliest-found child wins over
+  // a population cell, as in run_sequential.
   cga::BestTracker best(initial_best);
-  best.observe_population(pop);
   for (auto& tb : thread_best) {
     if (tb) best.observe(*tb);
   }
+  best.observe_population(pop);
 
   cga::Individual winner = best.take();
   ParallelResult out{cga::Result{std::move(winner.schedule)}, {}};
