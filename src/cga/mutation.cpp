@@ -1,6 +1,7 @@
 #include "cga/mutation.hpp"
 
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -36,21 +37,17 @@ std::size_t random_task_on_machine(const sched::Schedule& s,
 
 std::size_t pick_task(std::span<const std::uint64_t> matches,
                       std::size_t count, support::Xoshiro256& rng) {
-  // The size-1 reservoir's draws: the seen-th match replaces the choice
-  // when index(seen) is 0. Only the draws depend on the RNG, so they run
-  // without touching the genes.
-  std::size_t pick = 0;
-  for (std::size_t seen = 1; seen <= count; ++seen) {
-    if (rng.index(seen) == 0) pick = seen;
-  }
-  // The pick-th set bit (1-based) is the chosen task.
+  assert(count >= 1);  // index(0) would divide by zero
+  // One bounded draw chooses the k-th match (0-based, ascending task
+  // order); every match is equally likely.
+  std::size_t k = rng.index(count);
   std::size_t w = 0;
-  while (pick > static_cast<std::size_t>(std::popcount(matches[w]))) {
-    pick -= static_cast<std::size_t>(std::popcount(matches[w]));
+  while (k >= static_cast<std::size_t>(std::popcount(matches[w]))) {
+    k -= static_cast<std::size_t>(std::popcount(matches[w]));
     ++w;
   }
   std::uint64_t bits = matches[w];
-  for (; pick > 1; --pick) bits &= bits - 1;
+  for (; k > 0; --k) bits &= bits - 1;
   return 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
 }
 

@@ -34,11 +34,10 @@ std::size_t random_task_on_machine(const sched::Schedule& s,
 /// The one place the task-pick draws live: H2LL and the rebalance mutation
 /// (through random_task_on_machine) both call it.
 ///
-/// Draw contract: it makes exactly `count` calls, rng.index(1),
-/// rng.index(2), ..., rng.index(count), and returns the task of the last
-/// match whose draw was 0 — the choice and the RNG stream of a size-1
-/// reservoir pass over the tasks, so trajectories do not depend on how the
-/// matches are found (a SIMD match mask here).
+/// Draw contract: it makes exactly one call, k = rng.index(count), and
+/// returns the task of the k-th set bit (counting from 0 in ascending task
+/// order), so trajectories do not depend on how the matches are found (a
+/// SIMD match mask here).
 std::size_t pick_task(std::span<const std::uint64_t> matches,
                       std::size_t count, support::Xoshiro256& rng);
 

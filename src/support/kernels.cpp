@@ -538,8 +538,8 @@ constexpr Dispatch kAvx2{avx2_max_value,   avx2_min_value,  avx2_argmax,
 // as a 4-lane interleaved mix, so an 8-wide register buys nothing — the
 // table reuses avx2_hash_block verbatim (avx512_supported() therefore also
 // requires AVX2, a subset of every real AVX-512 CPU). eq_mask_u16 reuses
-// the AVX2 body too: 16-bit compares need AVX-512BW, and once the scan is
-// vectorised the caller's RNG draws dominate, not the scan width.
+// the AVX2 body too: 16-bit compares need AVX-512BW, which this tier does
+// not require.
 
 __attribute__((target("avx512f"))) double avx512_max_value(const double* d,
                                                            std::size_t n) {

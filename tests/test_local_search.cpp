@@ -276,9 +276,9 @@ namespace reference {
 
 namespace kernels = support::kernels;
 
-/// The task pick as it was before the reservoir draws moved into
-/// pick_task, kept verbatim so the reference H2LL shares no pick code with
-/// the operator under test.
+/// The task pick written out in full: the match mask, one draw, the
+/// chosen set bit. The reference H2LL shares no pick code with the
+/// operator under test.
 std::size_t random_task_on_machine(const sched::Schedule& s,
                                    sched::MachineId m,
                                    support::Xoshiro256& rng) {
@@ -291,22 +291,15 @@ std::size_t random_task_on_machine(const sched::Schedule& s,
   const std::size_t count = support::kernels::eq_mask_u16(
       s.assignment().data(), s.tasks(), m, mask.data());
   if (count == 0) return s.tasks();
-  // The size-1 reservoir's draws: the seen-th match replaces the choice
-  // when index(seen) is 0. Only the draws depend on the RNG, so they run
-  // without touching the genes.
-  std::size_t pick = 0;
-  for (std::size_t seen = 1; seen <= count; ++seen) {
-    if (rng.index(seen) == 0) pick = seen;
+  // One draw; the pick-th set bit (0-based, ascending) is the chosen task.
+  std::size_t pick = rng.index(count);
+  for (std::size_t w = 0;; ++w) {
+    for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+      if (pick-- == 0) {
+        return 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+      }
+    }
   }
-  // The pick-th set bit (1-based) is the chosen task.
-  std::size_t w = 0;
-  while (pick > static_cast<std::size_t>(std::popcount(mask[w]))) {
-    pick -= static_cast<std::size_t>(std::popcount(mask[w]));
-    ++w;
-  }
-  std::uint64_t bits = mask[w];
-  for (; pick > 1; --pick) bits &= bits - 1;
-  return 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
 }
 
 void least_loaded(const sched::Schedule& s, std::size_t k,

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "etc/braun.hpp"
+#include "support/stats.hpp"
 
 namespace pacga::cga {
 namespace {
@@ -100,23 +101,28 @@ TEST(RandomTaskOnMachine, SingleTask) {
   }
 }
 
-/// The size-1 reservoir pass random_task_on_machine replaced, kept verbatim
-/// as the reference for its choice and its RNG draws.
-std::size_t reservoir_reference(const sched::Schedule& s, sched::MachineId m,
-                                support::Xoshiro256& rng) {
-  std::size_t chosen = s.tasks();
-  std::size_t seen = 0;
+/// The task pick written as a plain scan: count the machine's tasks, make
+/// one draw, walk to the chosen one. The reference for
+/// random_task_on_machine's choice and its RNG draws.
+std::size_t single_draw_reference(const sched::Schedule& s,
+                                  sched::MachineId m,
+                                  support::Xoshiro256& rng) {
+  std::size_t count = 0;
+  for (std::size_t t = 0; t < s.tasks(); ++t) {
+    if (s.machine_of(t) == m) ++count;
+  }
+  if (count == 0) return s.tasks();
+  std::size_t k = rng.index(count);
   for (std::size_t t = 0; t < s.tasks(); ++t) {
     if (s.machine_of(t) != m) continue;
-    ++seen;
-    // Reservoir of size 1: replace with probability 1/seen.
-    if (rng.index(seen) == 0) chosen = t;
+    if (k == 0) return t;
+    --k;
   }
-  return chosen;
+  return s.tasks();
 }
 
-TEST(RandomTaskOnMachine, MatchesReservoirReference) {
-  // Same task and same draws as the reservoir pass: after each call the
+TEST(RandomTaskOnMachine, MatchesSingleDrawReference) {
+  // Same task and same draws as the scan reference: after each call the
   // next output of both generators must agree. Shapes straddle the 64-gene
   // mask words; machines cover empty ones and one holding every task.
   constexpr std::size_t kMachines = 8;
@@ -146,10 +152,64 @@ TEST(RandomTaskOnMachine, MatchesReservoirReference) {
           support::Xoshiro256 ref_rng = got_rng;
           const auto id = static_cast<sched::MachineId>(machine);
           ASSERT_EQ(random_task_on_machine(s, id, got_rng),
-                    reservoir_reference(s, id, ref_rng));
+                    single_draw_reference(s, id, ref_rng));
           ASSERT_EQ(got_rng(), ref_rng());
         }
       }
+    }
+  }
+}
+
+TEST(PickTask, OneDrawUniform) {
+  // The matches are spread over 2 * count + 1 bits that straddle the
+  // 64-bit mask word boundaries (bit 64 always lies inside the spread).
+  for (const std::size_t count :
+       {1ul, 2ul, 3ul, 33ul, 63ul, 64ul, 65ul, 512ul}) {
+    SCOPED_TRACE("count=" + std::to_string(count));
+    const std::size_t first = count < 64 ? 64 - count : 0;
+    const std::size_t end = first + 2 * count + 1;
+    std::vector<std::uint64_t> mask((end + 63) / 64, 0);
+    std::vector<std::size_t> tasks;  // the matches, ascending
+    support::Xoshiro256 layout(count);
+    for (std::size_t t = first; t < end && tasks.size() < count; ++t) {
+      // Take each bit with probability 1/2, or always once the remaining
+      // bits are only just enough.
+      if (end - t > count - tasks.size() && layout.index(2) == 0) continue;
+      mask[t / 64] |= std::uint64_t{1} << (t % 64);
+      tasks.push_back(t);
+    }
+    ASSERT_EQ(tasks.size(), count);
+
+    // Draw contract: the generator advances by exactly one index(count).
+    support::Xoshiro256 rng(count * 31 + 7);
+    for (int i = 0; i < 50; ++i) {
+      support::Xoshiro256 expected = rng;
+      const std::size_t k = expected.index(count);
+      ASSERT_EQ(pick_task(mask, count, rng), tasks[k]);
+      ASSERT_EQ(rng(), expected());
+    }
+
+    // Uniformity: every match is chosen, and Pearson's chi-square over the
+    // count cells stays below its 0.999 quantile.
+    std::map<std::size_t, std::size_t> slot;
+    for (std::size_t i = 0; i < count; ++i) slot[tasks[i]] = i;
+    std::vector<double> hits(count, 0.0);
+    const std::size_t picks = 200 * count;
+    for (std::size_t i = 0; i < picks; ++i) {
+      const std::size_t t = pick_task(mask, count, rng);
+      ASSERT_EQ(slot.count(t), 1u) << t;
+      hits[slot[t]] += 1.0;
+    }
+    double chi2 = 0.0;
+    for (const double h : hits) {
+      EXPECT_GT(h, 0.0);
+      chi2 += (h - 200.0) * (h - 200.0) / 200.0;
+    }
+    // Below the 0.999 quantile with count - 1 degrees of freedom.
+    if (count > 1) {
+      EXPECT_GT(support::chi_squared_sf(chi2, static_cast<double>(count - 1)),
+                0.001)
+          << chi2;
     }
   }
 }

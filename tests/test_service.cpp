@@ -1185,9 +1185,11 @@ TEST(SchedulerService, RejectsMalformedWarmStart) {
                std::invalid_argument);
 }
 
-/// Refines Min-min into a near-local-optimum via a generous warm CGA
-/// solve: a stand-in for a thoroughly repaired reschedule seed that a
-/// generation-capped cold engine cannot reach from scratch.
+/// Refines the better of Min-min and Sufferage into a near-local-optimum
+/// via a generous warm CGA solve: a stand-in for a thoroughly repaired
+/// reschedule seed that a generation-capped cold engine cannot reach from
+/// scratch. Seeded with both heuristics' winner, the refinement never ends
+/// worse than either of them.
 JobResult refined_seed(const etc::EtcMatrix& m) {
   cga::Config base;
   WarmSolver refiner(base);
@@ -1195,6 +1197,12 @@ JobResult refined_seed(const etc::EtcMatrix& m) {
   refine.policy = SolvePolicy::kCga;
   refine.max_generations = 40;
   refine.use_cache = false;
+  const sched::Schedule minmin = heur::min_min(m);
+  const sched::Schedule sufferage = heur::sufferage(m);
+  const auto& start =
+      minmin.makespan() <= sufferage.makespan() ? minmin : sufferage;
+  refine.warm_start.assign(start.assignment().begin(),
+                           start.assignment().end());
   JobResult out;
   refiner.solve(m, refine, 5.0, nullptr, out);
   return out;
