@@ -31,7 +31,7 @@ std::size_t random_task_on_machine(const sched::Schedule& s,
 
 /// Picks one task uniformly among the set bits of the match mask `matches`
 /// (bit t set iff task t matches); `count` is its popcount, at least 1.
-/// The one place the task-pick draws live: H2LL and the rebalance mutation
+/// The one place the task-pick draw lives: H2LL and the rebalance mutation
 /// (through random_task_on_machine) both call it.
 ///
 /// Draw contract: it makes exactly one call, k = rng.index(count), and

@@ -269,8 +269,9 @@ TEST(ApplyLocalSearch, KindNames) {
 // The operators as they were written before the lightest-machines mask: an
 // nth_element selection of the candidate machines, sorted by index, then a
 // plain loop over them, with every pass recomputing the loaded machine, the
-// task pick and the candidates. Kept verbatim; the library must make the
-// same moves and the same draws.
+// task pick and the candidates. Kept verbatim apart from the task pick,
+// which makes the library's single draw; the library must make the same
+// moves and the same draws.
 
 namespace reference {
 
