@@ -40,14 +40,19 @@ bool pin_current_thread(std::size_t core) noexcept {
 
 namespace {
 
-/// Everything a worker needs; shared state is either immutable, atomic, or
-/// touched only by thread 0 between barriers.
+/// Everything a worker needs. Shared state is immutable (each worker copies
+/// its RNG stream out of `rngs` on entry), atomic, touched only by thread 0
+/// between barriers, or one cache-line-padded slot per thread (`stats`).
+/// `thread_best` slots are written once, at a worker's exit. A worker's RNG
+/// stream, Breeder and BestTracker live in its own frame: a step makes about
+/// 17 draws, and each stores the stream's state, so streams packed side by
+/// side in one vector would bounce a cache line between the cores.
 struct Shared {
   const etc::EtcMatrix& etc;
   const cga::Config& config;
   cga::Population& pop;
   const std::vector<cga::Block>& blocks;
-  std::vector<support::Xoshiro256>& rngs;
+  const std::vector<support::Xoshiro256>& rngs;
   std::vector<support::Padded<ThreadStats>>& stats;
   std::vector<std::optional<cga::Individual>>& thread_best;
   const cga::Individual& initial_best;
@@ -66,7 +71,7 @@ struct Shared {
 /// the Breeder makes the steady-state step allocation-free.
 void worker_async(Shared& sh, std::size_t tid) {
   const cga::Config& config = sh.config;
-  support::Xoshiro256& rng = sh.rngs[tid + 1];
+  support::Xoshiro256 rng = sh.rngs[tid + 1];  // thread-private copy
   const cga::Block block = sh.blocks[tid];
   ThreadStats& st = sh.stats[tid].value;
   cga::Breeder breeder(sh.etc, config);
@@ -119,7 +124,7 @@ void worker_async(Shared& sh, std::size_t tid) {
 /// termination decision by thread 0.
 void worker_sync(Shared& sh, std::size_t tid) {
   const cga::Config& config = sh.config;
-  support::Xoshiro256& rng = sh.rngs[tid + 1];
+  support::Xoshiro256 rng = sh.rngs[tid + 1];  // thread-private copy
   const cga::Block block = sh.blocks[tid];
   ThreadStats& st = sh.stats[tid].value;
   cga::Breeder breeder(sh.etc, config);
