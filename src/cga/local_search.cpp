@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -45,17 +46,21 @@ void apply_local_search(LocalSearchKind kind, sched::Schedule& s,
 
 namespace {
 
-/// Marks the k machines of smallest (completion, index), minus `skip`, in
-/// `mask` (one bit per machine). Ties at the selection boundary break
-/// toward the lower machine index, so the candidate set is a deterministic
-/// function of the completion array (the golden replays depend on that).
-/// Callers visit the set bits in ascending machine index.
-void candidate_mask(const sched::Schedule& s, std::size_t k, std::size_t skip,
-                    std::vector<std::uint64_t>& mask) {
+/// Marks the k machines of smallest (completion, index), minus the most
+/// loaded one, in `mask` (one bit per machine), and returns the most loaded
+/// machine (highest completion, lowest index on ties), all from one kernel
+/// call. Ties at the selection boundary break toward the lower machine
+/// index, so the candidate set is a deterministic function of the
+/// completion array (the golden replays depend on that). Callers visit the
+/// set bits in ascending machine index.
+std::size_t candidate_mask(const sched::Schedule& s, std::size_t k,
+                           std::vector<std::uint64_t>& mask) {
   const std::size_t machines = s.machines();
   mask.resize((machines + 63) / 64);
-  kernels::lightest_mask(s.completions().data(), machines, k, mask.data());
-  mask[skip / 64] &= ~(std::uint64_t{1} << (skip % 64));
+  const std::size_t most_loaded = kernels::lightest_mask(
+      s.completions().data(), machines, k, mask.data());
+  mask[most_loaded / 64] &= ~(std::uint64_t{1} << (most_loaded % 64));
+  return most_loaded;
 }
 
 /// Calls f(machine) for every set bit of `mask`, in ascending order.
@@ -67,6 +72,21 @@ void for_each_candidate(const std::vector<std::uint64_t>& mask, F&& f) {
     }
   }
 }
+
+#ifndef NDEBUG
+/// Debug check for the kept pass state: `mask` and `count` equal what
+/// `eq_mask_u16` returns for `machine` on the current genes.
+bool mask_is_fresh(const sched::Schedule& s, std::size_t machine,
+                   const std::vector<std::uint64_t>& mask, std::size_t count) {
+  thread_local std::vector<std::uint64_t> fresh;  // allocation-free reuse
+  fresh.resize((s.tasks() + 63) / 64);
+  const std::size_t fresh_count = kernels::eq_mask_u16(
+      s.assignment().data(), s.tasks(),
+      static_cast<sched::MachineId>(machine), fresh.data());
+  return fresh_count == count &&
+         std::equal(fresh.begin(), fresh.end(), mask.begin());
+}
+#endif
 
 /// Index of the most loaded machine other than `skip` (highest completion;
 /// lowest index on ties). Requires at least two machines.
@@ -98,23 +118,32 @@ void h2ll(sched::Schedule& s, const H2LLParams& params,
   // completions alone, and a pass that moves nothing changes neither, so it
   // is recomputed only on entry and after a move: the kept state is exactly
   // what a recompute would return, and the draws and moves are unchanged.
+  // A move changes one gene, so when the most loaded machine stays put its
+  // match mask loses the moved task's bit and nothing else.
   thread_local std::vector<std::uint64_t> tasks_mask;
   thread_local std::vector<std::uint64_t> cand_mask;
   tasks_mask.resize((s.tasks() + 63) / 64);
-  std::size_t most_loaded = 0;
+  std::size_t most_loaded = machines;  // sentinel: no state yet
   std::size_t count = 0;
+  std::size_t moved = s.tasks();  // the last move's task (off most_loaded)
   bool stale = true;
 
   for (std::size_t it = 0; it < params.iterations; ++it) {
     if (stale) {
-      most_loaded = kernels::argmax(s.completions().data(), machines);
-      count = kernels::eq_mask_u16(s.assignment().data(), s.tasks(),
-                                   static_cast<sched::MachineId>(most_loaded),
-                                   tasks_mask.data());
+      const std::size_t loaded = candidate_mask(s, n_candidates, cand_mask);
+      if (loaded == most_loaded) {
+        tasks_mask[moved / 64] &= ~(std::uint64_t{1} << (moved % 64));
+        --count;
+        assert(mask_is_fresh(s, most_loaded, tasks_mask, count));
+      } else {
+        most_loaded = loaded;
+        count = kernels::eq_mask_u16(s.assignment().data(), s.tasks(),
+                                     static_cast<sched::MachineId>(most_loaded),
+                                     tasks_mask.data());
+      }
       // A machine holding only ready-time load makes no draws and moves
       // nothing, so neither does any later pass.
       if (count == 0) return;
-      candidate_mask(s, n_candidates, most_loaded, cand_mask);
       stale = false;
     }
     const std::size_t task = pick_task(tasks_mask, count, rng);
@@ -134,6 +163,7 @@ void h2ll(sched::Schedule& s, const H2LLParams& params,
     });
     if (best_mac != machines) {
       s.move_task(task, static_cast<sched::MachineId>(best_mac));
+      moved = task;
       stale = true;
     }
   }
@@ -150,7 +180,7 @@ void h2ll_steepest(sched::Schedule& s, const H2LLParams& params) {
 
   for (std::size_t it = 0; it < params.iterations; ++it) {
     const auto ct = s.completions();
-    const std::size_t most_loaded = kernels::argmax(ct.data(), machines);
+    const std::size_t most_loaded = candidate_mask(s, n_candidates, mask);
     // Highest completion among machines other than the loaded one (and,
     // when the move target IS that machine, the next one down): the part
     // of the resulting makespan no single move can change. Top-3 kernel
@@ -164,8 +194,6 @@ void h2ll_steepest(sched::Schedule& s, const H2LLParams& params) {
         third_ct = std::max(third_ct, ct[m]);
       }
     }
-
-    candidate_mask(s, n_candidates, most_loaded, mask);
 
     // True steepest descent on the makespan: evaluate the RESULTING
     // makespan of every (task on loaded machine, candidate) move and take

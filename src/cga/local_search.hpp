@@ -39,12 +39,16 @@ struct H2LLParams {
 /// Applies H2LL in place. Each pass draws a task off the most loaded
 /// machine and scores it against the candidates. The pass state (the most
 /// loaded machine, the mask of its tasks, the candidate machines) is
-/// computed on entry and after a pass that moved a task, at O(tasks) for the
-/// task mask plus O(machines^2 / lanes) rank counting while the machines fit
-/// one 64-bit mask word, O(machines) selection above that. A pass that moves
-/// nothing changes no gene and no completion time, so the next pass reuses
-/// the state a recompute would return: the draws and moves, and so every
-/// trajectory, are those of recomputing it every pass.
+/// computed on entry and after a pass that moved a task. The most loaded
+/// machine and the candidates come from one `lightest_mask` call:
+/// O(machines^2 / lanes) rank counting while the machines fit one 64-bit
+/// mask word, O(machines) selection above that. The task mask costs
+/// O(tasks), and it is recomputed only when the most loaded machine
+/// changes: when a move keeps it, the move's one changed gene is the moved
+/// task's bit, which is cleared. A pass that moves nothing changes no gene
+/// and no completion time, so the next pass reuses the whole state. Either
+/// way the kept state is what a recompute would return, so the draws and
+/// moves, and every trajectory, are those of recomputing it every pass.
 void h2ll(sched::Schedule& s, const H2LLParams& params,
           support::Xoshiro256& rng);
 

@@ -1,6 +1,5 @@
 #include "cga/mutation.hpp"
 
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -40,15 +39,7 @@ std::size_t pick_task(std::span<const std::uint64_t> matches,
   assert(count >= 1);  // index(0) would divide by zero
   // One bounded draw chooses the k-th match (0-based, ascending task
   // order); every match is equally likely.
-  std::size_t k = rng.index(count);
-  std::size_t w = 0;
-  while (k >= static_cast<std::size_t>(std::popcount(matches[w]))) {
-    k -= static_cast<std::size_t>(std::popcount(matches[w]));
-    ++w;
-  }
-  std::uint64_t bits = matches[w];
-  for (; k > 0; --k) bits &= bits - 1;
-  return 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+  return support::kernels::select_bit(matches.data(), rng.index(count));
 }
 
 void mutate(MutationKind kind, sched::Schedule& s, support::Xoshiro256& rng) {

@@ -37,7 +37,7 @@ std::size_t random_task_on_machine(const sched::Schedule& s,
 /// Draw contract: it makes exactly one call, k = rng.index(count), and
 /// returns the task of the k-th set bit (counting from 0 in ascending task
 /// order), so trajectories do not depend on how the matches are found (a
-/// SIMD match mask here).
+/// SIMD match mask here) or selected (the `select_bit` kernel).
 std::size_t pick_task(std::span<const std::uint64_t> matches,
                       std::size_t count, support::Xoshiro256& rng);
 

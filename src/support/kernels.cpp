@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <string_view>
 #include <vector>
@@ -137,9 +138,10 @@ std::size_t scalar_eq_mask_u16(const std::uint16_t* d, std::size_t n,
 
 // Selection by nth_element over an index scratch: under the (value, index)
 // order no two entries are equivalent, so the first k slots hold exactly
-// the k lightest entries whatever the library's partitioning does.
-void scalar_lightest_mask(const double* d, std::size_t n, std::size_t k,
-                          std::uint64_t* words) {
+// the k lightest entries whatever the library's partitioning does. The
+// argmax is the in-order scan's.
+std::size_t scalar_lightest_mask(const double* d, std::size_t n, std::size_t k,
+                                 std::uint64_t* words) {
   std::fill_n(words, (n + 63) / 64, std::uint64_t{0});
   k = std::min(k, n);
   // Index scratch; reused across calls (thread-local to stay
@@ -157,12 +159,43 @@ void scalar_lightest_mask(const double* d, std::size_t n, std::size_t k,
   for (std::size_t i = 0; i < k; ++i) {
     words[idx[i] / 64] |= std::uint64_t{1} << (idx[i] % 64);
   }
+  return n == 0 ? 0 : scalar_argmax(d, n);
 }
 
-constexpr Dispatch kScalar{
-    scalar_max_value, scalar_min_value,     scalar_argmax,     scalar_argmin,
-    scalar_min_plus,  scalar_scale_inplace, scalar_hash_block,
-    scalar_batch_max, scalar_eq_mask_u16,   scalar_lightest_mask, "scalar"};
+// The word walk every select body shares: skips whole words while k is at
+// least their popcount, returns the word holding the k-th set bit and
+// leaves k as its rank within that word. It is inlined into each tier, so
+// the tier's target decides whether std::popcount is the popcnt instruction
+// or libgcc's software routine (the baseline x86-64 build).
+__attribute__((always_inline)) inline std::size_t select_word(
+    const std::uint64_t* words, std::size_t& k) {
+  std::size_t w = 0;
+  for (;; ++w) {
+    const auto c = static_cast<std::size_t>(std::popcount(words[w]));
+    if (k < c) return w;
+    k -= c;
+  }
+}
+
+// The portable select: the word walk, then the k lowest set bits cleared.
+__attribute__((always_inline)) inline std::size_t select_walk(
+    const std::uint64_t* words, std::size_t k) {
+  const std::size_t w = select_word(words, k);
+  std::uint64_t bits = words[w];
+  for (; k > 0; --k) bits &= bits - 1;
+  return 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+}
+
+std::size_t scalar_select_bit(const std::uint64_t* words, std::size_t k) {
+  return select_walk(words, k);
+}
+
+constexpr Dispatch kScalar{scalar_max_value,   scalar_min_value,
+                           scalar_argmax,      scalar_argmin,
+                           scalar_min_plus,    scalar_scale_inplace,
+                           scalar_hash_block,  scalar_batch_max,
+                           scalar_eq_mask_u16, scalar_lightest_mask,
+                           scalar_select_bit,  "scalar"};
 
 // ---- AVX2 path -----------------------------------------------------------
 
@@ -471,29 +504,49 @@ __attribute__((target("avx2"))) std::size_t avx2_eq_mask_u16(
 // ties count (d[j] <= d[m]); entries after it follow every lane, so ties
 // do not (d[j] < d[m]); the block's own entries pick LE or LT per lane,
 // which also keeps m from counting itself. A compare is all-ones per
-// counted lane, so subtracting it increments the rank. Lanes past n load
-// zeros and are cleared from the result; j only reads real entries.
+// counted lane, so subtracting it increments the rank. Lanes past n are
+// cleared from the result; j only reads real entries.
 // Counting costs O(n^2 / lanes) against the selection's O(n), so the
 // vector bodies stop at one mask word (n <= 64) and hand larger n to the
 // scalar body.
-__attribute__((target("avx2"))) void avx2_lightest_mask(const double* d,
-                                                        std::size_t n,
-                                                        std::size_t k,
-                                                        std::uint64_t* words) {
-  if (n > 64) {
-    scalar_lightest_mask(d, n, k, words);
-    return;
+//
+// The argmax comes from the same blocks: a max_pd pass finds the largest
+// value, and the lowest index comparing equal to it is the scalar scan's
+// answer (-0.0 == +0.0, so signed zeros cannot split the tie). Lanes past n
+// load -inf, which cannot exceed a real entry, and are masked off.
+__attribute__((target("avx2"))) inline __m256d avx2_load_block(
+    const double* d, std::size_t n, std::size_t b) {
+  const __m256i valid =
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(n - b)),
+                         _mm256_setr_epi64x(0, 1, 2, 3));
+  return _mm256_blendv_pd(
+      _mm256_set1_pd(-std::numeric_limits<double>::infinity()),
+      _mm256_maskload_pd(d + b, valid), _mm256_castsi256_pd(valid));
+}
+
+__attribute__((target("avx2"))) std::size_t avx2_lightest_mask(
+    const double* d, std::size_t n, std::size_t k, std::uint64_t* words) {
+  if (n > 64) return scalar_lightest_mask(d, n, k, words);
+  if (n == 0) return 0;
+  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  __m256d top = avx2_load_block(d, n, 0);
+  for (std::size_t b = 4; b < n; b += 4) {
+    top = _mm256_max_pd(top, avx2_load_block(d, n, b));
   }
-  if (n == 0) return;
+  top = _mm256_max_pd(top, _mm256_permute2f128_pd(top, top, 1));
+  top = _mm256_max_pd(top, _mm256_permute_pd(top, 0b0101));
   const __m256i kv =
       _mm256_set1_epi64x(static_cast<long long>(std::min(k, n)));
   std::uint64_t bits = 0;
+  std::uint64_t at_top = 0;
   for (std::size_t b = 0; b < n; b += 4) {
     const std::size_t lanes = std::min<std::size_t>(4, n - b);
-    const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
-    const __m256d vm = _mm256_maskload_pd(
-        d + b, _mm256_cmpgt_epi64(
-                   _mm256_set1_epi64x(static_cast<long long>(lanes)), lane));
+    const std::uint64_t valid = (std::uint64_t{1} << lanes) - 1;
+    const __m256d vm = avx2_load_block(d, n, b);
+    at_top |= (static_cast<std::uint64_t>(_mm256_movemask_pd(
+                   _mm256_cmp_pd(vm, top, _CMP_EQ_OQ))) &
+               valid)
+              << b;
     __m256i rank = _mm256_setzero_si256();
     for (std::size_t j = 0; j < b; ++j) {
       const __m256d le = _mm256_cmp_pd(_mm256_set1_pd(d[j]), vm, _CMP_LE_OQ);
@@ -515,15 +568,21 @@ __attribute__((target("avx2"))) void avx2_lightest_mask(const double* d,
     }
     const auto lighter = static_cast<std::uint64_t>(_mm256_movemask_pd(
         _mm256_castsi256_pd(_mm256_cmpgt_epi64(kv, rank))));
-    bits |= (lighter & ((std::uint64_t{1} << lanes) - 1)) << b;
+    bits |= (lighter & valid) << b;
   }
   words[0] = bits;
+  return static_cast<std::size_t>(std::countr_zero(at_top));
+}
+
+__attribute__((target("popcnt"))) std::size_t avx2_select_bit(
+    const std::uint64_t* words, std::size_t k) {
+  return select_walk(words, k);
 }
 
 constexpr Dispatch kAvx2{avx2_max_value,   avx2_min_value,  avx2_argmax,
                          avx2_argmin,      avx2_min_plus,   avx2_scale_inplace,
                          avx2_hash_block,  avx2_batch_max,  avx2_eq_mask_u16,
-                         avx2_lightest_mask, "avx2"};
+                         avx2_lightest_mask, avx2_select_bit, "avx2"};
 
 // ---- AVX-512 path --------------------------------------------------------
 //
@@ -533,13 +592,14 @@ constexpr Dispatch kAvx2{avx2_max_value,   avx2_min_value,  avx2_argmax,
 // fold by (value, then lowest stored index), and a scalar tail — with two
 // AVX-512 specifics: comparisons produce __mmask8 registers consumed by
 // mask blends (no bit-pattern casts between double and integer vectors),
-// and the 4-stream unroll advances 32 elements per round. Only avx512f is
-// required. hash_block stays on the AVX2 path: its semantics are DEFINED
-// as a 4-lane interleaved mix, so an 8-wide register buys nothing — the
-// table reuses avx2_hash_block verbatim (avx512_supported() therefore also
-// requires AVX2, a subset of every real AVX-512 CPU). eq_mask_u16 reuses
-// the AVX2 body too: 16-bit compares need AVX-512BW, which this tier does
-// not require.
+// and the 4-stream unroll advances 32 elements per round. Of AVX-512 only
+// avx512f is required. hash_block stays on the AVX2 path: its semantics
+// are DEFINED as a 4-lane interleaved mix, so an 8-wide register buys
+// nothing — the table reuses avx2_hash_block verbatim (avx512_supported()
+// therefore also requires the AVX2 tier's features, a subset of every real
+// AVX-512 CPU). eq_mask_u16 reuses the AVX2 body too: 16-bit compares need
+// AVX-512BW, which this tier does not require. select_bit adds BMI2's pdep
+// to the AVX2 tier's popcnt, so bmi2 is required as well.
 
 __attribute__((target("avx512f"))) double avx512_max_value(const double* d,
                                                            std::size_t n) {
@@ -758,23 +818,33 @@ __attribute__((target("avx512f"))) void avx512_batch_max(
   for (std::size_t r = 0; r < count; ++r) out[r] = avx512_max_value(rows[r], n);
 }
 
-// The AVX2 rank count, 8 entries per block. On the block's own entries
-// a compare mask picks LE under the lanes after j and LT under the rest;
-// a masked add bumps the counted lanes' ranks.
-__attribute__((target("avx512f"))) void avx512_lightest_mask(
+// The AVX2 rank count and argmax, 8 entries per block. On the block's own
+// entries a compare mask picks LE under the lanes after j and LT under the
+// rest; a masked add bumps the counted lanes' ranks.
+__attribute__((target("avx512f"))) std::size_t avx512_lightest_mask(
     const double* d, std::size_t n, std::size_t k, std::uint64_t* words) {
-  if (n > 64) {
-    scalar_lightest_mask(d, n, k, words);
-    return;
+  if (n > 64) return scalar_lightest_mask(d, n, k, words);
+  if (n == 0) return 0;
+  const __m512d neg_inf =
+      _mm512_set1_pd(-std::numeric_limits<double>::infinity());
+  __m512d top = neg_inf;
+  for (std::size_t b = 0; b < n; b += 8) {
+    const auto valid =
+        static_cast<__mmask8>((1u << std::min<std::size_t>(8, n - b)) - 1);
+    top = _mm512_max_pd(top, _mm512_mask_loadu_pd(neg_inf, valid, d + b));
   }
-  if (n == 0) return;
+  top = _mm512_set1_pd(_mm512_reduce_max_pd(top));
   const __m512i kv = _mm512_set1_epi64(static_cast<long long>(std::min(k, n)));
   const __m512i one = _mm512_set1_epi64(1);
   std::uint64_t bits = 0;
+  std::uint64_t at_top = 0;
   for (std::size_t b = 0; b < n; b += 8) {
     const std::size_t lanes = std::min<std::size_t>(8, n - b);
     const auto valid = static_cast<__mmask8>((1u << lanes) - 1);
-    const __m512d vm = _mm512_maskz_loadu_pd(valid, d + b);
+    const __m512d vm = _mm512_mask_loadu_pd(neg_inf, valid, d + b);
+    at_top |= std::uint64_t{static_cast<std::uint8_t>(
+                  _mm512_mask_cmp_pd_mask(valid, vm, top, _CMP_EQ_OQ))}
+              << b;
     __m512i rank = _mm512_setzero_si512();
     for (std::size_t j = 0; j < b; ++j) {
       const __mmask8 le =
@@ -800,13 +870,25 @@ __attribute__((target("avx512f"))) void avx512_lightest_mask(
             << b;
   }
   words[0] = bits;
+  return static_cast<std::size_t>(std::countr_zero(at_top));
 }
 
-constexpr Dispatch kAvx512{avx512_max_value, avx512_min_value,
-                           avx512_argmax,    avx512_argmin,
-                           avx512_min_plus,  avx512_scale_inplace,
-                           avx2_hash_block,  avx512_batch_max,
-                           avx2_eq_mask_u16, avx512_lightest_mask, "avx512"};
+// In-word select by BMI2: pdep deposits the single bit 1 << k onto the k-th
+// set bit of the word. AVX-512 CPUs run pdep in one uop; some AVX2-only
+// CPUs microcode it, so the AVX2 tier keeps the clear-lowest loop.
+__attribute__((target("popcnt,bmi2"))) std::size_t avx512_select_bit(
+    const std::uint64_t* words, std::size_t k) {
+  const std::size_t w = select_word(words, k);
+  return 64 * w + static_cast<std::size_t>(std::countr_zero(
+                      _pdep_u64(std::uint64_t{1} << k, words[w])));
+}
+
+constexpr Dispatch kAvx512{avx512_max_value,   avx512_min_value,
+                           avx512_argmax,      avx512_argmin,
+                           avx512_min_plus,    avx512_scale_inplace,
+                           avx2_hash_block,    avx512_batch_max,
+                           avx2_eq_mask_u16,   avx512_lightest_mask,
+                           avx512_select_bit,  "avx512"};
 
 #endif  // PACGA_KERNELS_X86_AVX2
 
@@ -839,7 +921,7 @@ namespace detail {
 
 bool avx2_supported() noexcept {
 #if PACGA_KERNELS_X86_AVX2
-  return __builtin_cpu_supports("avx2");
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt");
 #else
   return false;
 #endif
@@ -847,10 +929,12 @@ bool avx2_supported() noexcept {
 
 bool avx512_supported() noexcept {
 #if PACGA_KERNELS_X86_AVX2
-  // avx2 is required too: the 512-bit table's hash_block reuses the AVX2
-  // path (every shipping AVX-512 CPU satisfies this; the check is belt and
-  // suspenders against hypothetical feature-masked environments).
-  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx2");
+  // The AVX2 table's features are required too: the 512-bit table reuses
+  // its hash_block and eq_mask_u16, and select_bit adds bmi2 (every
+  // shipping AVX-512 CPU satisfies this; the check is belt and suspenders
+  // against hypothetical feature-masked environments).
+  return __builtin_cpu_supports("avx512f") && avx2_supported() &&
+         __builtin_cpu_supports("bmi2");
 #else
   return false;
 #endif

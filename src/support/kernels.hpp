@@ -5,8 +5,9 @@
 // machine completions, the fused `ct[m] + etc_row[m]` min-scan at the heart
 // of Min-min / Sufferage / H2LL candidate selection, machine-column scaling,
 // content fingerprinting, batched offspring evaluation, the gene match mask
-// behind H2LL's and rebalance's task pick, the lightest-machines mask behind
-// H2LL's candidate set) funnels through this header.
+// and set-bit select behind H2LL's and rebalance's task pick, the
+// lightest-machines mask and most loaded machine behind H2LL's pass state)
+// funnels through this header.
 // Three tiers — AVX-512 (8-wide doubles), AVX2 (4-wide), and a portable
 // scalar path — are resolved ONCE at startup from CPU features;
 // `PACGA_FORCE_KERNELS=scalar|avx2|avx512` pins a specific tier for testing
@@ -71,12 +72,25 @@ struct Dispatch {
   /// The k lightest entries as a mask: writes ceil(n/64) words, bit m set
   /// iff fewer than k indices j have (data[j], j) < (data[m], m) — value
   /// first, lower index on ties — so exactly min(k, n) bits are set and
-  /// bits past n are zero. n may be 0 (no word is written). The vector
-  /// tiers rank-count every entry against every other (O(n^2 / lanes),
-  /// branch-free) while n fits one mask word (n <= 64); above that they
-  /// run the scalar body, an O(n) nth_element selection.
-  void (*lightest_mask)(const double* data, std::size_t n, std::size_t k,
-                        std::uint64_t* words);
+  /// bits past n are zero. Returns the most loaded entry, exactly argmax's
+  /// answer (largest value, lowest index on ties), so H2LL's pass state
+  /// costs one call. n may be 0 (no word is written, 0 is returned). The
+  /// vector tiers rank-count every entry against every other
+  /// (O(n^2 / lanes), branch-free) and take the argmax from a max_pd pass
+  /// over the same blocks while n fits one mask word (n <= 64); above that
+  /// they run the scalar bodies, an O(n) nth_element selection and the
+  /// in-order argmax scan.
+  std::size_t (*lightest_mask)(const double* data, std::size_t n,
+                               std::size_t k, std::uint64_t* words);
+  /// Select: the position (64w + i for bit i of word w) of the k-th set
+  /// bit of the mask, counting from 0 in ascending order. Requires k below
+  /// the mask's popcount; only the words up to the answer are read. Every
+  /// tier walks whole words by popcount. The scalar tier's popcount is
+  /// libgcc's software routine on a baseline x86-64 build, and it clears
+  /// the k lowest bits of the last word; the vector tiers count with the
+  /// popcnt instruction, and the AVX-512 tier selects in-word with BMI2
+  /// pdep.
+  std::size_t (*select_bit)(const std::uint64_t* words, std::size_t k);
   const char* name;
 };
 
@@ -154,20 +168,27 @@ inline std::size_t eq_mask_u16(const std::uint16_t* data, std::size_t n,
   return active().eq_mask_u16(data, n, value, words);
 }
 
-inline void lightest_mask(const double* data, std::size_t n, std::size_t k,
-                          std::uint64_t* words) noexcept {
-  active().lightest_mask(data, n, k, words);
+inline std::size_t lightest_mask(const double* data, std::size_t n,
+                                 std::size_t k,
+                                 std::uint64_t* words) noexcept {
+  return active().lightest_mask(data, n, k, words);
+}
+
+inline std::size_t select_bit(const std::uint64_t* words,
+                              std::size_t k) noexcept {
+  return active().select_bit(words, k);
 }
 
 // ---- direct access to both paths (equivalence tests, benchmarks) ---------
 
 namespace detail {
 
-/// True when this CPU can run the AVX2 table.
+/// True when this CPU can run the AVX2 table (avx2 and popcnt).
 bool avx2_supported() noexcept;
 
-/// True when this CPU can run the AVX-512 table (requires avx512f; AVX2
-/// support is also required because the 4-lane hash stays on that path).
+/// True when this CPU can run the AVX-512 table (avx512f and bmi2, plus
+/// the AVX2 table's features: its 4-lane hash and 16-bit match mask stay
+/// on that path).
 bool avx512_supported() noexcept;
 
 /// The portable reference path — always valid.

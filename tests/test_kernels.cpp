@@ -450,6 +450,76 @@ TEST(Kernels, LightestMaskBitIdenticalAcrossPaths) {
   }
 }
 
+TEST(Kernels, LightestMaskReturnsArgmaxOnEveryTier) {
+  // lightest_mask's return value is H2LL's most loaded machine, so on every
+  // tier it must be exactly argmax's answer: largest value, lowest index on
+  // ties. Inputs put exact ties at the maximum on and across lane
+  // boundaries, make signed zeros the maximum in both orders, and include
+  // all-equal rows; n = 65 and 128 run the scalar bodies.
+  Xoshiro256 rng(44);
+  for (const std::size_t n :
+       {1ul, 2ul, 7ul, 8ul, 9ul, 15ul, 16ul, 17ul, 63ul, 64ul, 65ul, 128ul}) {
+    std::vector<std::vector<double>> inputs;
+    for (int rep = 0; rep < 8; ++rep) {
+      std::vector<double> d(n);
+      for (auto& v : d) v = static_cast<double>(rng.index(6));
+      inputs.push_back(d);  // small integers: ties at the maximum abound
+      for (std::size_t i = 0; i < n; ++i) {
+        d[i] = rng.index(3) == 0 ? 5.0 : rng.uniform(0.0, 5.0);
+      }
+      inputs.push_back(d);  // the maximum repeated at random indices
+      for (auto& v : d) v = -rng.uniform(0.0, 1.0);
+      d[rng.index(n)] = rep % 2 == 0 ? -0.0 : 0.0;
+      d[rng.index(n)] = rep % 2 == 0 ? 0.0 : -0.0;
+      inputs.push_back(d);  // signed zeros tie at the maximum
+    }
+    inputs.emplace_back(n, 2.5);
+    inputs.emplace_back(n, -0.0);
+    for (const auto& d : inputs) {
+      const std::size_t want = ref_argmax(d);
+      for (const Dispatch* t : testable_tables()) {
+        SCOPED_TRACE(std::string("argmax n=") + std::to_string(n) + " via " +
+                     t->name);
+        std::vector<std::uint64_t> words((n + 63) / 64);
+        EXPECT_EQ(t->lightest_mask(d.data(), n, n / 2, words.data()), want);
+        EXPECT_EQ(t->argmax(d.data(), n), want);
+      }
+    }
+  }
+}
+
+TEST(Kernels, SelectBitMatchesScalarWalk) {
+  // Every tier's select returns the k-th set bit (0-based, ascending) for
+  // every k, on masks of 1 to 9 words mixing random, full, single-bit and
+  // empty words, with empty words between matches.
+  Xoshiro256 rng(45);
+  for (std::size_t n_words = 1; n_words <= 9; ++n_words) {
+    for (int rep = 0; rep < 40; ++rep) {
+      std::vector<std::uint64_t> words(n_words);
+      for (auto& w : words) {
+        switch (rng.index(4)) {
+          case 0: w = 0; break;
+          case 1: w = ~std::uint64_t{0}; break;
+          case 2: w = std::uint64_t{1} << rng.index(64); break;
+          default: w = rng() & rng(); break;
+        }
+      }
+      if (rep == 0) words.back() = std::uint64_t{1} << 63;  // empty run, top bit
+      std::vector<std::size_t> positions;  // the scalar walk, bit by bit
+      for (std::size_t i = 0; i < 64 * n_words; ++i) {
+        if ((words[i / 64] >> (i % 64)) & 1) positions.push_back(i);
+      }
+      for (const Dispatch* t : testable_tables()) {
+        SCOPED_TRACE(std::string("select words=") + std::to_string(n_words) +
+                     " rep=" + std::to_string(rep) + " via " + t->name);
+        for (std::size_t k = 0; k < positions.size(); ++k) {
+          ASSERT_EQ(t->select_bit(words.data(), k), positions[k]) << "k=" << k;
+        }
+      }
+    }
+  }
+}
+
 TEST(Kernels, Avx512TierRunsOnThisHostOrSkips) {
   // The dedicated presence check: on AVX-512 hosts the tier must actually
   // execute (a direct call, not just table registration); elsewhere the
