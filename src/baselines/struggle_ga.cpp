@@ -102,6 +102,7 @@ cga::Result run_struggle_ga(const etc::EtcMatrix& etc,
     if (termination.sweep_done(generations, evaluations)) stop = true;
   }
 
+  best.finish(config.objective, config.lambda);
   cga::Individual winner = best.take();
   cga::Result result{std::move(winner.schedule)};
   result.best_fitness = winner.fitness;

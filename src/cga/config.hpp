@@ -133,6 +133,8 @@ struct Result {
       : best(std::move(best_schedule)) {}
 
   sched::Schedule best;          ///< best schedule ever observed
+  /// Fresh evaluation of `best` (BestTracker::finish): a warm seed made
+  /// from `best` re-enters a run with exactly this fitness.
   double best_fitness = 0.0;
   std::uint64_t evaluations = 0; ///< offspring evaluations (excludes init)
   std::uint64_t generations = 0; ///< full sweeps (max over threads)

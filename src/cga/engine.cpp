@@ -149,6 +149,7 @@ RunStats SequentialEngine::run(const etc::EtcMatrix& etc,
         return termination.sweep_done(stats.generations, stats.evaluations);
       });
 
+  best.finish(config_.objective, config_.lambda);
   stats.elapsed_seconds = termination.elapsed_seconds();
   stats.trace = trace.take();
   return stats;

@@ -110,15 +110,36 @@ class TerminationController {
 /// Best-ever individual of a run (or of one worker). observe() copies an
 /// improving candidate into preallocated storage, so tracking is free of
 /// heap traffic on the steady-state path.
+///
+/// The seed must carry a fresh fitness (an initial-population cell), and
+/// the tracker keeps a copy of it for finish().
 class BestTracker {
  public:
-  explicit BestTracker(const Individual& seed) : best_(seed) {}
+  explicit BestTracker(const Individual& seed) : best_(seed), seed_(seed) {}
 
   /// Re-arms the tracker for a new run, copying `seed` into the EXISTING
   /// storage — alloc-free when the shapes match (SequentialEngine).
   void reset(const Individual& seed) {
     best_.schedule.assign_from(seed.schedule);
     best_.fitness = seed.fitness;
+    seed_.schedule.assign_from(seed.schedule);
+    seed_.fitness = seed.fitness;
+  }
+
+  /// End of run: makes the reported fitness canonical. Offspring carry
+  /// incrementally maintained completion times, which can sit an ulp off
+  /// a from-scratch sum, so the best's cache is rebuilt and the best is
+  /// re-evaluated: the fitness then equals a fresh evaluation of its
+  /// schedule (what a warm seed re-enters with). Should that fresh value
+  /// exceed the seed's, the seed is reported instead, so a run is never
+  /// worse than its seed.
+  void finish(sched::Objective objective, double lambda) {
+    best_.schedule.recompute();
+    best_.fitness = sched::evaluate(best_.schedule, objective, lambda);
+    if (seed_.fitness < best_.fitness) {
+      best_.schedule.assign_from(seed_.schedule);
+      best_.fitness = seed_.fitness;
+    }
   }
 
   void observe(const Individual& candidate) {
@@ -141,6 +162,7 @@ class BestTracker {
 
  private:
   Individual best_;
+  Individual seed_;
 };
 
 /// Per-generation TracePoint collection (Figure 6 raw data). Disabled

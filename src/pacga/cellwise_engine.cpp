@@ -109,6 +109,7 @@ ParallelResult run_cellwise(const etc::EtcMatrix& etc,
     support::ScopedThreads threads(n_threads, worker);
   }  // join
 
+  best.finish(config.objective, config.lambda);
   cga::Individual winner = best.take();
   ParallelResult out{cga::Result{std::move(winner.schedule)}, {}};
   out.result.best_fitness = winner.fitness;

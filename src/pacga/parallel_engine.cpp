@@ -262,6 +262,7 @@ ParallelResult run_parallel(const etc::EtcMatrix& etc,
     if (tb) best.observe(*tb);
   }
   best.observe_population(pop);
+  best.finish(config.objective, config.lambda);
 
   cga::Individual winner = best.take();
   ParallelResult out{cga::Result{std::move(winner.schedule)}, {}};

@@ -303,5 +303,35 @@ TEST(BestTracker, ObserveDoesNotAllocateAfterConstruction) {
   EXPECT_EQ(g_allocations.load(), before);
 }
 
+TEST(BestTracker, FinishReportsFreshEvaluationNeverAboveSeed) {
+  // A stale fitness (as an incrementally maintained cache can leave) is
+  // replaced by a fresh evaluation; a candidate whose fresh value is worse
+  // than the seed's gives way to the seed.
+  const auto m = instance();
+  support::Xoshiro256 rng(12);
+  const Individual seed = Individual::evaluated(
+      sched::Schedule::random(m, rng), sched::Objective::kMakespan);
+  sched::Schedule other = sched::Schedule::random(m, rng);
+  while (!(other.makespan() < seed.fitness)) {
+    other = sched::Schedule::random(m, rng);
+  }
+
+  BestTracker better(seed);
+  better.observe(Individual(other, other.makespan() - 1.0));
+  better.finish(sched::Objective::kMakespan, 0.75);
+  EXPECT_EQ(better.best().schedule, other);
+  EXPECT_EQ(better.fitness(), other.makespan());
+
+  sched::Schedule worse = sched::Schedule::random(m, rng);
+  while (!(worse.makespan() > seed.fitness)) {
+    worse = sched::Schedule::random(m, rng);
+  }
+  BestTracker regressed(seed);
+  regressed.observe(Individual(worse, seed.fitness - 1.0));
+  regressed.finish(sched::Objective::kMakespan, 0.75);
+  EXPECT_EQ(regressed.best().schedule, seed.schedule);
+  EXPECT_EQ(regressed.fitness(), seed.fitness);
+}
+
 }  // namespace
 }  // namespace pacga::cga

@@ -93,7 +93,7 @@ TEST(Golden, RebalanceMutationFixedSeed) {
   c.mutation = cga::MutationKind::kRebalance;
   c.termination = cga::Termination::after_generations(50);
   const auto r = cga::run_sequential(m, c);
-  EXPECT_EQ(r.best_fitness, 0x1.d66347a91095ap+22);
+  EXPECT_EQ(r.best_fitness, 0x1.d66347a91095bp+22);
   EXPECT_EQ(assignment_hash(r.best), 0x78be4abae63b2f33ULL);
 }
 
@@ -126,7 +126,7 @@ TEST(Golden, H2llSteepestFixedSeed) {
   const auto r = run_with(etc::generate_by_name("u_i_hilo.0"),
                           cga::LocalSearchKind::kH2LLSteepest, 5, 30);
   EXPECT_EQ(r.evaluations, 7680u);
-  EXPECT_EQ(r.best_fitness, 0x1.25343cd07ff24p+16);
+  EXPECT_EQ(r.best_fitness, 0x1.25343cd07ff23p+16);
   EXPECT_EQ(assignment_hash(r.best), 0x665b2cfb7fdf9d85ULL);
 }
 
@@ -147,7 +147,7 @@ TEST(Golden, H2llManyMaskWordsFixedSeed) {
 TEST(Golden, H2llSteepestTwoMaskWordsFixedSeed) {
   const auto r = run_with(resized("u_c_lolo.0", 256, 65),
                           cga::LocalSearchKind::kH2LLSteepest, 13, 10);
-  EXPECT_EQ(r.best_fitness, 0x1.851b4739e139ep+9);
+  EXPECT_EQ(r.best_fitness, 0x1.851b4739e139fp+9);
   EXPECT_EQ(assignment_hash(r.best), 0x9f141b4e0e1545baULL);
 }
 
