@@ -5,7 +5,8 @@
 //     "5-10 % end-to-end" cache claim, exercised with the algorithm's
 //     actual access pattern (consecutive tasks probed on one machine);
 //   * per-individual shared_mutex acquire cost (uncontended), the price
-//     PA-CGA pays per neighbor access;
+//     the paper's rwlock pays per neighbor access (the engine replaced it
+//     by a single-writer seqlock; BM_BreederStepShared measures that);
 //   * the operators on the paper's 512x16 instance shape.
 #include <benchmark/benchmark.h>
 
@@ -222,9 +223,10 @@ void BM_BreederStep(benchmark::State& state) {
 }
 BENCHMARK(BM_BreederStep);
 
-void BM_BreederStepLocked(benchmark::State& state) {
-  // Zero-allocation step under the PA-CGA locking discipline (uncontended
-  // locks): the per-step price of the paper's parallel engine.
+void BM_BreederStepShared(benchmark::State& state) {
+  // Zero-allocation step through PA-CGA's shared entry point, with no
+  // concurrent writer. Arg 1: the caller owns every cell (a 1-thread run,
+  // all reads direct). Arg 0: it owns none (every read validated).
   const auto& m = paper_instance();
   support::Xoshiro256 rng(8);
   cga::Config config;
@@ -233,14 +235,15 @@ void BM_BreederStepLocked(benchmark::State& state) {
   cga::Population pop(m, grid, rng, true, config.objective);
   cga::Breeder breeder(m, config);
   cga::Individual out(sched::Schedule(m), 0.0);
+  const cga::Block owned{0, state.range(0) != 0 ? pop.size() : 0};
   std::size_t idx = 0;
   for (auto _ : state) {
-    breeder.breed_locked_into(pop, idx, rng, out);
+    breeder.breed_shared_into(pop, owned, idx, rng, out);
     benchmark::DoNotOptimize(out.fitness);
     idx = (idx + 1) % pop.size();
   }
 }
-BENCHMARK(BM_BreederStepLocked);
+BENCHMARK(BM_BreederStepShared)->Arg(1)->Arg(0);
 
 void BM_MinMin(benchmark::State& state) {
   // The population seed heuristic on the full 512x16 shape.

@@ -1,7 +1,6 @@
 #include "cga/breeder.hpp"
 
 #include <algorithm>
-#include <shared_mutex>
 
 #include "cga/crossover.hpp"
 #include "cga/local_search.hpp"
@@ -39,9 +38,7 @@ void vary_and_evaluate(Individual& child, const sched::Schedule& parent_b,
 }  // namespace detail
 
 Breeder::Breeder(const etc::EtcMatrix& etc, const Config& config)
-    : config_(&config),
-      parent_b_(sched::Schedule(etc), 0.0),
-      offspring_(sched::Schedule(etc), 0.0) {
+    : config_(&config), parent_b_(sched::Schedule(etc), 0.0) {
   neigh_.reserve(shape_size(config.neighborhood));
   fit_.reserve(shape_size(config.neighborhood));
 }
@@ -67,42 +64,46 @@ void Breeder::breed_into_deferred(const Population& pop, std::size_t cell,
   detail::vary(out, pop.at(neigh_[pb_pos]).schedule, config, rng);
 }
 
-void Breeder::breed_locked_into(Population& pop, std::size_t cell,
-                                support::Xoshiro256& rng, Individual& out) {
-  breed_locked_into_deferred(pop, cell, rng, out);
+void Breeder::breed_shared_into(const Population& pop, const Block& owned,
+                                std::size_t cell, support::Xoshiro256& rng,
+                                Individual& out) {
+  breed_shared_into_deferred(pop, owned, cell, rng, out);
   out.fitness =
       sched::evaluate(out.schedule, config_->objective, config_->lambda);
 }
 
-void Breeder::breed_locked_into_deferred(Population& pop, std::size_t cell,
+namespace {
+
+/// Copies cell `c` into `out`: directly when the caller owns it (no other
+/// thread writes it), else through the validated read.
+void copy_cell(const Population& pop, const Block& owned, std::size_t c,
+               Individual& out) {
+  if (owned.contains(c)) {
+    out.schedule.assign_from(pop.at(c).schedule);
+  } else {
+    pop.read_cell(c, out);
+  }
+}
+
+}  // namespace
+
+void Breeder::breed_shared_into_deferred(const Population& pop,
+                                         const Block& owned, std::size_t cell,
                                          support::Xoshiro256& rng,
                                          Individual& out) {
   const Config& config = *config_;
-  // --- selection: snapshot neighbor fitnesses under read locks.
   neighborhood_of(pop.grid(), cell, config.neighborhood, neigh_);
   fit_.clear();
   for (std::size_t c : neigh_) {
-    std::shared_lock lock(pop.lock(c));
-    fit_.push_back(pop.at(c).fitness);
+    fit_.push_back(owned.contains(c) ? pop.at(c).fitness
+                                     : pop.read_fitness(c));
   }
   const auto [pa_pos, pb_pos] = select_parents(config.selection, fit_, rng);
 
-  // --- copy parents (one lock at a time, never nested; each lock window
-  // is exactly one vector copy). Parent a is snapshotted straight into the
-  // offspring buffer — it is the offspring's starting point anyway, which
-  // saves the third copy the historical path made.
-  {
-    const std::size_t c = neigh_[pa_pos];
-    std::shared_lock lock(pop.lock(c));
-    out.schedule.assign_from(pop.at(c).schedule);
-  }
-  {
-    const std::size_t c = neigh_[pb_pos];
-    std::shared_lock lock(pop.lock(c));
-    parent_b_.schedule.assign_from(pop.at(c).schedule);
-  }
-
-  // --- breed on private copies, outside all locks.
+  // Parent a goes straight into the offspring buffer (it is the
+  // offspring's starting point anyway), parent b into a private buffer.
+  copy_cell(pop, owned, neigh_[pa_pos], out);
+  copy_cell(pop, owned, neigh_[pb_pos], parent_b_);
   detail::vary(out, parent_b_.schedule, config, rng);
 }
 

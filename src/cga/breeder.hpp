@@ -3,9 +3,9 @@
 //
 // The historical loops heap-allocated two parent Individual copies plus a
 // fresh offspring Schedule on EVERY evaluation — 4+ vector allocations on
-// the hottest path in the system. A Breeder owns all of that storage:
-// parent-copy buffers (locked mode), the offspring buffer, and the
-// neighborhood/fitness scratch. After the first step sizes the vectors
+// the hottest path in the system. A Breeder owns the parent-b copy buffer
+// (shared mode) and the neighborhood/fitness scratch, and the caller owns
+// the offspring buffer. After the first step sizes the vectors
 // (warm-up), a steady-state select -> crossover -> mutate -> local-search
 // -> evaluate sequence performs ZERO heap allocations (verified by
 // test_breeder's operator-new counter; kTabuHop and the flowtime-based
@@ -41,12 +41,16 @@ class Breeder {
   void breed_into(const Population& pop, std::size_t cell,
                   support::Xoshiro256& rng, Individual& out);
 
-  /// Same step under the PA-CGA locking discipline (paper §3.2): neighbor
-  /// fitness snapshot and parent copies are taken under per-cell READ
-  /// locks, one at a time, into the breeder's private buffers; variation
-  /// and evaluation run outside all locks.
-  void breed_locked_into(Population& pop, std::size_t cell,
-                         support::Xoshiro256& rng, Individual& out);
+  /// Same step on a population other threads are writing (PA-CGA, paper
+  /// §3.2). `owned` is the calling worker's block: the caller is the only
+  /// writer of those cells, so their fitnesses and parent copies are read
+  /// directly. Every other cell is read through Population::read_fitness /
+  /// read_cell into the breeder's private buffers. Variation and
+  /// evaluation run on those private copies. The same RNG draws and the
+  /// same offspring as breed_into, whatever `owned` is.
+  void breed_shared_into(const Population& pop, const Block& owned,
+                         std::size_t cell, support::Xoshiro256& rng,
+                         Individual& out);
 
   /// breed_into with the final evaluation DEFERRED: `out.fitness` is left
   /// stale; the caller owes it an evaluate_batch (or sched::evaluate)
@@ -56,9 +60,10 @@ class Breeder {
   void breed_into_deferred(const Population& pop, std::size_t cell,
                            support::Xoshiro256& rng, Individual& out);
 
-  /// Deferred-evaluation form of breed_locked_into (same contract).
-  void breed_locked_into_deferred(Population& pop, std::size_t cell,
-                                  support::Xoshiro256& rng, Individual& out);
+  /// Deferred-evaluation form of breed_shared_into (same contract).
+  void breed_shared_into_deferred(const Population& pop, const Block& owned,
+                                  std::size_t cell, support::Xoshiro256& rng,
+                                  Individual& out);
 
   /// Evaluates `count` deferred offspring in one batched kernel dispatch
   /// (kMakespan: a single kernels::batch_max sweep over the completion
@@ -67,14 +72,6 @@ class Breeder {
   /// evaluation. The first call at a new high-water `count` sizes the
   /// row-pointer/output scratch (warm-up); steady state allocates nothing.
   void evaluate_batch(Individual* staged, std::size_t count);
-
-  /// breed_locked_into the internal offspring buffer; the reference is
-  /// valid until the next call.
-  const Individual& breed_locked(Population& pop, std::size_t cell,
-                                 support::Xoshiro256& rng) {
-    breed_locked_into(pop, cell, rng, offspring_);
-    return offspring_;
-  }
 
   /// Allocation-free replacement: copies `offspring` into `cell`'s
   /// existing storage instead of moving vectors out of it (a move would
@@ -86,8 +83,7 @@ class Breeder {
 
  private:
   const Config* config_;
-  Individual parent_b_;   ///< locked-mode parent snapshot
-  Individual offspring_;  ///< internal offspring buffer
+  Individual parent_b_;  ///< shared-mode parent snapshot
   std::vector<std::size_t> neigh_;
   std::vector<double> fit_;
   std::vector<const double*> batch_rows_;  ///< completion-row pointers

@@ -105,8 +105,9 @@ struct Config {
   std::uint64_t seed = 1;
   std::size_t threads = 3;  ///< used by the parallel engine only
   /// Record a TracePoint per generation (Figure 6 raw data). Off by
-  /// default: sampling scans the whole population (taking read locks in
-  /// the parallel engine), which would perturb contention measurements.
+  /// default: sampling scans the whole population (through validated
+  /// reads in the parallel engine), which would perturb contention
+  /// measurements.
   bool collect_trace = false;
   /// Pin worker i of the parallel engine to core i (paper §4.1: all
   /// threads run on one 4-core processor). Soft: ignored when the

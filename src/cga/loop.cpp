@@ -1,7 +1,6 @@
 #include "cga/loop.hpp"
 
 #include <numeric>
-#include <shared_mutex>
 
 namespace pacga::cga {
 
@@ -61,9 +60,9 @@ void TraceRecorder::sample(std::uint64_t generation, double elapsed_seconds,
                            const Population& pop) {
   if (!enabled_) return;
   double sum = 0.0;
-  double best = pop.at(0).fitness;
+  double best = pop.read_fitness(0);
   for (std::size_t i = 0; i < pop.size(); ++i) {
-    const double f = pop.at(i).fitness;
+    const double f = pop.read_fitness(i);
     sum += f;
     if (f < best) best = f;
   }
@@ -79,23 +78,6 @@ void TraceRecorder::sample(std::uint64_t generation, double elapsed_seconds,
   for (const Individual& ind : pop) {
     sum += ind.fitness;
     if (ind.fitness < best) best = ind.fitness;
-  }
-  trace_.push_back({generation, elapsed_seconds, best,
-                    sum / static_cast<double>(pop.size())});
-}
-
-void TraceRecorder::sample_locked(std::uint64_t generation,
-                                  double elapsed_seconds, Population& pop) {
-  if (!enabled_) return;
-  double sum = 0.0;
-  double best = 0.0;
-  bool first = true;
-  for (std::size_t i = 0; i < pop.size(); ++i) {
-    std::shared_lock lock(pop.lock(i));
-    const double f = pop.at(i).fitness;
-    sum += f;
-    if (first || f < best) best = f;
-    first = false;
   }
   trace_.push_back({generation, elapsed_seconds, best,
                     sum / static_cast<double>(pop.size())});

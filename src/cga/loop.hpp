@@ -173,18 +173,15 @@ class TraceRecorder {
 
   bool enabled() const noexcept { return enabled_; }
 
-  /// Whole-population sample, unsynchronized (sequential engines).
+  /// Whole-population sample. It reads every fitness through
+  /// Population::read_fitness, so it is safe on a population other
+  /// threads are publishing to (run_parallel's thread 0).
   void sample(std::uint64_t generation, double elapsed_seconds,
               const Population& pop);
 
   /// Same, over a flat population (panmictic baselines).
   void sample(std::uint64_t generation, double elapsed_seconds,
               const std::vector<Individual>& pop);
-
-  /// Whole-population sample under per-cell read locks (parallel engines;
-  /// the lock discipline matches the historical sample_trace).
-  void sample_locked(std::uint64_t generation, double elapsed_seconds,
-                     Population& pop);
 
   void push(const TracePoint& p) {
     if (enabled_) trace_.push_back(p);
@@ -217,10 +214,11 @@ std::size_t apply_warm_seed(Population& pop, const etc::EtcMatrix& etc,
                             const Config& config);
 
 /// Snapshot handed to the per-generation observer. The population reference
-/// is live: in the asynchronous parallel engine other threads keep evolving
-/// it, so observers there must take the per-cell locks themselves (the
-/// sequential, cellwise, and synchronous engines call the observer from a
-/// quiescent point).
+/// is live: in the asynchronous parallel engine other threads keep
+/// publishing to it, so observers there must read cells through
+/// Population::read_fitness / read_cell, never at() (the sequential,
+/// cellwise, and synchronous engines call the observer from a quiescent
+/// point).
 struct GenerationEvent {
   std::uint64_t generation = 0;     ///< committed sweeps of the caller
   std::uint64_t evaluations = 0;    ///< engine-wide evaluations so far

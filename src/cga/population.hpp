@@ -1,13 +1,24 @@
 // The structured population: a toroidal grid of individuals plus one
-// read-write lock per cell (paper §3.2 — POSIX rwlock; here
-// std::shared_mutex). The sequential engine simply never takes the locks.
+// sequence counter per cell.
 //
-// Locks live in their own cache-line-padded array, separate from the
-// individuals, so lock traffic does not invalidate schedule data lines.
+// Paper §3.2 guards every cell with a POSIX rwlock. Here each cell has a
+// single writer instead: in par::run_parallel, cell i is written only by
+// the worker whose Block contains it, and only through publish(). So:
+//   * the owner reads its own cells directly through at(), since no other
+//     thread can be writing them;
+//   * any other thread reads through read_fitness() / read_cell(), which
+//     never return a torn individual: read_cell() is a seqlock read that
+//     retries when the counter moved under it;
+//   * single-threaded engines write through at() (Breeder::replace) and
+//     never publish.
+// Readers write no shared line. The counters live in their own
+// cache-line-padded array, so a publish does not invalidate the counters
+// of neighboring cells.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
-#include <shared_mutex>
 #include <span>
 #include <vector>
 
@@ -28,9 +39,9 @@ class Population {
              bool seed_min_min, sched::Objective objective,
              double lambda = 0.75);
 
-  // Not copyable (per-cell locks are identity); movable so populations can
-  // be swapped wholesale (checkpoint restore, engine handoff). Moving
-  // while any lock is held is undefined — move only between runs.
+  // Not copyable (the per-cell counters are atomics); movable so
+  // populations can be swapped wholesale (checkpoint restore, engine
+  // handoff). Move only between runs.
   Population(const Population&) = delete;
   Population& operator=(const Population&) = delete;
   Population(Population&&) noexcept = default;
@@ -39,12 +50,12 @@ class Population {
   /// In-place re-initialization for a NEW instance of the same tasks x
   /// machines shape: every cell is rebound to `etc` and randomized into
   /// its existing storage (no per-cell reallocation); cell 0 optionally
-  /// gets the Min-min seed. The per-cell locks are untouched. This is the
-  /// warm-start path of the scheduler service — apart from the optional
-  /// Min-min construction (which allocates internally), a reseed of a
-  /// same-shape population performs zero heap allocations. Throws
-  /// std::invalid_argument when `etc`'s shape differs from the shape the
-  /// population was built for.
+  /// gets the Min-min seed. This is the warm-start path of the scheduler
+  /// service — apart from the optional Min-min construction (which
+  /// allocates internally), a reseed of a same-shape population performs
+  /// zero heap allocations. Like seed_cell, it writes unsynchronized: call
+  /// it only between runs. Throws std::invalid_argument when `etc`'s shape
+  /// differs from the shape the population was built for.
   void reseed(const etc::EtcMatrix& etc, support::Xoshiro256& rng,
               bool seed_min_min, sched::Objective objective, double lambda);
 
@@ -62,11 +73,28 @@ class Population {
   const Grid& grid() const noexcept { return grid_; }
   std::size_t size() const noexcept { return cells_.size(); }
 
+  /// Direct access: for single-threaded engines, and for a run_parallel
+  /// worker reading its own block. A cell another thread may be writing is
+  /// read through read_fitness / read_cell instead.
   Individual& at(std::size_t i) noexcept { return cells_[i]; }
   const Individual& at(std::size_t i) const noexcept { return cells_[i]; }
 
-  /// Per-cell read-write lock (only the parallel engine takes these).
-  std::shared_mutex& lock(std::size_t i) noexcept { return locks_[i].value; }
+  /// The write protocol: cell `i` becomes a copy of `src` (same shape; zero
+  /// allocations). Only one thread may publish to a given cell. The counter
+  /// goes odd, every word is stored with release order, and the counter
+  /// goes even with release order.
+  void publish(std::size_t i, const Individual& src) noexcept;
+
+  /// Cell `i`'s fitness, safe against a concurrent publish. One word
+  /// cannot tear, so this is a single acquire load: it returns the fitness
+  /// of some published individual.
+  double read_fitness(std::size_t i) const noexcept;
+
+  /// Copies cell `i` into `out` (same shape; zero allocations), safe
+  /// against a concurrent publish: the copy is entirely one published
+  /// individual. It loads the counter (waiting while it is odd), copies
+  /// every word with acquire loads, and retries when the counter moved.
+  void read_cell(std::size_t i, Individual& out) const noexcept;
 
   /// Index of the best (lowest-fitness) individual. Unsynchronized scan —
   /// call only when no writer is active (end of run, or from tests).
@@ -78,7 +106,8 @@ class Population {
  private:
   Grid grid_;
   std::vector<Individual> cells_;
-  std::unique_ptr<support::Padded<std::shared_mutex>[]> locks_;
+  /// Per-cell sequence counters: odd while a publish is in progress.
+  std::unique_ptr<support::Padded<std::atomic<std::uint64_t>>[]> seq_;
 };
 
 }  // namespace pacga::cga

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 
 #ifdef __linux__
 #include <pthread.h>
@@ -43,10 +42,14 @@ namespace {
 /// Everything a worker needs. Shared state is immutable (each worker copies
 /// its RNG stream out of `rngs` on entry), atomic, touched only by thread 0
 /// between barriers, or one cache-line-padded slot per thread (`stats`).
-/// `thread_best` slots are written once, at a worker's exit. A worker's RNG
-/// stream, Breeder and BestTracker live in its own frame: a step makes about
-/// 17 draws, and each stores the stream's state, so streams packed side by
-/// side in one vector would bounce a cache line between the cores.
+/// `pop` has one writer per cell: the worker whose block holds the cell,
+/// and only through Population::publish. That worker reads its own block
+/// directly; every other read of `pop` goes through read_fitness /
+/// read_cell. `thread_best` slots are written once, at a worker's exit. A
+/// worker's RNG stream, Breeder and BestTracker live in its own frame: a
+/// step makes about 17 draws, and each stores the stream's state, so
+/// streams packed side by side in one vector would bounce a cache line
+/// between the cores.
 struct Shared {
   const etc::EtcMatrix& etc;
   const cga::Config& config;
@@ -65,16 +68,17 @@ struct Shared {
   std::atomic<bool>* stop_flag = nullptr;
 };
 
-/// Asynchronous worker — the paper's Algorithm 3: immediate replacement
-/// under the cell's write lock, per-thread progress, termination checked
-/// once per block sweep. All loop bookkeeping comes from the shared core;
-/// the Breeder makes the steady-state step allocation-free.
+/// Asynchronous worker — the paper's Algorithm 3: immediate replacement,
+/// per-thread progress, termination checked once per block sweep. All loop
+/// bookkeeping comes from the shared core; the Breeder makes the
+/// steady-state step allocation-free.
 void worker_async(Shared& sh, std::size_t tid) {
   const cga::Config& config = sh.config;
   support::Xoshiro256 rng = sh.rngs[tid + 1];  // thread-private copy
   const cga::Block block = sh.blocks[tid];
   ThreadStats& st = sh.stats[tid].value;
   cga::Breeder breeder(sh.etc, config);
+  cga::Individual child(sched::Schedule(sh.etc), 0.0);
   cga::BestTracker best(sh.initial_best);
 
   support::Xoshiro256 order_rng(config.seed ^ (0xb10c0000 + tid));
@@ -84,32 +88,32 @@ void worker_async(Shared& sh, std::size_t tid) {
       order, order_rng,
       [&](std::size_t pos) {  // one breeding step
         const std::size_t idx = block.begin + pos;
-        const cga::Individual& child = breeder.breed_locked(sh.pop, idx, rng);
+        breeder.breed_shared_into(sh.pop, block, idx, rng, child);
         ++st.evaluations;
         best.observe(child);
-        // --- asynchronous replacement under the cell's write lock.
-        {
-          std::unique_lock lock(sh.pop.lock(idx));
-          if (cga::detail::should_replace(config.replacement, child.fitness,
-                                          sh.pop.at(idx).fitness)) {
-            cga::Breeder::replace(sh.pop.at(idx), child);
-            ++st.replacements;
-          }
+        // --- asynchronous replacement. This worker is the cell's only
+        // writer, so the check reads it directly; only a replacement runs
+        // the write protocol.
+        if (cga::detail::should_replace(config.replacement, child.fitness,
+                                        sh.pop.at(idx).fitness)) {
+          sh.pop.publish(idx, child);
+          ++st.replacements;
         }
         return false;  // budgets are checked per block sweep (paper)
       },
       [&] {  // end of block sweep
         ++st.generations;
         if (tid == 0) {
-          sh.trace.sample_locked(st.generations,
-                                 sh.termination.elapsed_seconds(), sh.pop);
+          sh.trace.sample(st.generations, sh.termination.elapsed_seconds(),
+                          sh.pop);
         }
         const std::uint64_t evals_now =
             sh.global_evaluations.fetch_add(block.size(),
                                             std::memory_order_relaxed) +
             block.size();
         if (tid == 0 && sh.observer) {
-          // Live population: the observer must lock cells it reads.
+          // Live population: the observer reads cells through
+          // read_fitness / read_cell.
           sh.observer({st.generations, evals_now,
                        sh.termination.elapsed_seconds(), best.fitness(),
                        sh.pop});
@@ -143,7 +147,7 @@ void worker_sync(Shared& sh, std::size_t tid) {
       order, order_rng,
       [&](std::size_t pos) {  // stage one offspring (evaluation deferred)
         const std::size_t idx = block.begin + pos;
-        breeder.breed_locked_into_deferred(sh.pop, idx, rng,
+        breeder.breed_shared_into_deferred(sh.pop, block, idx, rng,
                                            staged[staged_count++]);
         ++st.evaluations;
         return false;
@@ -158,17 +162,16 @@ void worker_sync(Shared& sh, std::size_t tid) {
         }
         sh.barrier->arrive_and_wait();  // everyone finished breeding
 
-        // Commit this thread's own block; only this thread writes these
-        // cells, but readers elsewhere are quiet (all threads are
-        // committing), so the write locks are cheap and uncontended.
+        // Commit this thread's own block through the same publish call as
+        // the asynchronous worker (readers elsewhere are quiet: all threads
+        // are committing).
         const auto& o = order.order();
         for (std::size_t k = 0; k < staged_count; ++k) {
           const std::size_t idx = block.begin + o[k];
-          std::unique_lock lock(sh.pop.lock(idx));
           if (cga::detail::should_replace(config.replacement,
                                           staged[k].fitness,
                                           sh.pop.at(idx).fitness)) {
-            cga::Breeder::replace(sh.pop.at(idx), staged[k]);
+            sh.pop.publish(idx, staged[k]);
             ++st.replacements;
           }
         }
@@ -179,8 +182,8 @@ void worker_sync(Shared& sh, std::size_t tid) {
         sh.barrier->arrive_and_wait();  // commits visible everywhere
 
         if (tid == 0) {
-          sh.trace.sample_locked(st.generations,
-                                 sh.termination.elapsed_seconds(), sh.pop);
+          sh.trace.sample(st.generations, sh.termination.elapsed_seconds(),
+                          sh.pop);
           const std::uint64_t evals_now =
               sh.global_evaluations.load(std::memory_order_relaxed);
           if (sh.observer) {

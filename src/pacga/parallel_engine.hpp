@@ -3,16 +3,20 @@
 // The population grid is split into contiguous row-major blocks, one per
 // thread. Threads evolve their block asynchronously: no generation barrier,
 // a fixed line sweep inside each block, and immediate (asynchronous)
-// replacement. Neighborhoods cross block boundaries, so every access to an
-// individual that may be shared is guarded by that cell's read-write lock:
-//   * fitness snapshot of each neighbor        — shared (read) lock;
-//   * copy of each selected parent             — shared (read) lock;
-//   * replacement of the thread's own cell     — exclusive (write) lock.
-// Locks are taken one at a time (never nested), so the scheme is trivially
-// deadlock-free. Breeding (crossover, mutation, H2LL, evaluation) runs on
-// private copies outside any lock — exactly the property the paper exploits
-// to scale: more local-search iterations means a larger unsynchronized
-// fraction (Figure 4).
+// replacement. The paper guards every cell with a read-write lock. Here
+// every cell has exactly one writer, the thread whose block holds it, and
+// synchronization is paid only where another thread can be writing:
+//   * fitness snapshot and parent copies of the thread's own cells — plain
+//     reads;
+//   * the same reads of a neighboring block's cells — Population's
+//     seqlock reads (read_fitness, read_cell), which never return a torn
+//     individual and write no shared line;
+//   * replacement of the thread's own cell — Population::publish, run only
+//     when the offspring actually replaces it.
+// Nothing blocks, so the scheme is trivially deadlock-free. Breeding
+// (crossover, mutation, H2LL, evaluation) runs on private copies — exactly
+// the property the paper exploits to scale: more local-search iterations
+// means a larger unsynchronized fraction (Figure 4).
 #pragma once
 
 #include <cstdint>
@@ -60,7 +64,7 @@ struct ParallelResult {
 /// trajectories are unchanged.
 ///
 /// With `config.threads == 1` this is the canonical asynchronous CGA of
-/// §3.1 (same algorithm as cga::run_sequential, modulo lock overhead).
+/// §3.1 (same algorithm as cga::run_sequential).
 ///
 /// `config.update == kSynchronous` selects the generational variant the
 /// paper contrasts against (§3.1): threads stage their block's offspring,
@@ -68,8 +72,8 @@ struct ParallelResult {
 /// termination decision collectively (thread 0 decides, everyone honors
 /// it — a consensus is required or threads would deadlock at the barrier).
 /// `observer` (optional) runs on thread 0 after each of ITS block sweeps.
-/// In the asynchronous mode the population is live — observers must take
-/// the per-cell locks for anything they read from it; in the synchronous
+/// In the asynchronous mode the population is live — observers must read
+/// it through Population::read_fitness / read_cell; in the synchronous
 /// mode it runs between barriers (quiescent).
 /// `cancel` (optional) is an external stop flag every thread polls at its
 /// per-block-sweep termination check; raising it ends the run within one

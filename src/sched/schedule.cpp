@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "support/kernels.hpp"
+#include "support/threading.hpp"
 
 namespace pacga::sched {
 
@@ -48,6 +49,46 @@ void Schedule::assign_from(const Schedule& src) {
   etc_ = src.etc_;
   assignment_ = src.assignment_;
   completion_ = src.completion_;
+}
+
+namespace {
+
+// The word loops of release_store_from / acquire_load_from. Pointers and
+// length are read once, into locals: every acquire load or release store
+// orders the memory accesses around it, so a vector member read inside the
+// loop would be reloaded for every word.
+template <typename T>
+void release_store_words(const std::vector<T>& src, std::vector<T>& dst) {
+  const T* s = src.data();
+  T* d = dst.data();
+  const std::size_t n = dst.size();
+  for (std::size_t i = 0; i < n; ++i) support::store_release(d[i], s[i]);
+}
+
+template <typename T>
+void acquire_load_words(const std::vector<T>& src, std::vector<T>& dst) {
+  const T* s = src.data();
+  T* d = dst.data();
+  const std::size_t n = dst.size();
+  for (std::size_t i = 0; i < n; ++i) d[i] = support::load_acquire(s[i]);
+}
+
+}  // namespace
+
+void Schedule::release_store_from(const Schedule& src) noexcept {
+  assert(src.etc_ == etc_ && src.assignment_.size() == assignment_.size() &&
+         src.completion_.size() == completion_.size() &&
+         "Schedule::release_store_from: shape mismatch");
+  release_store_words(src.assignment_, assignment_);
+  release_store_words(src.completion_, completion_);
+}
+
+void Schedule::acquire_load_from(const Schedule& src) noexcept {
+  assert(src.etc_ == etc_ && src.assignment_.size() == assignment_.size() &&
+         src.completion_.size() == completion_.size() &&
+         "Schedule::acquire_load_from: shape mismatch");
+  acquire_load_words(src.assignment_, assignment_);
+  acquire_load_words(src.completion_, completion_);
 }
 
 void Schedule::randomize_from(const etc::EtcMatrix& etc,

@@ -45,6 +45,16 @@ class Schedule {
   /// every engine relies on); release builds trust the caller.
   void assign_from(const Schedule& src);
 
+  /// assign_from for schedules that another thread may access at the same
+  /// time, one std::atomic_ref access per word (support::load_acquire /
+  /// store_release), same shape and instance required, zero allocations.
+  /// release_store_from overwrites this schedule from the private `src`;
+  /// acquire_load_from copies the shared `src` into this private one.
+  /// They do not keep a copy consistent by themselves: cga::Population's
+  /// per-cell sequence counter brackets them (see population.hpp).
+  void release_store_from(const Schedule& src) noexcept;
+  void acquire_load_from(const Schedule& src) noexcept;
+
   /// Rebinds to `etc` (which must have this schedule's tasks x machines
   /// shape) and overwrites the assignment with a fresh uniformly random
   /// one, in place — zero heap allocations. This is how the service's warm

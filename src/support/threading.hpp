@@ -1,8 +1,9 @@
 // Threading utilities shared by the parallel engine and its benchmarks.
 //
 // HPC notes:
-//  * Hot mutable per-thread state (counters, RNGs, locks) is padded to the
-//    destructive interference size so threads never false-share a line.
+//  * Hot mutable state (per-thread counters, per-cell sequence counters)
+//    is padded to the destructive interference size so threads never
+//    false-share a line.
 //  * ScopedThreads guarantees join-on-scope-exit (exception safe), the RAII
 //    equivalent of std::jthread groups.
 #pragma once
@@ -68,6 +69,21 @@ class Barrier {
   std::atomic<std::size_t> arrived_{0};
   std::atomic<std::size_t> generation_{0};
 };
+
+/// One word of an object another thread may access at the same time, read
+/// or written through std::atomic_ref: a plain move on x86, and an atomic
+/// that ThreadSanitizer can see. `word` must not be a const object
+/// (atomic_ref<const T> needs C++26, hence the const_cast).
+template <typename T>
+T load_acquire(const T& word) noexcept {
+  return std::atomic_ref<T>(const_cast<T&>(word))
+      .load(std::memory_order_acquire);
+}
+
+template <typename T>
+void store_release(T& word, T value) noexcept {
+  std::atomic_ref<T>(word).store(value, std::memory_order_release);
+}
 
 /// Returns min(requested, hardware_concurrency), at least 1. Used by the
 /// harness so bench binaries degrade gracefully on small machines.

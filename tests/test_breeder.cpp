@@ -123,9 +123,11 @@ TEST(Breeder, MatchesLegacyBreed) {
   }
 }
 
-TEST(Breeder, LockedMatchesUnsynchronized) {
-  // Single-threaded, so the locked variant sees identical state; the two
-  // paths must produce the same offspring from the same stream.
+TEST(Breeder, SharedMatchesUnsynchronized) {
+  // Single-threaded, so the shared variant sees identical state; the two
+  // paths must produce the same offspring from the same stream, whichever
+  // cells the caller owns: all of them (every read direct), none (every
+  // read validated), or a block that splits the neighborhoods.
   const auto m = instance();
   const Config config = small_config();
   support::Xoshiro256 init(6);
@@ -134,13 +136,21 @@ TEST(Breeder, LockedMatchesUnsynchronized) {
 
   Breeder breeder(m, config);
   Individual plain(sched::Schedule(m), 0.0);
-  Individual locked(sched::Schedule(m), 0.0);
-  for (std::size_t cell : {0u, 9u, 31u, 63u}) {
-    support::Xoshiro256 r1(77 + cell), r2(77 + cell);
-    breeder.breed_into(pop, cell, r1, plain);
-    breeder.breed_locked_into(pop, cell, r2, locked);
-    EXPECT_EQ(plain.schedule, locked.schedule) << "cell " << cell;
-    EXPECT_DOUBLE_EQ(plain.fitness, locked.fitness);
+  Individual shared(sched::Schedule(m), 0.0);
+  const Block whole{0, pop.size()};
+  const Block empty{0, 0};
+  const Block half{0, pop.size() / 2};
+  for (const Block& owned : {whole, empty, half}) {
+    for (std::size_t cell : {0u, 9u, 31u, 63u}) {
+      support::Xoshiro256 r1(77 + cell), r2(77 + cell);
+      breeder.breed_into(pop, cell, r1, plain);
+      breeder.breed_shared_into(pop, owned, cell, r2, shared);
+      EXPECT_EQ(plain.schedule, shared.schedule)
+          << "cell " << cell << ", owned [" << owned.begin << ", "
+          << owned.end << ")";
+      EXPECT_EQ(plain.fitness, shared.fitness);
+      EXPECT_EQ(r1(), r2()) << "RNG streams diverged at cell " << cell;
+    }
   }
 }
 
@@ -148,7 +158,7 @@ TEST(Breeder, SteadyStateBreedingStepAllocatesNothing) {
   // THE acceptance property of the refactor: after warm-up, one breeding
   // step (select -> crossover -> mutate -> H2LL -> evaluate -> replace)
   // performs zero heap allocations, in both the unsynchronized and the
-  // locked form.
+  // shared form (validated reads and publish included).
   const auto m = instance();
   Config config = small_config();
   config.local_search.iterations = 10;  // paper configuration
@@ -160,17 +170,23 @@ TEST(Breeder, SteadyStateBreedingStepAllocatesNothing) {
   Individual out(sched::Schedule(m), 0.0);
   support::Xoshiro256 rng(9);
 
-  auto steps = [&](bool locked, std::size_t count) {
+  // Owning nothing sends every read through the validated path.
+  const Block none{0, 0};
+  auto steps = [&](bool shared, std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t cell = i % pop.size();
-      if (locked) {
-        breeder.breed_locked_into(pop, cell, rng, out);
+      if (shared) {
+        breeder.breed_shared_into(pop, none, cell, rng, out);
       } else {
         breeder.breed_into(pop, cell, rng, out);
       }
       if (detail::should_replace(config.replacement, out.fitness,
                                  pop.at(cell).fitness)) {
-        Breeder::replace(pop.at(cell), out);
+        if (shared) {
+          pop.publish(cell, out);
+        } else {
+          Breeder::replace(pop.at(cell), out);
+        }
       }
     }
   };
@@ -219,11 +235,12 @@ TEST(Breeder, BatchedEvaluationMatchesOneAtATimeGeneForGene) {
         << "cell " << cell;
   }
 
-  // The locked deferred form matches too (single-threaded: same state).
+  // The shared deferred form matches too (single-threaded: same state).
+  const Block none{0, 0};
   for (std::size_t cell : {0u, 9u, 31u, 63u}) {
     support::Xoshiro256 r1(500 + cell), r2(500 + cell);
     one_at_a_time.breed_into(pop, cell, r1, single[cell]);
-    batched.breed_locked_into_deferred(pop, cell, r2, staged[cell]);
+    batched.breed_shared_into_deferred(pop, none, cell, r2, staged[cell]);
   }
   batched.evaluate_batch(staged.data(), 1);
   EXPECT_EQ(staged[0].schedule, single[0].schedule);
@@ -249,15 +266,16 @@ TEST(Breeder, BatchedEvaluationAllocatesNothingAfterWarmup) {
   }
   support::Xoshiro256 rng(23);
 
+  const Block whole{0, n};
   auto generation = [&] {
     for (std::size_t cell = 0; cell < n; ++cell) {
-      breeder.breed_locked_into_deferred(pop, cell, rng, staged[cell]);
+      breeder.breed_shared_into_deferred(pop, whole, cell, rng, staged[cell]);
     }
     breeder.evaluate_batch(staged.data(), n);
     for (std::size_t cell = 0; cell < n; ++cell) {
       if (detail::should_replace(config.replacement, staged[cell].fitness,
                                  pop.at(cell).fitness)) {
-        Breeder::replace(pop.at(cell), staged[cell]);
+        pop.publish(cell, staged[cell]);
       }
     }
   };

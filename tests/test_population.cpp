@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <mutex>
-#include <shared_mutex>
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <thread>
 
 #include "etc/braun.hpp"
@@ -91,29 +93,114 @@ TEST(Population, DeterministicGivenRngState) {
   }
 }
 
-TEST(Population, LocksAreIndependentAndShareable) {
+TEST(Population, PublishedCellsReadBackWhole) {
   const auto m = instance();
   support::Xoshiro256 rng(8);
   Population pop(m, Grid(4, 4), rng, false, sched::Objective::kMakespan);
-  // Two concurrent shared locks on the same cell; exclusive on another.
-  std::shared_lock r1(pop.lock(3));
-  std::shared_lock r2(pop.lock(3));  // must not block
-  std::unique_lock w(pop.lock(4));   // different cell: must not block
-  EXPECT_TRUE(r1.owns_lock());
-  EXPECT_TRUE(r2.owns_lock());
-  EXPECT_TRUE(w.owns_lock());
+  const Individual src = Individual::evaluated(sched::Schedule::random(m, rng),
+                                               sched::Objective::kMakespan);
+  pop.publish(5, src);
+  EXPECT_EQ(pop.at(5).schedule, src.schedule);
+  EXPECT_EQ(pop.read_fitness(5), src.fitness);
+  Individual out(sched::Schedule(m), 0.0);
+  pop.read_cell(5, out);
+  EXPECT_EQ(out.schedule, src.schedule);
+  EXPECT_EQ(out.fitness, src.fitness);
+  EXPECT_TRUE(out.schedule.validate(1e-9));
 }
 
-TEST(Population, WriterExcludesReader) {
-  const auto m = instance();
-  support::Xoshiro256 rng(9);
+/// True when `got` is `want` in every word: genes, completions, fitness.
+bool same_individual(const Individual& got, const Individual& want) {
+  const auto a = got.schedule.completions();
+  const auto b = want.schedule.completions();
+  return got.schedule == want.schedule &&
+         std::equal(a.begin(), a.end(), b.begin(), b.end()) &&
+         got.fitness == want.fitness;
+}
+
+TEST(Population, ConcurrentReadsNeverSeeATornIndividual) {
+  // One writer alternates two valid individuals in one cell through
+  // publish(); two readers copy that cell with read_cell() and read its
+  // fitness with read_fitness(). Every copy must be entirely A or
+  // entirely B, and A and B are valid, so every copy passes validate().
+  // The writer publishes in bursts, so publishes often land inside reads,
+  // and then pauses for as long as the burst took, so reads also complete:
+  // a writer that never pauses starves the readers, which is not the
+  // engine's pattern (about 4% of its steps publish).
+  etc::GenSpec spec;
+  spec.tasks = 512;
+  spec.machines = 16;
+  spec.seed = 93;
+  const auto m = etc::generate(spec);
+  support::Xoshiro256 rng(10);
   Population pop(m, Grid(4, 4), rng, false, sched::Objective::kMakespan);
-  std::unique_lock writer(pop.lock(0));
-  std::thread reader([&] {
-    std::shared_lock lock(pop.lock(0), std::defer_lock);
-    EXPECT_FALSE(lock.try_lock());  // writer holds it
+  const Individual a = Individual::evaluated(sched::Schedule::random(m, rng),
+                                             sched::Objective::kMakespan);
+  const Individual b = Individual::evaluated(sched::Schedule::random(m, rng),
+                                             sched::Objective::kMakespan);
+  ASSERT_NE(a.fitness, b.fitness);
+  ASSERT_GT(a.schedule.hamming_distance(b.schedule), spec.tasks / 2);
+  ASSERT_TRUE(a.schedule.validate(1e-9));
+  ASSERT_TRUE(b.schedule.validate(1e-9));
+  constexpr std::size_t kCell = 6;
+  pop.publish(kCell, a);
+
+  std::atomic<int> readers_left{2};
+  std::uint64_t publishes = 0;
+  std::thread writer([&] {
+    using Clock = std::chrono::steady_clock;
+    while (readers_left.load(std::memory_order_relaxed) > 0) {
+      const Clock::time_point start = Clock::now();
+      // An odd burst, so the pauses alternate between A and B.
+      for (int burst = 0; burst < 7; ++burst) {
+        pop.publish(kCell, publishes++ % 2 == 0 ? b : a);
+      }
+      const Clock::duration busy = Clock::now() - start;
+      while (Clock::now() - start < 2 * busy) {
+      }
+    }
   });
-  reader.join();
+
+  struct Tally {
+    std::uint64_t seen_a = 0, seen_b = 0, torn = 0, invalid = 0,
+                  bad_fitness = 0;
+  };
+  constexpr std::uint64_t kReads = 50000;
+  auto reader = [&](Tally& t) {
+    Individual out(sched::Schedule(m), 0.0);
+    // Until both values were seen, with a cap for a starved writer.
+    for (std::uint64_t i = 0;
+         i < 50 * kReads && (i < kReads || t.seen_a == 0 || t.seen_b == 0);
+         ++i) {
+      pop.read_cell(kCell, out);
+      if (same_individual(out, a)) {
+        ++t.seen_a;
+      } else if (same_individual(out, b)) {
+        ++t.seen_b;
+      } else {
+        ++t.torn;
+        if (!out.schedule.validate(1e-9)) ++t.invalid;
+      }
+      const double f = pop.read_fitness(kCell);
+      if (f != a.fitness && f != b.fitness) ++t.bad_fitness;
+    }
+    readers_left.fetch_sub(1, std::memory_order_relaxed);
+  };
+  Tally t1, t2;
+  std::thread r1(reader, std::ref(t1));
+  std::thread r2(reader, std::ref(t2));
+  r1.join();
+  r2.join();
+  writer.join();
+
+  EXPECT_GT(publishes, 0u);
+  for (const Tally* t : {&t1, &t2}) {
+    EXPECT_EQ(t->torn, 0u);
+    EXPECT_EQ(t->invalid, 0u);
+    EXPECT_EQ(t->bad_fitness, 0u);
+    EXPECT_GT(t->seen_a, 0u);
+    EXPECT_GT(t->seen_b, 0u);
+  }
 }
 
 }  // namespace
