@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
-#include "cga/mutation.hpp"
 #include "support/kernels.hpp"
 
 namespace pacga::cga {
@@ -73,21 +72,6 @@ void for_each_candidate(const std::vector<std::uint64_t>& mask, F&& f) {
   }
 }
 
-#ifndef NDEBUG
-/// Debug check for the kept pass state: `mask` and `count` equal what
-/// `eq_mask_u16` returns for `machine` on the current genes.
-bool mask_is_fresh(const sched::Schedule& s, std::size_t machine,
-                   const std::vector<std::uint64_t>& mask, std::size_t count) {
-  thread_local std::vector<std::uint64_t> fresh;  // allocation-free reuse
-  fresh.resize((s.tasks() + 63) / 64);
-  const std::size_t fresh_count = kernels::eq_mask_u16(
-      s.assignment().data(), s.tasks(),
-      static_cast<sched::MachineId>(machine), fresh.data());
-  return fresh_count == count &&
-         std::equal(fresh.begin(), fresh.end(), mask.begin());
-}
-#endif
-
 /// Index of the most loaded machine other than `skip` (highest completion;
 /// lowest index on ties). Requires at least two machines.
 std::size_t argmax_machine_skip(std::span<const double> ct, std::size_t skip) {
@@ -105,68 +89,18 @@ std::size_t argmax_machine_skip(std::span<const double> ct, std::size_t skip) {
 
 void h2ll(sched::Schedule& s, const H2LLParams& params,
           support::Xoshiro256& rng) {
+  static_assert(std::is_same_v<sched::MachineId, std::uint16_t>,
+                "the H2LL kernel edits 16-bit genes");
   const std::size_t machines = s.machines();
   if (machines < 2 || s.tasks() == 0) return;
   const std::size_t n_candidates =
       params.candidates == 0
           ? machines / 2
           : std::min(params.candidates, machines - 1);
-
-  // Pass state: the most loaded machine, the match mask and count of its
-  // tasks, and the candidate mask (words thread-local to stay
-  // allocation-free on the hot path). It is a function of the genes and
-  // completions alone, and a pass that moves nothing changes neither, so it
-  // is recomputed only on entry and after a move: the kept state is exactly
-  // what a recompute would return, and the draws and moves are unchanged.
-  // A move changes one gene, so when the most loaded machine stays put its
-  // match mask loses the moved task's bit and nothing else.
-  thread_local std::vector<std::uint64_t> tasks_mask;
-  thread_local std::vector<std::uint64_t> cand_mask;
-  tasks_mask.resize((s.tasks() + 63) / 64);
-  std::size_t most_loaded = machines;  // sentinel: no state yet
-  std::size_t count = 0;
-  std::size_t moved = s.tasks();  // the last move's task (off most_loaded)
-  bool stale = true;
-
-  for (std::size_t it = 0; it < params.iterations; ++it) {
-    if (stale) {
-      const std::size_t loaded = candidate_mask(s, n_candidates, cand_mask);
-      if (loaded == most_loaded) {
-        tasks_mask[moved / 64] &= ~(std::uint64_t{1} << (moved % 64));
-        --count;
-        assert(mask_is_fresh(s, most_loaded, tasks_mask, count));
-      } else {
-        most_loaded = loaded;
-        count = kernels::eq_mask_u16(s.assignment().data(), s.tasks(),
-                                     static_cast<sched::MachineId>(most_loaded),
-                                     tasks_mask.data());
-      }
-      // A machine holding only ready-time load makes no draws and moves
-      // nothing, so neither does any later pass.
-      if (count == 0) return;
-      stale = false;
-    }
-    const std::size_t task = pick_task(tasks_mask, count, rng);
-
-    // Paper Alg. 4: best_score starts at the makespan; a candidate is
-    // accepted only if it strictly undercuts it. Candidates are visited in
-    // ascending machine index, so score ties keep the lowest machine.
-    const auto row = s.etc().of_task(task);
-    double best_score = s.completion(most_loaded);
-    std::size_t best_mac = machines;  // sentinel: no move
-    for_each_candidate(cand_mask, [&](std::size_t mac) {
-      const double new_score = s.completion(mac) + row[mac];
-      if (new_score < best_score) {
-        best_score = new_score;
-        best_mac = mac;
-      }
-    });
-    if (best_mac != machines) {
-      s.move_task(task, static_cast<sched::MachineId>(best_mac));
-      moved = task;
-      stale = true;
-    }
-  }
+  s.edit_arrays([&](sched::MachineId* genes, double* completions) {
+    kernels::h2ll(completions, genes, s.etc().task_major().data(), s.tasks(),
+                  machines, n_candidates, params.iterations, rng);
+  });
 }
 
 void h2ll_steepest(sched::Schedule& s, const H2LLParams& params) {

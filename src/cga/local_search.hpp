@@ -36,19 +36,19 @@ struct H2LLParams {
   std::size_t candidates = 0;
 };
 
-/// Applies H2LL in place. Each pass draws a task off the most loaded
-/// machine and scores it against the candidates. The pass state (the most
-/// loaded machine, the mask of its tasks, the candidate machines) is
-/// computed on entry and after a pass that moved a task. The most loaded
-/// machine and the candidates come from one `lightest_mask` call:
-/// O(machines^2 / lanes) rank counting while the machines fit one 64-bit
-/// mask word, O(machines) selection above that. The task mask costs
-/// O(tasks), and it is recomputed only when the most loaded machine
-/// changes: when a move keeps it, the move's one changed gene is the moved
-/// task's bit, which is cleared. A pass that moves nothing changes no gene
-/// and no completion time, so the next pass reuses the whole state. Either
-/// way the kept state is what a recompute would return, so the draws and
-/// moves, and every trajectory, are those of recomputing it every pass.
+/// Applies H2LL in place: `params.iterations` passes, each drawing a task
+/// off the most loaded machine and moving it to the candidate machine that
+/// minimizes its new completion time, when that undercuts the makespan.
+/// The whole call is one kernels::h2ll run over the schedule's gene and
+/// completion arrays (lent by Schedule::edit_arrays; see
+/// kernels::Dispatch::h2ll for the pass and its tie-breaks). With up to 16
+/// machines the vector tiers keep the completions in registers for the
+/// whole call. The pass state (the most loaded machine, the mask of its
+/// tasks, the candidates) is recomputed only on entry and after a move,
+/// and a move that keeps the most loaded machine only clears the moved
+/// task's bit; either way the kept state is what a recompute would return,
+/// so the draws and moves, and every trajectory, are those of recomputing
+/// it every pass, on every kernel tier.
 void h2ll(sched::Schedule& s, const H2LLParams& params,
           support::Xoshiro256& rng);
 

@@ -31,8 +31,8 @@ std::size_t random_task_on_machine(const sched::Schedule& s,
 
 /// Picks one task uniformly among the set bits of the match mask `matches`
 /// (bit t set iff task t matches); `count` is its popcount, at least 1.
-/// The one place the task-pick draw lives: H2LL and the rebalance mutation
-/// (through random_task_on_machine) both call it.
+/// The rebalance mutation calls it through random_task_on_machine;
+/// kernels::h2ll makes the same draw inside its pass loop.
 ///
 /// Draw contract: it makes exactly one call, k = rng.index(count), and
 /// returns the task of the k-th set bit (counting from 0 in ascending task

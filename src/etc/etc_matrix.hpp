@@ -50,6 +50,10 @@ class EtcMatrix {
     return {by_task_.data() + t * machines_, machines_};
   }
 
+  /// The whole task-major matrix: row t (task t's ETCs on every machine)
+  /// starts at element t * machines(). Same values as operator().
+  std::span<const double> task_major() const noexcept { return by_task_; }
+
   /// Task-major element access — identical values to operator(), different
   /// memory stream. Exists for the layout ablation benchmark.
   double task_major_at(std::size_t t, std::size_t m) const noexcept {

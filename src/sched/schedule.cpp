@@ -1,6 +1,7 @@
 #include "sched/schedule.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -152,12 +153,42 @@ void Schedule::swap_tasks(std::size_t a, std::size_t b) noexcept {
   assignment_[b] = ma;
 }
 
+namespace {
+
+// Calls f(i) for every i < n with a[i] != b[i], in ascending order, and
+// returns how many there were. The difference mask is built one chunk of
+// 4096 genes at a time into a stack buffer (allocation-free); f may change
+// a[i] itself but no later gene.
+template <class F>
+std::size_t for_each_difference(const MachineId* a, const MachineId* b,
+                                std::size_t n, F&& f) {
+  constexpr std::size_t kChunk = 4096;
+  std::uint64_t words[kChunk / 64];
+  std::size_t total = 0;
+  for (std::size_t base = 0; base < n; base += kChunk) {
+    const std::size_t len = std::min(kChunk, n - base);
+    const std::size_t count =
+        kernels::ne_mask_u16(a + base, b + base, len, words);
+    total += count;
+    if (count == 0) continue;
+    for (std::size_t w = 0; 64 * w < len; ++w) {
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        f(base + 64 * w + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  }
+  return total;
+}
+
+}  // namespace
+
 void Schedule::copy_segment(const Schedule& source, std::size_t begin,
                             std::size_t end) noexcept {
   assert(source.assignment_.size() == assignment_.size());
-  for (std::size_t t = begin; t < end; ++t) {
-    move_task(t, source.assignment_[t]);
-  }
+  assert(begin <= end && end <= assignment_.size());
+  const MachineId* from = source.assignment_.data() + begin;
+  for_each_difference(assignment_.data() + begin, from, end - begin,
+                      [&](std::size_t i) { move_task(begin + i, from[i]); });
 }
 
 double Schedule::makespan() const noexcept {
@@ -234,11 +265,8 @@ bool Schedule::validate(double tol) const noexcept {
 
 std::size_t Schedule::hamming_distance(const Schedule& other) const noexcept {
   assert(assignment_.size() == other.assignment_.size());
-  std::size_t d = 0;
-  for (std::size_t t = 0; t < assignment_.size(); ++t) {
-    d += (assignment_[t] != other.assignment_[t]);
-  }
-  return d;
+  return for_each_difference(assignment_.data(), other.assignment_.data(),
+                             assignment_.size(), [](std::size_t) {});
 }
 
 }  // namespace pacga::sched

@@ -99,8 +99,21 @@ class Schedule {
   void swap_tasks(std::size_t a, std::size_t b) noexcept;
 
   /// Reassigns the whole task range [begin, end) from `source`'s assignment
-  /// — the incremental form of crossover segment copy. O(end - begin).
+  /// — the incremental form of crossover segment copy. A difference-mask
+  /// kernel (kernels::ne_mask_u16) finds the genes where the two differ,
+  /// and only those are moved, in ascending order: exactly the moves, and
+  /// the completion arithmetic, of move_task over every gene of the range,
+  /// since move_task on an equal gene is a no-op. O(end - begin) compares
+  /// plus O(1) per differing gene.
   void copy_segment(const Schedule& source, std::size_t begin, std::size_t end) noexcept;
+
+  /// Lends `f(MachineId* genes, double* completions)` the assignment and
+  /// completion arrays for one in-place edit, which must leave them as a
+  /// sequence of move_task calls would (kernels::h2ll is the one user).
+  template <class F>
+  void edit_arrays(F&& f) {
+    f(assignment_.data(), completion_.data());
+  }
 
   /// Makespan: max completion time (paper eq. (3)). One SIMD-dispatched
   /// max-scan of the cache (support::kernels) — this IS the paper's
@@ -134,7 +147,8 @@ class Schedule {
     return assignment_ == other.assignment_;
   }
 
-  /// Hamming distance between assignments (used by struggle replacement).
+  /// Hamming distance between assignments (used by struggle replacement):
+  /// the popcount of the same difference mask copy_segment walks.
   std::size_t hamming_distance(const Schedule& other) const noexcept;
 
  private:

@@ -3,11 +3,11 @@
 //
 // Every hot reduction in the repo (makespan max-scans, argmax/argmin over
 // machine completions, the fused `ct[m] + etc_row[m]` min-scan at the heart
-// of Min-min / Sufferage / H2LL candidate selection, machine-column scaling,
-// content fingerprinting, batched offspring evaluation, the gene match mask
-// and set-bit select behind H2LL's and rebalance's task pick, the
-// lightest-machines mask and most loaded machine behind H2LL's pass state)
-// funnels through this header.
+// of Min-min / Sufferage / Tabu-hop candidate selection, machine-column
+// scaling, content fingerprinting, batched offspring evaluation, the gene
+// match mask and set-bit select behind rebalance's task pick, the
+// two-parent difference mask behind crossover and the Hamming distance,
+// and a whole H2LL local-search call) funnels through this header.
 // Three tiers — AVX-512 (8-wide doubles), AVX2 (4-wide), and a portable
 // scalar path — are resolved ONCE at startup from CPU features;
 // `PACGA_FORCE_KERNELS=scalar|avx2|avx512` pins a specific tier for testing
@@ -31,6 +31,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+
+#include "support/rng.hpp"
 
 namespace pacga::support::kernels {
 
@@ -66,15 +68,17 @@ struct Dispatch {
                     std::size_t n, double* out);
   /// Match mask over 16-bit genes: writes ceil(n/64) words, bit i of word
   /// w set iff data[64w + i] == value, bits past n zero. Returns the
-  /// number of matches. n may be 0 (no word is written).
+  /// number of matches. n may be 0 (no word is written). No element past
+  /// n is read (see ne_mask_u16).
   std::size_t (*eq_mask_u16)(const std::uint16_t* data, std::size_t n,
                              std::uint16_t value, std::uint64_t* words);
   /// The k lightest entries as a mask: writes ceil(n/64) words, bit m set
   /// iff fewer than k indices j have (data[j], j) < (data[m], m) — value
   /// first, lower index on ties — so exactly min(k, n) bits are set and
   /// bits past n are zero. Returns the most loaded entry, exactly argmax's
-  /// answer (largest value, lowest index on ties), so H2LL's pass state
-  /// costs one call. n may be 0 (no word is written, 0 is returned). The
+  /// answer (largest value, lowest index on ties), so the pass state of
+  /// the h2ll reference loop costs one call. n may be 0 (no word is
+  /// written, 0 is returned). The
   /// vector tiers rank-count every entry against every other
   /// (O(n^2 / lanes), branch-free) and take the argmax from a max_pd pass
   /// over the same blocks while n fits one mask word (n <= 64); above that
@@ -91,6 +95,43 @@ struct Dispatch {
   /// popcnt instruction, and the AVX-512 tier selects in-word with BMI2
   /// pdep.
   std::size_t (*select_bit)(const std::uint64_t* words, std::size_t k);
+  /// Difference mask over two 16-bit gene arrays: writes ceil(n/64) words,
+  /// bit i of word w set iff a[64w + i] != b[64w + i], bits past n zero.
+  /// Returns the number of differing genes. n may be 0 (no word is
+  /// written). No element past n is read: the AVX-512 tier masks its tail
+  /// loads, the others finish a partial last word with the scalar body.
+  std::size_t (*ne_mask_u16)(const std::uint16_t* a, const std::uint16_t* b,
+                             std::size_t n, std::uint64_t* words);
+  /// A whole H2LL call (paper Alg. 4), `passes` passes over raw arrays:
+  /// `completions` (machines entries) and `genes` (tasks entries) are
+  /// edited in place, `etc_rows` is the task-major ETC matrix (row t holds
+  /// task t's times on machines 0..machines-1). Requires machines >= 1.
+  /// Each pass, in the order of the scalar reference loop:
+  ///   1. the most loaded machine L (argmax: lowest index on ties) and the
+  ///      candidates, lightest_mask's k lightest machines minus L;
+  ///   2. the tasks on L as a match mask; when there is none the call
+  ///      returns, with no draw;
+  ///   3. one draw rng.index(count) picks the task t of that rank in
+  ///      ascending task order;
+  ///   4. the candidate c of least completions[c] + etc_rows[t][c] strictly
+  ///      below completions[L] (lowest index on ties) receives t:
+  ///      completions[L] -= etc_rows[t][L], completions[c] +=
+  ///      etc_rows[t][c], genes[t] = c. No such candidate: no move.
+  /// Steps 1 and 2 run on entry and after a pass that moved a task; a pass
+  /// that moves nothing leaves them as a recompute would find them, and a
+  /// move that keeps L only clears t's bit. Every tier makes the same
+  /// draws and the same IEEE operations, so the arrays and the RNG come
+  /// out bit-identical. The scalar tier, and every tier above 16
+  /// machines, runs that loop over this table's lightest_mask,
+  /// eq_mask_u16 and select_bit. For machines <= 16 the vector tiers keep
+  /// the completions in registers for the whole call (two 8-lane AVX-512
+  /// or four 4-lane AVX2 blocks at most): the candidate scan is one
+  /// masked add/compare/min per block, and a move is a masked subtract
+  /// and add on the two lanes.
+  void (*h2ll)(double* completions, std::uint16_t* genes,
+               const double* etc_rows, std::size_t tasks,
+               std::size_t machines, std::size_t k, std::size_t passes,
+               Xoshiro256& rng);
   const char* name;
 };
 
@@ -179,6 +220,18 @@ inline std::size_t select_bit(const std::uint64_t* words,
   return active().select_bit(words, k);
 }
 
+inline std::size_t ne_mask_u16(const std::uint16_t* a, const std::uint16_t* b,
+                               std::size_t n, std::uint64_t* words) noexcept {
+  return active().ne_mask_u16(a, b, n, words);
+}
+
+inline void h2ll(double* completions, std::uint16_t* genes,
+                 const double* etc_rows, std::size_t tasks,
+                 std::size_t machines, std::size_t k, std::size_t passes,
+                 Xoshiro256& rng) noexcept {
+  active().h2ll(completions, genes, etc_rows, tasks, machines, k, passes, rng);
+}
+
 // ---- direct access to both paths (equivalence tests, benchmarks) ---------
 
 namespace detail {
@@ -186,9 +239,9 @@ namespace detail {
 /// True when this CPU can run the AVX2 table (avx2 and popcnt).
 bool avx2_supported() noexcept;
 
-/// True when this CPU can run the AVX-512 table (avx512f and bmi2, plus
-/// the AVX2 table's features: its 4-lane hash and 16-bit match mask stay
-/// on that path).
+/// True when this CPU can run the AVX-512 table: avx512f, avx512bw (the
+/// 32-lane 16-bit compares of the gene masks), bmi2 (select_bit's pdep),
+/// plus the AVX2 table's features (its 4-lane hash stays on that path).
 bool avx512_supported() noexcept;
 
 /// The portable reference path — always valid.

@@ -144,6 +144,9 @@ class Xoshiro256 {
     return static_cast<std::size_t>(bounded(n));
   }
 
+  /// Same state: the two generators draw the same stream from here on.
+  bool operator==(const Xoshiro256&) const noexcept = default;
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

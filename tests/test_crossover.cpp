@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "etc/braun.hpp"
 
 namespace pacga::cga {
@@ -143,6 +148,60 @@ TEST(Crossover, TwoTaskEdgeCase) {
                     CrossoverKind::kUniform}) {
     const auto child = crossover(kind, a, b, rng);
     EXPECT_TRUE(child.validate()) << to_string(kind);
+  }
+}
+
+/// copy_segment walks only the genes where the parents differ; the
+/// reference is the per-gene loop it replaced. Both must give the same
+/// genes and the same completion bits (move_task on an equal gene is a
+/// no-op, so the moves and their order are the same). Segment bounds sit
+/// on and around the 64-gene mask words and at both ends.
+TEST(Crossover, CopySegmentMatchesPerGeneLoop) {
+  constexpr std::size_t kMachines = 5;
+  support::Xoshiro256 rng(15);
+  for (const std::size_t n : {1ul, 12ul, 64ul, 65ul, 200ul, 512ul, 4096ul}) {
+    std::vector<double> etc_values(n * kMachines);
+    for (auto& v : etc_values) v = 1.0 + 99.0 * rng.uniform();
+    const etc::EtcMatrix m(n, kMachines, etc_values);
+    const auto a = sched::Schedule::random(m, rng);
+    std::vector<sched::MachineId> some(a.assignment().begin(),
+                                       a.assignment().end());
+    for (std::size_t t = 0; t < n; t += 1 + rng.index(9)) {
+      some[t] = static_cast<sched::MachineId>(rng.index(kMachines));
+    }
+    std::vector<sched::MachineId> all(a.assignment().begin(),
+                                      a.assignment().end());
+    for (auto& g : all) g = static_cast<sched::MachineId>((g + 1) % kMachines);
+    const sched::Schedule parents_b[] = {a, sched::Schedule(m, some),
+                                         sched::Schedule(m, all)};
+    const char* labels[] = {"identical", "some differ", "all differ"};
+    std::vector<std::size_t> bounds;
+    for (const std::size_t x : {0ul, 63ul, 64ul, 65ul, n - 1, n}) {
+      if (x <= n) bounds.push_back(x);
+    }
+    for (std::size_t p = 0; p < 3; ++p) {
+      const sched::Schedule& b = parents_b[p];
+      for (const std::size_t begin : bounds) {
+        for (const std::size_t end : bounds) {
+          if (begin > end) continue;
+          SCOPED_TRACE(std::string(labels[p]) + " n=" + std::to_string(n) +
+                       " [" + std::to_string(begin) + ", " +
+                       std::to_string(end) + ")");
+          auto child = a;
+          child.copy_segment(b, begin, end);
+          auto ref = a;
+          for (std::size_t t = begin; t < end; ++t) {
+            ref.move_task(t, b.machine_of(t));
+          }
+          EXPECT_TRUE(child == ref);
+          for (std::size_t mac = 0; mac < kMachines; ++mac) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(child.completion(mac)),
+                      std::bit_cast<std::uint64_t>(ref.completion(mac)))
+                << "machine " << mac;
+          }
+        }
+      }
+    }
   }
 }
 

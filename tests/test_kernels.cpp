@@ -520,6 +520,164 @@ TEST(Kernels, SelectBitMatchesScalarWalk) {
   }
 }
 
+TEST(Kernels, NeMaskU16BitIdenticalAcrossPaths) {
+  // Every tier writes the same difference words as a per-gene reference,
+  // returns their popcount, leaves tail bits zero and writes nothing past
+  // ceil(n/64) words. Pairs: identical arrays, fully differing arrays, a
+  // few scattered differences, and 0 against 0xFFFF (the packs saturation
+  // edge); each also from an odd start, as a crossover segment begins.
+  constexpr std::uint64_t kSentinel = 0xA5A5A5A5A5A5A5A5ULL;
+  Xoshiro256 rng(43);
+  for (const std::size_t n : {0ul, 1ul, 15ul, 16ul, 17ul, 31ul, 32ul, 33ul,
+                              63ul, 64ul, 65ul, 100ul, 512ul, 4097ul}) {
+    std::vector<std::uint16_t> a(n + 1);
+    for (auto& g : a) g = static_cast<std::uint16_t>(rng.index(16));
+    std::vector<std::uint16_t> differ(a);
+    for (auto& g : differ) g = static_cast<std::uint16_t>(g + 1);
+    std::vector<std::uint16_t> few(a);
+    for (std::size_t i = 0; i < few.size(); i += 1 + rng.index(40)) {
+      few[i] = static_cast<std::uint16_t>(few[i] ^ 0x8001);
+    }
+    const std::vector<std::uint16_t> zeros(n + 1, 0);
+    const std::vector<std::uint16_t> ones(n + 1, 0xFFFF);
+    const struct {
+      const std::vector<std::uint16_t>* a;
+      const std::vector<std::uint16_t>* b;
+      const char* label;
+    } cases[] = {{&a, &a, "identical"},
+                 {&a, &differ, "all-differ"},
+                 {&a, &few, "few"},
+                 {&zeros, &ones, "0-ffff"}};
+    const std::size_t n_words = (n + 63) / 64;
+    for (const auto& c : cases) {
+      for (const std::size_t start : {0ul, 1ul}) {
+        const std::uint16_t* pa = c.a->data() + start;
+        const std::uint16_t* pb = c.b->data() + start;
+        std::vector<std::uint64_t> ref(n_words, 0);
+        std::size_t ref_count = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (pa[i] == pb[i]) continue;
+          ref[i / 64] |= std::uint64_t{1} << (i % 64);
+          ++ref_count;
+        }
+        for (const Dispatch* t : testable_tables()) {
+          SCOPED_TRACE(std::string("ne_mask n=") + std::to_string(n) + " " +
+                       c.label + " start=" + std::to_string(start) +
+                       " via " + t->name);
+          std::vector<std::uint64_t> words(n_words + 2, kSentinel);
+          EXPECT_EQ(t->ne_mask_u16(pa, pb, n, words.data()), ref_count);
+          for (std::size_t w = 0; w < n_words; ++w) {
+            EXPECT_EQ(words[w], ref[w]) << "word " << w;
+          }
+          EXPECT_EQ(words[n_words], kSentinel);
+          EXPECT_EQ(words[n_words + 1], kSentinel);
+        }
+      }
+    }
+  }
+}
+
+/// One input of the H2LL kernel: task-major ETC rows, genes, and the
+/// completions they imply (ready time plus the ETCs of each machine's
+/// tasks, summed in task order).
+struct H2llInput {
+  std::size_t tasks;
+  std::size_t machines;
+  std::vector<double> rows;
+  std::vector<std::uint16_t> genes;
+  std::vector<double> ct;
+};
+
+/// Kinds: 0 real-valued ETCs; 1 small integer ETCs (score and load ties);
+/// 2 one value per task on every machine (ties everywhere); 3 small
+/// integers plus one machine with no task whose ready time exceeds any
+/// load, so the first pass finds the loaded machine empty and the call
+/// returns before any draw.
+H2llInput make_h2ll_input(std::size_t tasks, std::size_t machines, int kind,
+                          Xoshiro256& rng) {
+  H2llInput in{tasks, machines, std::vector<double>(tasks * machines),
+               std::vector<std::uint16_t>(tasks),
+               std::vector<double>(machines, 0.0)};
+  for (std::size_t t = 0; t < tasks; ++t) {
+    const auto flat = static_cast<double>(1 + rng.index(4));
+    for (std::size_t m = 0; m < machines; ++m) {
+      double& v = in.rows[t * machines + m];
+      switch (kind) {
+        case 0: v = 1.0 + 999.0 * rng.uniform(); break;
+        case 2: v = flat; break;
+        default: v = static_cast<double>(1 + rng.index(3)); break;
+      }
+    }
+  }
+  const std::size_t idle = kind == 3 ? machines / 2 : machines;
+  if (idle < machines) in.ct[idle] = 1e6;
+  for (std::size_t t = 0; t < tasks; ++t) {
+    std::size_t m = rng.index(idle < machines ? machines - 1 : machines);
+    if (m >= idle) ++m;
+    in.genes[t] = static_cast<std::uint16_t>(m);
+    in.ct[m] += in.rows[t * machines + m];
+  }
+  return in;
+}
+
+TEST(Kernels, H2llBitIdenticalAcrossTiers) {
+  // Every tier's h2ll leaves the same completion bits, genes and RNG state
+  // as the scalar table's reference loop. Machine counts cover one vector
+  // block, partial and full blocks up to the 16-machine register bodies,
+  // and 17, where every tier runs the reference loop; task counts are not
+  // multiples of 64.
+  std::size_t moved_calls = 0;
+  std::size_t early_exits = 0;
+  Xoshiro256 rng(47);
+  for (const std::size_t machines :
+       {1ul, 2ul, 3ul, 5ul, 8ul, 9ul, 12ul, 15ul, 16ul, 17ul}) {
+    for (const std::size_t tasks : {1ul, 7ul, 63ul, 65ul, 200ul, 513ul}) {
+      for (int kind = 0; kind < 4; ++kind) {
+        if (kind == 3 && machines < 2) continue;
+        const H2llInput in = make_h2ll_input(tasks, machines, kind, rng);
+        for (const std::size_t k :
+             {machines / 2, std::size_t{1}, machines - 1, machines}) {
+          for (const std::size_t passes : {1ul, 10ul, 60ul}) {
+            SCOPED_TRACE("machines=" + std::to_string(machines) +
+                         " tasks=" + std::to_string(tasks) + " kind=" +
+                         std::to_string(kind) + " k=" + std::to_string(k) +
+                         " passes=" + std::to_string(passes));
+            const Xoshiro256 start(1000 * machines + tasks);
+            H2llInput ref = in;
+            Xoshiro256 r_ref = start;
+            detail::scalar_table().h2ll(ref.ct.data(), ref.genes.data(),
+                                        ref.rows.data(), tasks, machines, k,
+                                        passes, r_ref);
+            moved_calls += ref.genes != in.genes;
+            if (kind == 3) {
+              EXPECT_TRUE(r_ref == start) << "a draw before the early exit";
+              EXPECT_EQ(ref.genes, in.genes);
+              early_exits += r_ref == start;
+            }
+            for (const Dispatch* t : testable_tables()) {
+              SCOPED_TRACE(t->name);
+              H2llInput got = in;
+              Xoshiro256 r_got = start;
+              t->h2ll(got.ct.data(), got.genes.data(), got.rows.data(), tasks,
+                      machines, k, passes, r_got);
+              EXPECT_EQ(got.genes, ref.genes);
+              for (std::size_t m = 0; m < machines; ++m) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(got.ct[m]),
+                          std::bit_cast<std::uint64_t>(ref.ct[m]))
+                    << "machine " << m;
+              }
+              EXPECT_TRUE(r_got == r_ref);
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sweep exercises moves, not only draws.
+  EXPECT_GT(moved_calls, 500u);
+  EXPECT_GT(early_exits, 0u);
+}
+
 TEST(Kernels, Avx512TierRunsOnThisHostOrSkips) {
   // The dedicated presence check: on AVX-512 hosts the tier must actually
   // execute (a direct call, not just table registration); elsewhere the

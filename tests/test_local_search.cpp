@@ -8,7 +8,6 @@
 #include <limits>
 #include <numeric>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "cga/mutation.hpp"
@@ -277,30 +276,19 @@ namespace reference {
 
 namespace kernels = support::kernels;
 
-/// The task pick written out in full: the match mask, one draw, the
-/// chosen set bit. The reference H2LL shares no pick code with the
-/// operator under test.
+/// The task pick written out in full: the matching tasks, one draw, the
+/// chosen one. The reference H2LL shares no pick code, and no kernel, with
+/// the operator under test.
 std::size_t random_task_on_machine(const sched::Schedule& s,
                                    sched::MachineId m,
                                    support::Xoshiro256& rng) {
-  static_assert(std::is_same_v<sched::MachineId, std::uint16_t>,
-                "the match mask compares 16-bit genes");
-  // Mask words; reused across calls (thread-local to stay allocation-free
-  // on the hot path).
-  thread_local std::vector<std::uint64_t> mask;
-  mask.resize((s.tasks() + 63) / 64);
-  const std::size_t count = support::kernels::eq_mask_u16(
-      s.assignment().data(), s.tasks(), m, mask.data());
-  if (count == 0) return s.tasks();
-  // One draw; the pick-th set bit (0-based, ascending) is the chosen task.
-  std::size_t pick = rng.index(count);
-  for (std::size_t w = 0;; ++w) {
-    for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
-      if (pick-- == 0) {
-        return 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
-      }
-    }
+  std::vector<std::size_t> matches;
+  for (std::size_t t = 0; t < s.tasks(); ++t) {
+    if (s.machine_of(t) == m) matches.push_back(t);
   }
+  if (matches.empty()) return s.tasks();
+  // One draw; the pick-th match (0-based, ascending) is the chosen task.
+  return matches[rng.index(matches.size())];
 }
 
 void least_loaded(const sched::Schedule& s, std::size_t k,
@@ -447,6 +435,72 @@ std::vector<etc::EtcMatrix> tie_heavy_instances(std::size_t machines,
 
 constexpr std::size_t kWallMachines[] = {2, 3, 4, 8, 16, 17, 63, 64, 65, 128};
 
+/// The walls' equality: the genes, every completion time bit for bit, and
+/// the RNG state. Schedule::operator== compares the genes only.
+void expect_identical(const sched::Schedule& lib, const sched::Schedule& ref,
+                      const support::Xoshiro256& r_lib,
+                      const support::Xoshiro256& r_ref) {
+  EXPECT_TRUE(lib == ref);
+  for (std::size_t m = 0; m < lib.machines(); ++m) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(lib.completion(m)),
+              std::bit_cast<std::uint64_t>(ref.completion(m)))
+        << "machine " << m;
+  }
+  EXPECT_TRUE(r_lib == r_ref);
+}
+
+/// Both operators, 20 passes from a random schedule.
+void check_from_random(const etc::EtcMatrix& m, std::uint64_t seed,
+                       std::size_t cands) {
+  support::Xoshiro256 start(seed);
+  const auto base = sched::Schedule::random(m, start);
+  support::Xoshiro256 r_lib(seed + 7), r_ref(seed + 7);
+  auto lib = base;
+  auto ref = base;
+  h2ll(lib, {20, cands}, r_lib);
+  reference::h2ll(ref, {20, cands}, r_ref);
+  expect_identical(lib, ref, r_lib, r_ref);
+}
+
+/// Late-run schedules, where most passes move nothing and the operator
+/// keeps its pass state across them: start where the reference has already
+/// run 200 passes, then run a few more on both. The reference is stepped
+/// one pass at a time to count the passes that move nothing.
+void check_from_optimum(const etc::EtcMatrix& m, std::uint64_t seed,
+                        std::size_t cands, std::size_t& passes,
+                        std::size_t& still) {
+  support::Xoshiro256 rng(seed);
+  auto converged = sched::Schedule::random(m, rng);
+  reference::h2ll(converged, {200, cands}, rng);
+  for (const std::size_t more : {1, 2, 10, 40}) {
+    SCOPED_TRACE("passes=" + std::to_string(more));
+    support::Xoshiro256 r_lib = rng;
+    support::Xoshiro256 r_ref = rng;
+    auto lib = converged;
+    auto ref = converged;
+    h2ll(lib, {more, cands}, r_lib);
+    for (std::size_t p = 0; p < more; ++p) {
+      const auto before = ref;
+      reference::h2ll(ref, {1, cands}, r_ref);
+      ++passes;
+      still += ref == before;
+    }
+    expect_identical(lib, ref, r_lib, r_ref);
+  }
+}
+
+/// The hot shape: the 12 Braun 512x16 classes the benchmark runs.
+const std::vector<etc::EtcMatrix>& braun_512x16() {
+  static const std::vector<etc::EtcMatrix> suite = [] {
+    std::vector<etc::EtcMatrix> out;
+    for (const auto& name : etc::braun_suite_names()) {
+      out.push_back(etc::generate_by_name(name));
+    }
+    return out;
+  }();
+  return suite;
+}
+
 TEST(H2LL, MatchesSortedCandidateReference) {
   for (const std::size_t machines : kWallMachines) {
     for (std::uint64_t seed = 0; seed < 12; ++seed) {
@@ -458,26 +512,24 @@ TEST(H2LL, MatchesSortedCandidateReference) {
                        " seed=" + std::to_string(seed) + " instance=" +
                        std::to_string(i) + " candidates=" +
                        std::to_string(cands));
-          support::Xoshiro256 start(seed);
-          const auto base = sched::Schedule::random(instances[i], start);
-          support::Xoshiro256 r_lib(seed + 7), r_ref(seed + 7);
-          auto lib = base;
-          auto ref = base;
-          h2ll(lib, {20, cands}, r_lib);
-          reference::h2ll(ref, {20, cands}, r_ref);
-          EXPECT_TRUE(lib == ref);
-          EXPECT_EQ(r_lib(), r_ref());
+          check_from_random(instances[i], seed, cands);
         }
+      }
+    }
+  }
+  for (std::size_t i = 0; i < braun_512x16().size(); ++i) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      for (const std::size_t cands : {0, 1, 15}) {
+        SCOPED_TRACE("braun " + etc::braun_suite_names()[i] + " seed=" +
+                     std::to_string(seed) + " candidates=" +
+                     std::to_string(cands));
+        check_from_random(braun_512x16()[i], seed, cands);
       }
     }
   }
 }
 
 TEST(H2LL, MatchesReferenceFromLocalOptimum) {
-  // Late-run schedules, where most passes move nothing and the operator
-  // keeps its pass state across them: start where the reference has
-  // already run 200 passes, then run a few more on both. The reference is
-  // stepped one pass at a time to count the passes that move nothing.
   std::size_t passes = 0;
   std::size_t still = 0;
   for (const std::size_t machines : kWallMachines) {
@@ -486,35 +538,31 @@ TEST(H2LL, MatchesReferenceFromLocalOptimum) {
       for (std::size_t i = 0; i < instances.size(); ++i) {
         for (const std::size_t cands : {std::size_t{0}, std::size_t{1},
                                         machines - 1}) {
-          support::Xoshiro256 rng(seed);
-          auto converged = sched::Schedule::random(instances[i], rng);
-          reference::h2ll(converged, {200, cands}, rng);
-          for (const std::size_t more : {1, 2, 10, 40}) {
-            SCOPED_TRACE("machines=" + std::to_string(machines) +
-                         " seed=" + std::to_string(seed) + " instance=" +
-                         std::to_string(i) + " candidates=" +
-                         std::to_string(cands) + " passes=" +
-                         std::to_string(more));
-            support::Xoshiro256 r_lib = rng;
-            support::Xoshiro256 r_ref = rng;
-            auto lib = converged;
-            auto ref = converged;
-            h2ll(lib, {more, cands}, r_lib);
-            for (std::size_t p = 0; p < more; ++p) {
-              const auto before = ref;
-              reference::h2ll(ref, {1, cands}, r_ref);
-              ++passes;
-              still += ref == before;
-            }
-            EXPECT_TRUE(lib == ref);
-            EXPECT_EQ(r_lib(), r_ref());
-          }
+          SCOPED_TRACE("machines=" + std::to_string(machines) +
+                       " seed=" + std::to_string(seed) + " instance=" +
+                       std::to_string(i) + " candidates=" +
+                       std::to_string(cands));
+          check_from_optimum(instances[i], seed, cands, passes, still);
         }
+      }
+    }
+  }
+  std::size_t hot_passes = 0;
+  std::size_t hot_still = 0;
+  for (std::size_t i = 0; i < braun_512x16().size(); ++i) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      for (const std::size_t cands : {0, 1, 15}) {
+        SCOPED_TRACE("braun " + etc::braun_suite_names()[i] + " seed=" +
+                     std::to_string(seed) + " candidates=" +
+                     std::to_string(cands));
+        check_from_optimum(braun_512x16()[i], seed, cands, hot_passes,
+                           hot_still);
       }
     }
   }
   // The wall is only a wall if most of its passes reuse kept state.
   EXPECT_GT(2 * still, passes);
+  EXPECT_GT(2 * hot_still, hot_passes);
 }
 
 TEST(H2llSteepest, MatchesSortedCandidateReference) {

@@ -149,6 +149,22 @@ TEST(Schedule, HammingDistance) {
   EXPECT_EQ(a.hamming_distance(a), 0u);
   EXPECT_TRUE(a == a);
   EXPECT_FALSE(a == b);
+  // Lengths around the 64-gene mask words and the 4096-gene chunks of the
+  // difference mask, against a per-gene count.
+  support::Xoshiro256 rng(3);
+  for (const std::size_t n : {1ul, 63ul, 65ul, 100ul, 4095ul, 4096ul, 4097ul,
+                              9000ul}) {
+    const etc::EtcMatrix m(n, 3, std::vector<double>(n * 3, 1.0));
+    const Schedule x = Schedule::random(m, rng);
+    const Schedule y = Schedule::random(m, rng);
+    std::size_t expected = 0;
+    for (std::size_t t = 0; t < n; ++t) {
+      expected += x.machine_of(t) != y.machine_of(t);
+    }
+    EXPECT_EQ(x.hamming_distance(y), expected) << "n=" << n;
+    EXPECT_EQ(y.hamming_distance(x), expected) << "n=" << n;
+    EXPECT_EQ(x.hamming_distance(x), 0u) << "n=" << n;
+  }
 }
 
 TEST(Schedule, ValidateDetectsCorruption) {
