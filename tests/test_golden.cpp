@@ -7,6 +7,8 @@
 #include <bit>
 #include <cstdint>
 
+#include "baselines/cma_lth.hpp"
+#include "baselines/struggle_ga.hpp"
 #include "cga/engine.hpp"
 #include "etc/braun.hpp"
 #include "etc/suite.hpp"
@@ -173,6 +175,38 @@ TEST(Golden, H2llFortyPassesFixedSeed) {
   EXPECT_EQ(r.evaluations, 6400u);
   EXPECT_EQ(r.best_fitness, 0x1.618feabd2d9bp+11);
   EXPECT_EQ(assignment_hash(r.best), 0x7a3fdb948c1c6dd8ULL);
+}
+
+// Table 2 baseline pins: each baseline's default configuration on one
+// Braun 512x16 class at a small generation budget. cMA+LTH runs the
+// synchronous cellular engine with Local Tabu Hop; the struggle GA its
+// own steady-state loop.
+
+TEST(Golden, CmaLthFixedSeed) {
+  const auto m = etc::generate_by_name("u_c_hilo.0");
+  baseline::CmaLthConfig c;
+  c.seed = 17;
+  c.termination = cga::Termination::after_generations(8);
+  const auto r = baseline::run_cma_lth(m, c);
+  EXPECT_EQ(r.evaluations, 8u * 256u);
+  EXPECT_EQ(r.best_fitness, 0x1.2bee574ed24b5p+17);
+  EXPECT_EQ(assignment_hash(r.best), 0x7150e0335eb5ba78ULL);
+  // Below the Min-min seed: the pin covers the evolved trajectory.
+  EXPECT_LT(r.best_fitness, heur::min_min(m).makespan());
+}
+
+TEST(Golden, StruggleGaFixedSeed) {
+  const auto m = etc::generate_by_name("u_c_hilo.0");
+  baseline::StruggleConfig c;
+  c.seed = 17;
+  // Without its Min-min individual: at this budget the seed would stay the
+  // best and the pin would not see the trajectory.
+  c.seed_min_min = false;
+  c.termination = cga::Termination::after_generations(30);
+  const auto r = baseline::run_struggle_ga(m, c);
+  EXPECT_EQ(r.evaluations, 30u * 64u);
+  EXPECT_EQ(r.best_fitness, 0x1.333bb151f85a5p+18);
+  EXPECT_EQ(assignment_hash(r.best), 0x4ebe740968353621ULL);
 }
 
 TEST(Golden, RngStreamFingerprint) {
