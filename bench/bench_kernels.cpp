@@ -114,17 +114,6 @@ std::vector<KernelPoint> bench_kernel_level(std::uint64_t seed) {
     std::vector<double> ct(n), row(n);
     for (auto& v : ct) v = rng.uniform(0.0, 1e6);
     for (auto& v : row) v = rng.uniform(0.0, 1e3);
-    // A sweep's worth of completion vectors for the batched kernel (the
-    // breeder's staged-offspring shape).
-    constexpr std::size_t kBatch = 64;
-    std::vector<std::vector<double>> batch(kBatch);
-    std::vector<const double*> batch_rows(kBatch);
-    std::vector<double> batch_out(kBatch);
-    for (std::size_t b = 0; b < kBatch; ++b) {
-      batch[b].resize(n);
-      for (auto& v : batch[b]) v = rng.uniform(0.0, 1e6);
-      batch_rows[b] = batch[b].data();
-    }
     const std::size_t reps = std::max<std::size_t>(1, 40'000'000 / n);
 
     for (const kernels::Dispatch* tier : tiers) {
@@ -148,16 +137,6 @@ std::vector<KernelPoint> bench_kernel_level(std::uint64_t seed) {
           "fused-min", reps,
           [&] { return scalar.min_plus(ct.data(), row.data(), n).value; },
           [&] { return tier->min_plus(ct.data(), row.data(), n).value; });
-      point(
-          "batch-max", std::max<std::size_t>(1, reps / kBatch),
-          [&] {
-            scalar.batch_max(batch_rows.data(), kBatch, n, batch_out.data());
-            return batch_out[0];
-          },
-          [&] {
-            tier->batch_max(batch_rows.data(), kBatch, n, batch_out.data());
-            return batch_out[0];
-          });
     }
   }
   return points;

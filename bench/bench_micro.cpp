@@ -18,7 +18,6 @@
 #include "cga/crossover.hpp"
 #include "cga/engine.hpp"
 #include "cga/local_search.hpp"
-#include "cga/mutation.hpp"
 #include "etc/suite.hpp"
 #include "heuristics/minmin.hpp"
 #include "heuristics/sufferage.hpp"
@@ -77,15 +76,16 @@ void BM_Crossover(benchmark::State& state) {
   support::Xoshiro256 rng(4);
   const auto a = sched::Schedule::random(m, rng);
   const auto b = sched::Schedule::random(m, rng);
+  sched::Schedule child = a;
   for (auto _ : state) {
-    auto child = cga::crossover(kind, a, b, rng);
+    child.assign_from(a);
+    cga::crossover_into(kind, child, b, rng);
     benchmark::DoNotOptimize(child.makespan());
   }
 }
 BENCHMARK(BM_Crossover)
     ->Arg(static_cast<int>(cga::CrossoverKind::kOnePoint))
-    ->Arg(static_cast<int>(cga::CrossoverKind::kTwoPoint))
-    ->Arg(static_cast<int>(cga::CrossoverKind::kUniform));
+    ->Arg(static_cast<int>(cga::CrossoverKind::kTwoPoint));
 
 void BM_H2LL(benchmark::State& state) {
   const auto& m = paper_instance();
@@ -99,19 +99,6 @@ void BM_H2LL(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_H2LL)->Arg(1)->Arg(5)->Arg(10);
-
-void BM_H2LLSteepest(benchmark::State& state) {
-  const auto& m = paper_instance();
-  support::Xoshiro256 rng(51);
-  const auto base = sched::Schedule::random(m, rng);
-  const cga::H2LLParams params{static_cast<std::size_t>(state.range(0)), 0};
-  for (auto _ : state) {
-    auto s = base;
-    cga::h2ll_steepest(s, params);
-    benchmark::DoNotOptimize(s.makespan());
-  }
-}
-BENCHMARK(BM_H2LLSteepest)->Arg(1)->Arg(5)->Arg(10);
 
 void BM_LocalTabuHop(benchmark::State& state) {
   const auto& m = paper_instance();
@@ -191,11 +178,9 @@ void BM_BreedStep(benchmark::State& state) {
   config.termination = cga::Termination::after_generations(1);
   cga::Grid grid(config.width, config.height);
   cga::Population pop(m, grid, rng, true, config.objective);
-  std::vector<std::size_t> neigh;
-  std::vector<double> fit;
   std::size_t idx = 0;
   for (auto _ : state) {
-    auto child = cga::detail::breed(pop, idx, config, rng, neigh, fit);
+    auto child = cga::detail::breed(pop, idx, config, rng);
     benchmark::DoNotOptimize(child.fitness);
     idx = (idx + 1) % pop.size();
   }
@@ -275,13 +260,11 @@ std::uint64_t legacy_sequential_evals(const etc::EtcMatrix& m,
   support::Xoshiro256 rng(config.seed);
   cga::Grid grid(config.width, config.height);
   cga::Population pop(m, grid, rng, config.seed_min_min, config.objective);
-  std::vector<std::size_t> neigh;
-  std::vector<double> fit;
   const support::Deadline deadline(config.termination.wall_seconds);
   std::uint64_t evaluations = 0;
   while (!deadline.expired()) {
     for (std::size_t idx = 0; idx < pop.size(); ++idx) {
-      auto child = cga::detail::breed(pop, idx, config, rng, neigh, fit);
+      auto child = cga::detail::breed(pop, idx, config, rng);
       ++evaluations;
       if (child.fitness < pop.at(idx).fitness) {
         pop.at(idx) = std::move(child);
@@ -330,17 +313,8 @@ void write_engines_json(const char* path) {
     emit("cellwise", r.result.evaluations, r.result.elapsed_seconds, false);
   }
   {
-    cga::Config async = config;
-    async.update = cga::UpdatePolicy::kAsynchronous;
-    const auto r = par::run_parallel(m, async);
+    const auto r = par::run_parallel(m, config);
     emit("parallel_async", r.result.evaluations, r.result.elapsed_seconds,
-         false);
-  }
-  {
-    cga::Config sync = config;
-    sync.update = cga::UpdatePolicy::kSynchronous;
-    const auto r = par::run_parallel(m, sync);
-    emit("parallel_sync", r.result.evaluations, r.result.elapsed_seconds,
          true);
   }
   std::fprintf(out, "  ]\n}\n");

@@ -30,11 +30,9 @@ cga::Result run_cma_lth(const etc::EtcMatrix& etc,
   cga::Config mapped;
   mapped.width = config.width;
   mapped.height = config.height;
-  mapped.neighborhood = config.neighborhood;
   mapped.selection = config.selection;
   mapped.crossover = config.crossover;
   mapped.p_comb = config.p_comb;
-  mapped.mutation = config.mutation;
   mapped.p_mut = config.p_mut;
   mapped.p_ls = config.p_ls;
   mapped.ls_kind = cga::LocalSearchKind::kTabuHop;
@@ -42,7 +40,6 @@ cga::Result run_cma_lth(const etc::EtcMatrix& etc,
   // tabu iteration count there so tabu{0, ...} disables the memetic step.
   mapped.local_search.iterations = config.tabu.iterations;
   mapped.tabu = config.tabu;
-  mapped.replacement = cga::ReplacementPolicy::kReplaceIfBetter;
   mapped.update = cga::UpdatePolicy::kSynchronous;
   mapped.sweep = cga::SweepPolicy::kLineSweep;
   mapped.seed_min_min = config.seed_min_min;

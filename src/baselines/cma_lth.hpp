@@ -6,7 +6,8 @@
 // auxiliary population — whose offspring are intensified with a Local
 // Tabu Hop before evaluation. Defaults follow the published
 // parameterization where stated (L5/NEWS neighborhood, binary tournament,
-// one-point crossover, move mutation) with sensible values elsewhere.
+// one-point crossover, move mutation) with sensible values elsewhere. The
+// neighborhood and the mutation are the cellular engine's only ones.
 #pragma once
 
 #include "cga/config.hpp"
@@ -17,11 +18,9 @@ namespace pacga::baseline {
 struct CmaLthConfig {
   std::size_t width = 16;
   std::size_t height = 16;
-  cga::NeighborhoodShape neighborhood = cga::NeighborhoodShape::kLinear5;
   cga::SelectionKind selection = cga::SelectionKind::kTournament;
   cga::CrossoverKind crossover = cga::CrossoverKind::kOnePoint;
   double p_comb = 0.8;
-  cga::MutationKind mutation = cga::MutationKind::kMove;
   double p_mut = 0.5;
   double p_ls = 1.0;
   cga::TabuHopParams tabu{10, 8};

@@ -63,16 +63,14 @@ cga::Result run_struggle_ga(const etc::EtcMatrix& etc,
       const auto [pa, pb] =
           cga::select_parents(config.selection, fitness_view, rng);
 
-      sched::Schedule offspring =
-          rng.bernoulli(config.p_comb)
-              ? cga::crossover(config.crossover, pop[pa].schedule,
-                               pop[pb].schedule, rng)
-              : pop[pa].schedule;
-      if (rng.bernoulli(config.p_mut)) {
-        cga::mutate(config.mutation, offspring, rng);
+      cga::Individual child(pop[pa].schedule, 0.0);
+      if (rng.bernoulli(config.p_comb)) {
+        cga::crossover_into(config.crossover, child.schedule,
+                            pop[pb].schedule, rng);
       }
-      cga::Individual child = cga::Individual::evaluated(
-          std::move(offspring), config.objective, config.lambda);
+      if (rng.bernoulli(config.p_mut)) cga::mutate(child.schedule, rng);
+      child.fitness =
+          sched::evaluate(child.schedule, config.objective, config.lambda);
       ++evaluations;
       best.observe(child);
 

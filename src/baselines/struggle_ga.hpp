@@ -20,7 +20,6 @@ struct StruggleConfig {
   cga::SelectionKind selection = cga::SelectionKind::kTournament;
   cga::CrossoverKind crossover = cga::CrossoverKind::kOnePoint;
   double p_comb = 0.8;
-  cga::MutationKind mutation = cga::MutationKind::kMove;
   double p_mut = 0.4;
   bool seed_min_min = true;
   sched::Objective objective = sched::Objective::kMakespan;

@@ -4,14 +4,6 @@
 
 namespace pacga::cga {
 
-const char* to_string(ReplacementPolicy p) noexcept {
-  switch (p) {
-    case ReplacementPolicy::kReplaceIfBetter: return "if-better";
-    case ReplacementPolicy::kAlways: return "always";
-  }
-  return "?";
-}
-
 const char* to_string(SweepPolicy p) noexcept {
   switch (p) {
     case SweepPolicy::kLineSweep: return "line";

@@ -8,18 +8,10 @@
 
 #include "cga/crossover.hpp"
 #include "cga/local_search.hpp"
-#include "cga/mutation.hpp"
-#include "cga/neighborhood.hpp"
 #include "cga/selection.hpp"
 #include "sched/fitness.hpp"
 
 namespace pacga::cga {
-
-/// How offspring enter the population.
-enum class ReplacementPolicy {
-  kReplaceIfBetter,  ///< paper default: offspring replaces cell only if fitter
-  kAlways,           ///< unconditional replacement (control)
-};
 
 /// Cell visiting order within a block/population.
 enum class SweepPolicy {
@@ -30,11 +22,11 @@ enum class SweepPolicy {
   kUniformChoice,  ///< each step picks a uniformly random cell
 };
 
-/// Synchronous (auxiliary population, generational barrier) vs
-/// asynchronous (immediate replacement) update (paper §3.1).
+/// Synchronous (auxiliary population, generational commit) vs
+/// asynchronous (immediate replacement) update (paper §3.1). PA-CGA is
+/// asynchronous; the synchronous update is cMA+LTH's, on run_sequential.
 enum class UpdatePolicy { kAsynchronous, kSynchronous };
 
-const char* to_string(ReplacementPolicy p) noexcept;
 const char* to_string(SweepPolicy p) noexcept;
 const char* to_string(UpdatePolicy p) noexcept;
 
@@ -66,24 +58,24 @@ struct Termination {
 
 /// Full PA-CGA parameterization. Defaults reproduce paper Table 1 with the
 /// configuration the paper adopts after its studies: tpx, 10 H2LL
-/// iterations, 3 threads.
+/// iterations, 3 threads. The rest of Table 1 is fixed: the linear-5
+/// neighborhood (cga/neighborhood.hpp), the move mutation (cga::mutate) and
+/// replace-if-better (an offspring enters only when strictly fitter).
 struct Config {
   std::size_t width = 16;
   std::size_t height = 16;
-  NeighborhoodShape neighborhood = NeighborhoodShape::kLinear5;
   SelectionKind selection = SelectionKind::kBestTwo;
   CrossoverKind crossover = CrossoverKind::kTwoPoint;
   double p_comb = 1.0;  ///< recombination probability
-  MutationKind mutation = MutationKind::kMove;
   double p_mut = 1.0;   ///< mutation probability
   double p_ls = 1.0;    ///< local-search probability (paper's p_ser)
   /// Which local search the engine applies to offspring.
   LocalSearchKind ls_kind = LocalSearchKind::kH2LL;
-  /// H2LL passes; 0 disables local search (the Figure 4 "0 iteration" arm).
+  /// H2LL passes; 0 disables local search of either kind (the Figure 4
+  /// "0 iteration" arm).
   H2LLParams local_search{10, 0};
   /// Parameters for ls_kind == kTabuHop only.
   TabuHopParams tabu{10, 8};
-  ReplacementPolicy replacement = ReplacementPolicy::kReplaceIfBetter;
   UpdatePolicy update = UpdatePolicy::kAsynchronous;
   SweepPolicy sweep = SweepPolicy::kLineSweep;
   bool seed_min_min = true;  ///< one Min-min individual in the initial pop
@@ -109,10 +101,6 @@ struct Config {
   /// reads in the parallel engine), which would perturb contention
   /// measurements.
   bool collect_trace = false;
-  /// Pin worker i of the parallel engine to core i (paper §4.1: all
-  /// threads run on one 4-core processor). Soft: ignored when the
-  /// platform refuses.
-  bool pin_threads = false;
 
   std::size_t population_size() const noexcept { return width * height; }
 

@@ -8,7 +8,6 @@ const char* to_string(CrossoverKind k) noexcept {
   switch (k) {
     case CrossoverKind::kOnePoint: return "opx";
     case CrossoverKind::kTwoPoint: return "tpx";
-    case CrossoverKind::kUniform: return "ux";
   }
   return "?";
 }
@@ -37,13 +36,6 @@ void two_point_into(sched::Schedule& child, const sched::Schedule& b,
   child.copy_segment(b, lo, hi);
 }
 
-void uniform_into(sched::Schedule& child, const sched::Schedule& b,
-                  support::Xoshiro256& rng) {
-  for (std::size_t t = 0; t < child.tasks(); ++t) {
-    if (rng.bernoulli(0.5)) child.move_task(t, b.machine_of(t));
-  }
-}
-
 }  // namespace
 
 void crossover_into(CrossoverKind kind, sched::Schedule& child,
@@ -52,42 +44,7 @@ void crossover_into(CrossoverKind kind, sched::Schedule& child,
   switch (kind) {
     case CrossoverKind::kOnePoint: return one_point_into(child, b, rng);
     case CrossoverKind::kTwoPoint: return two_point_into(child, b, rng);
-    case CrossoverKind::kUniform: return uniform_into(child, b, rng);
   }
-}
-
-sched::Schedule one_point_crossover(const sched::Schedule& a,
-                                    const sched::Schedule& b,
-                                    support::Xoshiro256& rng) {
-  assert(a.tasks() == b.tasks());
-  sched::Schedule child = a;
-  one_point_into(child, b, rng);
-  return child;
-}
-
-sched::Schedule two_point_crossover(const sched::Schedule& a,
-                                    const sched::Schedule& b,
-                                    support::Xoshiro256& rng) {
-  assert(a.tasks() == b.tasks());
-  sched::Schedule child = a;
-  two_point_into(child, b, rng);
-  return child;
-}
-
-sched::Schedule uniform_crossover(const sched::Schedule& a,
-                                  const sched::Schedule& b,
-                                  support::Xoshiro256& rng) {
-  assert(a.tasks() == b.tasks());
-  sched::Schedule child = a;
-  uniform_into(child, b, rng);
-  return child;
-}
-
-sched::Schedule crossover(CrossoverKind kind, const sched::Schedule& a,
-                          const sched::Schedule& b, support::Xoshiro256& rng) {
-  sched::Schedule child = a;
-  crossover_into(kind, child, b, rng);
-  return child;
 }
 
 }  // namespace pacga::cga

@@ -1,9 +1,9 @@
 // Recombination operators on assignment strings (paper §4.1: one-point
-// "opx" and two-point "tpx"; uniform added for completeness).
+// "opx" and two-point "tpx").
 //
-// All operators keep the offspring's completion-time cache up to date
-// incrementally via Schedule::copy_segment / move_task — no full
-// re-evaluation (paper §3.3).
+// Both operators keep the offspring's completion-time cache up to date
+// incrementally via Schedule::copy_segment — no full re-evaluation (paper
+// §3.3).
 #pragma once
 
 #include "sched/schedule.hpp"
@@ -14,36 +14,18 @@ namespace pacga::cga {
 enum class CrossoverKind {
   kOnePoint,  ///< opx — prefix from parent a, suffix from parent b
   kTwoPoint,  ///< tpx — middle segment from parent b
-  kUniform,   ///< each gene from a or b with probability 1/2
 };
 
 const char* to_string(CrossoverKind k) noexcept;
 
-/// One-point crossover: cut in [1, tasks-1]; offspring = a[0:cut) + b[cut:).
-sched::Schedule one_point_crossover(const sched::Schedule& a,
-                                    const sched::Schedule& b,
-                                    support::Xoshiro256& rng);
-
-/// Two-point crossover: offspring = a with a random segment [lo, hi)
-/// replaced by b's genes. lo < hi, both interior.
-sched::Schedule two_point_crossover(const sched::Schedule& a,
-                                    const sched::Schedule& b,
-                                    support::Xoshiro256& rng);
-
-/// Uniform crossover: each gene drawn from a or b with equal probability.
-sched::Schedule uniform_crossover(const sched::Schedule& a,
-                                  const sched::Schedule& b,
-                                  support::Xoshiro256& rng);
-
-/// Enum dispatch used by the engines.
-sched::Schedule crossover(CrossoverKind kind, const sched::Schedule& a,
-                          const sched::Schedule& b, support::Xoshiro256& rng);
-
-/// In-place form for preallocated offspring buffers (the Breeder hot
-/// path): `child` must already hold a copy of parent `a` (assign_from);
-/// the call applies `b`'s contribution with incremental cache updates and
-/// no allocation. RNG draw order is identical to the by-value operators,
-/// so both forms produce the same offspring from the same stream.
+/// Recombines in place, into a preallocated offspring buffer: `child` must
+/// already hold a copy of parent a (assign_from); the call applies `b`'s
+/// contribution with incremental cache updates and no allocation.
+///   * kOnePoint: one draw, cut in [1, tasks-1]; offspring = a[0:cut) +
+///     b[cut:).
+///   * kTwoPoint: two draws lo, hi in [0, tasks); offspring = a with the
+///     segment [min, max) replaced by b's genes (one gene when they are
+///     equal).
 void crossover_into(CrossoverKind kind, sched::Schedule& child,
                     const sched::Schedule& b, support::Xoshiro256& rng);
 

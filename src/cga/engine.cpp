@@ -1,5 +1,7 @@
 #include "cga/engine.hpp"
 
+#include <array>
+
 #include "cga/neighborhood.hpp"
 #include "cga/selection.hpp"
 
@@ -15,31 +17,16 @@ std::vector<std::size_t> make_sweep_order(SweepPolicy policy, std::size_t n,
 }
 
 Individual breed(const Population& pop, std::size_t index,
-                 const Config& config, support::Xoshiro256& rng,
-                 std::vector<std::size_t>& neigh_scratch,
-                 std::vector<double>& fit_scratch) {
-  neighborhood_of(pop.grid(), index, config.neighborhood, neigh_scratch);
-  fit_scratch.clear();
-  for (std::size_t cell : neigh_scratch) {
-    fit_scratch.push_back(pop.at(cell).fitness);
+                 const Config& config, support::Xoshiro256& rng) {
+  const Neighborhood neigh = neighborhood_of(pop.grid(), index);
+  std::array<double, kNeighborhoodSize> fit;
+  for (std::size_t i = 0; i < kNeighborhoodSize; ++i) {
+    fit[i] = pop.at(neigh[i]).fitness;
   }
-  const auto [pa_pos, pb_pos] =
-      select_parents(config.selection, fit_scratch, rng);
-  Individual child(pop.at(neigh_scratch[pa_pos]).schedule, 0.0);
-  vary_and_evaluate(child, pop.at(neigh_scratch[pb_pos]).schedule, config,
-                    rng);
+  const auto [pa_pos, pb_pos] = select_parents(config.selection, fit, rng);
+  Individual child(pop.at(neigh[pa_pos]).schedule, 0.0);
+  vary_and_evaluate(child, pop.at(neigh[pb_pos]).schedule, config, rng);
   return child;
-}
-
-bool should_replace(ReplacementPolicy policy, double offspring,
-                    double incumbent) noexcept {
-  switch (policy) {
-    case ReplacementPolicy::kReplaceIfBetter:
-      return offspring < incumbent;
-    case ReplacementPolicy::kAlways:
-      return true;
-  }
-  return false;
 }
 
 }  // namespace detail
@@ -103,17 +90,16 @@ RunStats SequentialEngine::run(const etc::EtcMatrix& etc,
       *order_, rng_,
       [&](std::size_t idx) {  // one breeding step
         if (synchronous) {
-          // Staged with evaluation deferred: the whole sweep's offspring
-          // get their fitness from one batched kernel dispatch at end of
-          // sweep (bit-identical to evaluating here).
-          breeder_->breed_into_deferred(pop, idx, rng_, staged_[staged_count]);
+          // Staged in the auxiliary population; it competes at the end of
+          // the sweep.
+          breeder_->breed_into(pop, idx, rng_, staged_[staged_count]);
           ++staged_count;
         } else {
           Individual& child = staged_[0];
           breeder_->breed_into(pop, idx, rng_, child);
           best.observe(child);
-          if (detail::should_replace(config_.replacement, child.fitness,
-                                     pop.at(idx).fitness)) {
+          // Replace if better (paper Table 1).
+          if (child.fitness < pop.at(idx).fitness) {
             Breeder::replace(pop.at(idx), child);
           }
         }
@@ -122,7 +108,6 @@ RunStats SequentialEngine::run(const etc::EtcMatrix& etc,
       },
       [&] {  // end of sweep
         if (synchronous) {
-          breeder_->evaluate_batch(staged_.data(), staged_count);
           for (std::size_t k = 0; k < staged_count; ++k) {
             best.observe(staged_[k]);
           }
@@ -130,8 +115,7 @@ RunStats SequentialEngine::run(const etc::EtcMatrix& etc,
           // cell it was bred for.
           const auto& o = order_->order();
           for (std::size_t k = 0; k < staged_count; ++k) {
-            if (detail::should_replace(config_.replacement, staged_[k].fitness,
-                                       pop.at(o[k]).fitness)) {
+            if (staged_[k].fitness < pop.at(o[k]).fitness) {
               Breeder::replace(pop.at(o[k]), staged_[k]);
             }
           }

@@ -73,7 +73,7 @@ class SequentialEngine {
   std::optional<BestTracker> best_;  ///< empty: no arena (or best taken)
   /// Offspring buffers: staged_[0] in asynchronous mode; one per cell for
   /// the synchronous auxiliary population (staged_[k] belongs to order[k]
-  /// of the current sweep).
+  /// of the current sweep, evaluated when bred).
   std::vector<Individual> staged_;
 };
 
@@ -99,14 +99,7 @@ std::vector<std::size_t> make_sweep_order(SweepPolicy policy, std::size_t n,
 /// (Compatibility wrapper: allocates a fresh offspring per call. The
 /// engines use cga::Breeder, which reuses buffers and allocates nothing.)
 Individual breed(const Population& pop, std::size_t index,
-                 const Config& config, support::Xoshiro256& rng,
-                 std::vector<std::size_t>& neigh_scratch,
-                 std::vector<double>& fit_scratch);
-
-/// Applies `policy`: returns true when `offspring` should replace a cell
-/// whose current fitness is `incumbent`.
-bool should_replace(ReplacementPolicy policy, double offspring,
-                    double incumbent) noexcept;
+                 const Config& config, support::Xoshiro256& rng);
 
 }  // namespace detail
 

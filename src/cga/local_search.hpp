@@ -17,15 +17,13 @@
 
 namespace pacga::cga {
 
-/// Which local-search operator the engines apply to offspring.
+/// Which local-search operator the engines apply to offspring. Neither
+/// runs when Config::local_search.iterations is 0 (Figure 4's "0
+/// iteration" arm).
 enum class LocalSearchKind {
-  kH2LL,          ///< the paper's operator (random task off the loaded machine)
-  kH2LLSteepest,  ///< ablation: best (task, target) move per pass
-  kTabuHop,       ///< the cMA+LTH baseline's operator
-  kNone,          ///< no local search (Figure 4's "0 iteration" arm)
+  kH2LL,     ///< the paper's operator (random task off the loaded machine)
+  kTabuHop,  ///< the cMA+LTH baseline's operator
 };
-
-const char* to_string(LocalSearchKind k) noexcept;
 
 /// H2LL parameterization (paper Table 1: iter = 5 or 10; candidates =
 /// machines/2 per Algorithm 4, override-able per the "N is a parameter"
@@ -52,13 +50,6 @@ struct H2LLParams {
 void h2ll(sched::Schedule& s, const H2LLParams& params,
           support::Xoshiro256& rng);
 
-/// Steepest variant of H2LL (ablation of the paper's "randomly chosen"
-/// task): each pass considers EVERY task on the most loaded machine and
-/// applies the single move with the lowest resulting makespan.
-/// Stronger per pass but O(tasks * candidates) instead of O(tasks), and
-/// deterministic given the schedule — less stochastic exploration.
-void h2ll_steepest(sched::Schedule& s, const H2LLParams& params);
-
 /// Tabu-search parameterization for the cMA+LTH baseline.
 struct TabuHopParams {
   std::size_t iterations = 10;
@@ -71,12 +62,5 @@ struct TabuHopParams {
 /// schedule worse than the input.
 void local_tabu_hop(sched::Schedule& s, const TabuHopParams& params,
                     support::Xoshiro256& rng);
-
-/// Enum dispatch used by the engines. `h2ll_params.iterations` drives the
-/// H2LL variants; `tabu_params` drives kTabuHop; kNone is a no-op.
-void apply_local_search(LocalSearchKind kind, sched::Schedule& s,
-                        const H2LLParams& h2ll_params,
-                        const TabuHopParams& tabu_params,
-                        support::Xoshiro256& rng);
 
 }  // namespace pacga::cga

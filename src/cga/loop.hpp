@@ -1,5 +1,5 @@
 // The shared engine-loop core. Every evolution loop in the library
-// (cga::run_sequential, par::run_cellwise, par::run_parallel sync+async,
+// (cga::run_sequential, par::run_cellwise, par::run_parallel,
 // and the GA baselines) is assembled from these pieces instead of
 // re-implementing sweep ordering, best tracking, termination, and tracing:
 //

@@ -10,15 +10,6 @@
 
 namespace pacga::cga {
 
-const char* to_string(MutationKind k) noexcept {
-  switch (k) {
-    case MutationKind::kMove: return "move";
-    case MutationKind::kSwap: return "swap";
-    case MutationKind::kRebalance: return "rebalance";
-  }
-  return "?";
-}
-
 std::size_t random_task_on_machine(const sched::Schedule& s,
                                    sched::MachineId m,
                                    support::Xoshiro256& rng) {
@@ -42,33 +33,11 @@ std::size_t pick_task(std::span<const std::uint64_t> matches,
   return support::kernels::select_bit(matches.data(), rng.index(count));
 }
 
-void mutate(MutationKind kind, sched::Schedule& s, support::Xoshiro256& rng) {
+void mutate(sched::Schedule& s, support::Xoshiro256& rng) {
   if (s.tasks() == 0) return;
-  switch (kind) {
-    case MutationKind::kMove: {
-      const std::size_t t = rng.index(s.tasks());
-      const auto m = static_cast<sched::MachineId>(rng.index(s.machines()));
-      s.move_task(t, m);
-      return;
-    }
-    case MutationKind::kSwap: {
-      if (s.tasks() < 2) return;
-      const std::size_t a = rng.index(s.tasks());
-      std::size_t b = rng.index(s.tasks() - 1);
-      if (b >= a) ++b;
-      s.swap_tasks(a, b);
-      return;
-    }
-    case MutationKind::kRebalance: {
-      const auto loaded = static_cast<sched::MachineId>(s.argmax_machine());
-      const std::size_t t = random_task_on_machine(s, loaded, rng);
-      if (t == s.tasks()) return;  // most loaded machine cannot be empty
-                                   // unless all loads are ready times
-      const auto m = static_cast<sched::MachineId>(rng.index(s.machines()));
-      s.move_task(t, m);
-      return;
-    }
-  }
+  const std::size_t t = rng.index(s.tasks());
+  const auto m = static_cast<sched::MachineId>(rng.index(s.machines()));
+  s.move_task(t, m);
 }
 
 }  // namespace pacga::cga

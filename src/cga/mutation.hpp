@@ -1,6 +1,5 @@
-// Mutation operators. The paper's mutation "moves one randomly chosen task
-// to a randomly chosen machine" (Table 1); swap and rebalance are standard
-// companions in the grid-scheduling literature, kept for ablations.
+// Mutation. The paper's mutation "moves one randomly chosen task to a
+// randomly chosen machine" (Table 1); both Table 2 baselines use it too.
 #pragma once
 
 #include <cstddef>
@@ -12,16 +11,9 @@
 
 namespace pacga::cga {
 
-enum class MutationKind {
-  kMove,       ///< random task -> random machine (the paper's operator)
-  kSwap,       ///< swap the machines of two random tasks
-  kRebalance,  ///< random task from the most loaded machine -> random machine
-};
-
-const char* to_string(MutationKind k) noexcept;
-
-/// Applies one mutation of `kind` in place.
-void mutate(MutationKind kind, sched::Schedule& s, support::Xoshiro256& rng);
+/// Moves one uniformly drawn task to one uniformly drawn machine, in
+/// place: two draws, index(tasks) then index(machines).
+void mutate(sched::Schedule& s, support::Xoshiro256& rng);
 
 /// Picks one task uniformly among those assigned to machine `m`; returns
 /// tasks() when `m` is empty. One `eq_mask_u16` match mask plus pick_task.
@@ -31,8 +23,8 @@ std::size_t random_task_on_machine(const sched::Schedule& s,
 
 /// Picks one task uniformly among the set bits of the match mask `matches`
 /// (bit t set iff task t matches); `count` is its popcount, at least 1.
-/// The rebalance mutation calls it through random_task_on_machine;
-/// kernels::h2ll makes the same draw inside its pass loop.
+/// random_task_on_machine calls it; kernels::h2ll makes the same draw
+/// inside its pass loop.
 ///
 /// Draw contract: it makes exactly one call, k = rng.index(count), and
 /// returns the task of the k-th set bit (counting from 0 in ascending task

@@ -2,50 +2,15 @@
 
 namespace pacga::cga {
 
-namespace {
-
-constexpr Offset kL5[] = {{0, 0}, {1, 0}, {-1, 0}, {0, 1}, {0, -1}};
-constexpr Offset kC9[] = {{0, 0},  {1, 0},  {-1, 0}, {0, 1},  {0, -1},
-                          {1, 1},  {1, -1}, {-1, 1}, {-1, -1}};
-constexpr Offset kL9[] = {{0, 0}, {1, 0},  {-1, 0}, {0, 1},  {0, -1},
-                          {2, 0}, {-2, 0}, {0, 2},  {0, -2}};
-constexpr Offset kC13[] = {{0, 0},  {1, 0},  {-1, 0}, {0, 1},  {0, -1},
-                           {1, 1},  {1, -1}, {-1, 1}, {-1, -1},
-                           {2, 0},  {-2, 0}, {0, 2},  {0, -2}};
-
-}  // namespace
-
-std::span<const Offset> offsets(NeighborhoodShape shape) noexcept {
-  switch (shape) {
-    case NeighborhoodShape::kLinear5: return kL5;
-    case NeighborhoodShape::kCompact9: return kC9;
-    case NeighborhoodShape::kLinear9: return kL9;
-    case NeighborhoodShape::kCompact13: return kC13;
-  }
-  return kL5;
-}
-
-std::size_t shape_size(NeighborhoodShape shape) noexcept {
-  return offsets(shape).size();
-}
-
-const char* to_string(NeighborhoodShape shape) noexcept {
-  switch (shape) {
-    case NeighborhoodShape::kLinear5: return "L5";
-    case NeighborhoodShape::kCompact9: return "C9";
-    case NeighborhoodShape::kLinear9: return "L9";
-    case NeighborhoodShape::kCompact13: return "C13";
-  }
-  return "?";
-}
-
-void neighborhood_of(const Grid& grid, std::size_t center,
-                     NeighborhoodShape shape, std::vector<std::size_t>& out) {
-  out.clear();
+Neighborhood neighborhood_of(const Grid& grid, std::size_t center) noexcept {
+  constexpr std::ptrdiff_t kDx[kNeighborhoodSize] = {0, 1, -1, 0, 0};
+  constexpr std::ptrdiff_t kDy[kNeighborhoodSize] = {0, 0, 0, 1, -1};
   const Cell c = grid.cell_of(center);
-  for (const Offset& o : offsets(shape)) {
-    out.push_back(grid.index_of(grid.wrap(c, o.dx, o.dy)));
+  Neighborhood out;
+  for (std::size_t i = 0; i < kNeighborhoodSize; ++i) {
+    out[i] = grid.index_of(grid.wrap(c, kDx[i], kDy[i]));
   }
+  return out;
 }
 
 }  // namespace pacga::cga

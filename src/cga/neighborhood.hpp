@@ -1,42 +1,24 @@
-// Cellular neighborhoods. The paper uses linear-5 (Von Neumann) to keep
-// cross-block memory contention low; the other classic shapes are provided
-// for ablations and the framework's generality.
+// The cellular neighborhood: linear-5 (Von Neumann), the shape the paper
+// uses to keep cross-block memory contention low, and the shape of the
+// cMA+LTH baseline.
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <span>
-#include <vector>
 
 #include "cga/grid.hpp"
 
 namespace pacga::cga {
 
-/// Classic CGA neighborhood shapes (Alba & Dorronsoro 2008 naming).
-enum class NeighborhoodShape {
-  kLinear5,   ///< Von Neumann: self + N/S/E/W (the paper's choice)
-  kCompact9,  ///< Moore: self + 8 surrounding cells
-  kLinear9,   ///< self + 2 cells in each axis direction
-  kCompact13, ///< Compact9 plus the 4 cells at Manhattan distance 2 on axes
-};
+/// Cells in a neighborhood, self included.
+inline constexpr std::size_t kNeighborhoodSize = 5;
 
-/// (dx, dy) displacement.
-struct Offset {
-  std::ptrdiff_t dx;
-  std::ptrdiff_t dy;
-};
+/// Linear indices of one cell's neighborhood, self first.
+using Neighborhood = std::array<std::size_t, kNeighborhoodSize>;
 
-/// The displacement set of a shape, self (0,0) first.
-std::span<const Offset> offsets(NeighborhoodShape shape) noexcept;
-
-/// Number of cells in the shape (including self).
-std::size_t shape_size(NeighborhoodShape shape) noexcept;
-
-const char* to_string(NeighborhoodShape shape) noexcept;
-
-/// Resolves the linear indices of `center`'s neighborhood on `grid`,
-/// self first, into `out` (cleared first). No allocation when `out` has
-/// capacity — the engines reuse one buffer per thread.
-void neighborhood_of(const Grid& grid, std::size_t center,
-                     NeighborhoodShape shape, std::vector<std::size_t>& out);
+/// The linear-5 neighborhood of `center` on the toroidal `grid`: self, then
+/// the cells at (+1,0), (-1,0), (0,+1), (0,-1). On grids narrower than 3
+/// cells the displacements alias, so an index can repeat.
+Neighborhood neighborhood_of(const Grid& grid, std::size_t center) noexcept;
 
 }  // namespace pacga::cga

@@ -1,8 +1,6 @@
 #include "cga/selection.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <limits>
 
 namespace pacga::cga {
 
@@ -10,8 +8,6 @@ const char* to_string(SelectionKind k) noexcept {
   switch (k) {
     case SelectionKind::kBestTwo: return "best2";
     case SelectionKind::kTournament: return "tournament";
-    case SelectionKind::kRoulette: return "roulette";
-    case SelectionKind::kRandomTwo: return "random2";
   }
   return "?";
 }
@@ -38,30 +34,6 @@ std::size_t tournament_pick(std::span<const double> fitness,
   return fitness[a] <= fitness[b] ? a : b;
 }
 
-std::size_t roulette_pick(std::span<const double> fitness,
-                          support::Xoshiro256& rng) {
-  // Invert lower-is-better fitness into positive weights:
-  // w_i = (max - f_i) + epsilon*range, so the worst cell keeps a small
-  // non-zero probability.
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (double f : fitness) {
-    lo = std::min(lo, f);
-    hi = std::max(hi, f);
-  }
-  const double range = hi - lo;
-  if (range <= 0.0) return rng.index(fitness.size());
-  const double eps = 0.01 * range;
-  double total = 0.0;
-  for (double f : fitness) total += (hi - f) + eps;
-  double r = rng.uniform() * total;
-  for (std::size_t i = 0; i < fitness.size(); ++i) {
-    r -= (hi - fitness[i]) + eps;
-    if (r <= 0.0) return i;
-  }
-  return fitness.size() - 1;
-}
-
 }  // namespace
 
 std::pair<std::size_t, std::size_t> select_parents(
@@ -81,21 +53,6 @@ std::pair<std::size_t, std::size_t> select_parents(
         second = tournament_pick(fitness, rng);
       }
       if (second == first) second = (first + 1) % fitness.size();
-      return {first, second};
-    }
-    case SelectionKind::kRoulette: {
-      const std::size_t first = roulette_pick(fitness, rng);
-      std::size_t second = roulette_pick(fitness, rng);
-      for (int tries = 0; second == first && tries < 8; ++tries) {
-        second = roulette_pick(fitness, rng);
-      }
-      if (second == first) second = (first + 1) % fitness.size();
-      return {first, second};
-    }
-    case SelectionKind::kRandomTwo: {
-      const std::size_t first = rng.index(fitness.size());
-      std::size_t second = rng.index(fitness.size() - 1);
-      if (second >= first) ++second;
       return {first, second};
     }
   }

@@ -1,6 +1,6 @@
 // Parent selection within a neighborhood. The paper selects the best two
-// neighbors ("best 2", Table 1); tournament and roulette are the standard
-// alternatives kept for ablations.
+// neighbors ("best 2", Table 1); binary tournament is the selection of both
+// Table 2 baselines.
 #pragma once
 
 #include <cstddef>
@@ -15,8 +15,6 @@ namespace pacga::cga {
 enum class SelectionKind {
   kBestTwo,     ///< the two lowest-fitness cells of the neighborhood
   kTournament,  ///< two independent binary tournaments (distinct winners)
-  kRoulette,    ///< fitness-proportional on inverted fitness, two draws
-  kRandomTwo,   ///< two distinct uniform picks (control baseline)
 };
 
 const char* to_string(SelectionKind k) noexcept;

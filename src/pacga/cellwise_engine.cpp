@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "cga/breeder.hpp"
-#include "cga/engine.hpp"
 #include "cga/loop.hpp"
 #include "cga/population.hpp"
 #include "support/threading.hpp"
@@ -57,7 +56,6 @@ ParallelResult run_cellwise(const etc::EtcMatrix& etc,
   support::Barrier barrier(n_threads);
 
   auto worker = [&](std::size_t tid) {
-    if (config.pin_threads) pin_current_thread(tid);
     ThreadStats& st = stats[tid].value;
     cga::Breeder breeder(etc, config);
 
@@ -80,8 +78,7 @@ ParallelResult run_cellwise(const etc::EtcMatrix& etc,
         for (std::size_t cell = 0; cell < n; ++cell) {
           const cga::Individual& child = staged[cell];
           best.observe(child);
-          if (cga::detail::should_replace(config.replacement, child.fitness,
-                                          pop.at(cell).fitness)) {
+          if (child.fitness < pop.at(cell).fitness) {  // replace if better
             cga::Breeder::replace(pop.at(cell), child);
           }
         }

@@ -2,16 +2,10 @@
 
 #include <atomic>
 #include <algorithm>
-#include <mutex>
 #include <optional>
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
+#include <stdexcept>
 
 #include "cga/breeder.hpp"
-#include "cga/engine.hpp"
 #include "cga/loop.hpp"
 #include "cga/population.hpp"
 #include "support/threading.hpp"
@@ -25,23 +19,11 @@ std::uint64_t ParallelResult::total_evaluations() const noexcept {
   return total;
 }
 
-bool pin_current_thread(std::size_t core) noexcept {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(core % CPU_SETSIZE, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)core;
-  return false;
-#endif
-}
-
 namespace {
 
 /// Everything a worker needs. Shared state is immutable (each worker copies
-/// its RNG stream out of `rngs` on entry), atomic, touched only by thread 0
-/// between barriers, or one cache-line-padded slot per thread (`stats`).
+/// its RNG stream out of `rngs` on entry), atomic, touched only by thread 0,
+/// or one cache-line-padded slot per thread (`stats`).
 /// `pop` has one writer per cell: the worker whose block holds the cell,
 /// and only through Population::publish. That worker reads its own block
 /// directly; every other read of `pop` goes through read_fitness /
@@ -63,9 +45,6 @@ struct Shared {
   std::atomic<std::uint64_t>& global_evaluations;
   const cga::TerminationController& termination;
   const cga::GenerationObserver& observer;  ///< thread 0 only
-  // Synchronous mode only:
-  support::Barrier* barrier = nullptr;
-  std::atomic<bool>* stop_flag = nullptr;
 };
 
 /// Asynchronous worker — the paper's Algorithm 3: immediate replacement,
@@ -91,11 +70,10 @@ void worker_async(Shared& sh, std::size_t tid) {
         breeder.breed_shared_into(sh.pop, block, idx, rng, child);
         ++st.evaluations;
         best.observe(child);
-        // --- asynchronous replacement. This worker is the cell's only
-        // writer, so the check reads it directly; only a replacement runs
-        // the write protocol.
-        if (cga::detail::should_replace(config.replacement, child.fitness,
-                                        sh.pop.at(idx).fitness)) {
+        // --- asynchronous replace-if-better. This worker is the cell's
+        // only writer, so the check reads it directly; only a replacement
+        // runs the write protocol.
+        if (child.fitness < sh.pop.at(idx).fitness) {
           sh.pop.publish(idx, child);
           ++st.replacements;
         }
@@ -123,87 +101,6 @@ void worker_async(Shared& sh, std::size_t tid) {
   sh.thread_best[tid] = best.take();
 }
 
-/// Synchronous worker — generational variant: stage the block's offspring
-/// in a preallocated auxiliary block, barrier, commit, barrier, collective
-/// termination decision by thread 0.
-void worker_sync(Shared& sh, std::size_t tid) {
-  const cga::Config& config = sh.config;
-  support::Xoshiro256 rng = sh.rngs[tid + 1];  // thread-private copy
-  const cga::Block block = sh.blocks[tid];
-  ThreadStats& st = sh.stats[tid].value;
-  cga::Breeder breeder(sh.etc, config);
-  cga::BestTracker best(sh.initial_best);
-
-  support::Xoshiro256 order_rng(config.seed ^ (0xb10c0000 + tid));
-  cga::SweepOrderCache order(config.sweep, block.size(), order_rng);
-  std::vector<cga::Individual> staged;
-  staged.reserve(block.size());
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    staged.emplace_back(sched::Schedule(sh.etc), 0.0);
-  }
-  std::size_t staged_count = 0;
-
-  cga::run_sweep_loop(
-      order, order_rng,
-      [&](std::size_t pos) {  // stage one offspring (evaluation deferred)
-        const std::size_t idx = block.begin + pos;
-        breeder.breed_shared_into_deferred(sh.pop, block, idx, rng,
-                                           staged[staged_count++]);
-        ++st.evaluations;
-        return false;
-      },
-      [&] {  // generational commit + collective verdict
-        // One batched kernel dispatch evaluates the whole staged block —
-        // before the barrier, on purely thread-private storage, so the
-        // batch runs in the parallel phase, not the commit phase.
-        breeder.evaluate_batch(staged.data(), staged_count);
-        for (std::size_t k = 0; k < staged_count; ++k) {
-          best.observe(staged[k]);
-        }
-        sh.barrier->arrive_and_wait();  // everyone finished breeding
-
-        // Commit this thread's own block through the same publish call as
-        // the asynchronous worker (readers elsewhere are quiet: all threads
-        // are committing).
-        const auto& o = order.order();
-        for (std::size_t k = 0; k < staged_count; ++k) {
-          const std::size_t idx = block.begin + o[k];
-          if (cga::detail::should_replace(config.replacement,
-                                          staged[k].fitness,
-                                          sh.pop.at(idx).fitness)) {
-            sh.pop.publish(idx, staged[k]);
-            ++st.replacements;
-          }
-        }
-        staged_count = 0;
-        ++st.generations;
-        sh.global_evaluations.fetch_add(block.size(),
-                                        std::memory_order_relaxed);
-        sh.barrier->arrive_and_wait();  // commits visible everywhere
-
-        if (tid == 0) {
-          sh.trace.sample(st.generations, sh.termination.elapsed_seconds(),
-                          sh.pop);
-          const std::uint64_t evals_now =
-              sh.global_evaluations.load(std::memory_order_relaxed);
-          if (sh.observer) {
-            sh.observer({st.generations, evals_now,
-                         sh.termination.elapsed_seconds(), best.fitness(),
-                         sh.pop});
-          }
-          // Collective decision: a single verdict for the whole
-          // generation, or the threads would disagree near the deadline
-          // and deadlock at the next barrier.
-          sh.stop_flag->store(
-              sh.termination.sweep_done(st.generations, evals_now),
-              std::memory_order_release);
-        }
-        sh.barrier->arrive_and_wait();  // decision published
-        return sh.stop_flag->load(std::memory_order_acquire);
-      });
-  sh.thread_best[tid] = best.take();
-}
-
 }  // namespace
 
 ParallelResult run_parallel(const etc::EtcMatrix& etc,
@@ -211,6 +108,11 @@ ParallelResult run_parallel(const etc::EtcMatrix& etc,
                             const cga::GenerationObserver& observer,
                             const std::atomic<bool>* cancel) {
   config.validate();
+  if (config.update == cga::UpdatePolicy::kSynchronous) {
+    throw std::invalid_argument(
+        "run_parallel: PA-CGA is asynchronous; the synchronous update runs "
+        "on cga::run_sequential");
+  }
   const std::size_t n_threads = config.threads;
 
   support::Xoshiro256 init_rng(config.seed);
@@ -237,24 +139,16 @@ ParallelResult run_parallel(const etc::EtcMatrix& etc,
   termination.bind_stop_flag(cancel);
   cga::TraceRecorder trace(config.collect_trace);
   std::atomic<std::uint64_t> global_evaluations{0};
-  std::atomic<bool> stop_flag{false};
-  support::Barrier barrier(n_threads);
 
-  Shared shared{etc,          config,   pop,
-                blocks,       rngs,     stats,
-                thread_best,  initial_best, trace,
-                global_evaluations,     termination,
-                observer,     &barrier, &stop_flag};
+  Shared shared{etc,         config,       pop,
+                blocks,      rngs,         stats,
+                thread_best, initial_best, trace,
+                global_evaluations,        termination,
+                observer};
 
   {
-    support::ScopedThreads threads(n_threads, [&](std::size_t tid) {
-      if (config.pin_threads) pin_current_thread(tid);
-      if (config.update == cga::UpdatePolicy::kSynchronous) {
-        worker_sync(shared, tid);
-      } else {
-        worker_async(shared, tid);
-      }
-    });
+    support::ScopedThreads threads(
+        n_threads, [&](std::size_t tid) { worker_async(shared, tid); });
   }  // join
 
   // All workers joined: unsynchronized scans are safe again. The thread

@@ -58,23 +58,15 @@ struct ParallelResult {
 /// is never worse than the seed by construction — the service's dynamic
 /// rescheduling path relies on this instead of clamping after the fact.
 ///
-/// The synchronous mode evaluates each thread's staged offspring block
-/// through one batched kernel dispatch per sweep (Breeder::evaluate_batch)
-/// rather than one per child; fitness values are bit-identical, so sync
-/// trajectories are unchanged.
-///
 /// With `config.threads == 1` this is the canonical asynchronous CGA of
 /// §3.1 (same algorithm as cga::run_sequential).
 ///
-/// `config.update == kSynchronous` selects the generational variant the
-/// paper contrasts against (§3.1): threads stage their block's offspring,
-/// meet at a barrier, commit the whole generation at once, and take the
-/// termination decision collectively (thread 0 decides, everyone honors
-/// it — a consensus is required or threads would deadlock at the barrier).
+/// PA-CGA is asynchronous by definition: `config.update == kSynchronous`
+/// throws std::invalid_argument (the synchronous update, cMA+LTH's, runs
+/// on cga::run_sequential).
 /// `observer` (optional) runs on thread 0 after each of ITS block sweeps.
-/// In the asynchronous mode the population is live — observers must read
-/// it through Population::read_fitness / read_cell; in the synchronous
-/// mode it runs between barriers (quiescent).
+/// The population is live — observers must read it through
+/// Population::read_fitness / read_cell.
 /// `cancel` (optional) is an external stop flag every thread polls at its
 /// per-block-sweep termination check; raising it ends the run within one
 /// block sweep per thread (the service's job-cancellation path).
@@ -82,11 +74,5 @@ ParallelResult run_parallel(const etc::EtcMatrix& etc,
                             const cga::Config& config,
                             const cga::GenerationObserver& observer = {},
                             const std::atomic<bool>* cancel = nullptr);
-
-/// Pins the calling thread to `core` (Linux). Returns false when pinning
-/// is unsupported or fails; the engine treats that as a soft error. The
-/// paper runs all threads on one 4-core processor — `config.pin_threads`
-/// reproduces that placement so the shared-L2 effects (§4.2) are visible.
-bool pin_current_thread(std::size_t core) noexcept;
 
 }  // namespace pacga::par

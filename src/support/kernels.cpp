@@ -117,11 +117,6 @@ std::uint64_t scalar_hash_block(const double* d, std::size_t n,
   return acc;
 }
 
-void scalar_batch_max(const double* const* rows, std::size_t count,
-                      std::size_t n, double* out) {
-  for (std::size_t r = 0; r < count; ++r) out[r] = scalar_max_value(rows[r], n);
-}
-
 std::size_t scalar_eq_mask_u16(const std::uint16_t* d, std::size_t n,
                                std::uint16_t value, std::uint64_t* words) {
   std::size_t count = 0;
@@ -312,13 +307,13 @@ void scalar_h2ll(double* ct, std::uint16_t* genes, const double* rows,
                  ct, genes, rows, tasks, machines, k, passes, rng);
 }
 
-constexpr Dispatch kScalar{scalar_max_value,   scalar_min_value,
-                           scalar_argmax,      scalar_argmin,
-                           scalar_min_plus,    scalar_scale_inplace,
-                           scalar_hash_block,  scalar_batch_max,
-                           scalar_eq_mask_u16, scalar_lightest_mask,
-                           scalar_select_bit,  scalar_ne_mask_u16,
-                           scalar_h2ll,        "scalar"};
+constexpr Dispatch kScalar{scalar_max_value,     scalar_min_value,
+                           scalar_argmax,        scalar_argmin,
+                           scalar_min_plus,      scalar_scale_inplace,
+                           scalar_hash_block,    scalar_eq_mask_u16,
+                           scalar_lightest_mask, scalar_select_bit,
+                           scalar_ne_mask_u16,   scalar_h2ll,
+                           "scalar"};
 
 // ---- AVX2 path -----------------------------------------------------------
 
@@ -582,13 +577,6 @@ __attribute__((target("avx2"))) std::uint64_t avx2_hash_block(
   std::uint64_t acc = hash_mix(seed, n);
   for (std::size_t l = 0; l < 4; ++l) acc = hash_mix(acc, lane[l]);
   return acc;
-}
-
-__attribute__((target("avx2"))) void avx2_batch_max(const double* const* rows,
-                                                    std::size_t count,
-                                                    std::size_t n,
-                                                    double* out) {
-  for (std::size_t r = 0; r < count; ++r) out[r] = avx2_max_value(rows[r], n);
 }
 
 // 64 genes per mask word: two 16-lane compares per 32 genes, narrowed to
@@ -907,11 +895,13 @@ __attribute__((target("avx2,popcnt"))) void avx2_h2ll(
                  genes, rows, tasks, machines, k, passes, rng);
 }
 
-constexpr Dispatch kAvx2{avx2_max_value,   avx2_min_value,  avx2_argmax,
-                         avx2_argmin,      avx2_min_plus,   avx2_scale_inplace,
-                         avx2_hash_block,  avx2_batch_max,  avx2_eq_mask_u16,
-                         avx2_lightest_mask, avx2_select_bit, avx2_ne_mask_u16,
-                         avx2_h2ll,        "avx2"};
+constexpr Dispatch kAvx2{avx2_max_value,     avx2_min_value,
+                         avx2_argmax,        avx2_argmin,
+                         avx2_min_plus,      avx2_scale_inplace,
+                         avx2_hash_block,    avx2_eq_mask_u16,
+                         avx2_lightest_mask, avx2_select_bit,
+                         avx2_ne_mask_u16,   avx2_h2ll,
+                         "avx2"};
 
 // ---- AVX-512 path --------------------------------------------------------
 //
@@ -1139,12 +1129,6 @@ __attribute__((target("avx512f"))) void avx512_scale_inplace(double* d,
     _mm512_storeu_pd(d + i, _mm512_mul_pd(_mm512_loadu_pd(d + i), f));
   }
   for (; i < n; ++i) d[i] *= factor;
-}
-
-__attribute__((target("avx512f"))) void avx512_batch_max(
-    const double* const* rows, std::size_t count, std::size_t n,
-    double* out) {
-  for (std::size_t r = 0; r < count; ++r) out[r] = avx512_max_value(rows[r], n);
 }
 
 // The AVX2 rank count and argmax, 8 entries per block. On the block's own
@@ -1416,13 +1400,13 @@ __attribute__((target("avx512f,avx512bw,popcnt,bmi2"))) void avx512_h2ll(
                  ct, genes, rows, tasks, machines, k, passes, rng);
 }
 
-constexpr Dispatch kAvx512{avx512_max_value,   avx512_min_value,
-                           avx512_argmax,      avx512_argmin,
-                           avx512_min_plus,    avx512_scale_inplace,
-                           avx2_hash_block,    avx512_batch_max,
-                           avx512_eq_mask_u16, avx512_lightest_mask,
-                           avx512_select_bit,  avx512_ne_mask_u16,
-                           avx512_h2ll,        "avx512"};
+constexpr Dispatch kAvx512{avx512_max_value,     avx512_min_value,
+                           avx512_argmax,        avx512_argmin,
+                           avx512_min_plus,      avx512_scale_inplace,
+                           avx2_hash_block,      avx512_eq_mask_u16,
+                           avx512_lightest_mask, avx512_select_bit,
+                           avx512_ne_mask_u16,   avx512_h2ll,
+                           "avx512"};
 
 #endif  // PACGA_KERNELS_X86_AVX2
 

@@ -4,10 +4,10 @@
 // Every hot reduction in the repo (makespan max-scans, argmax/argmin over
 // machine completions, the fused `ct[m] + etc_row[m]` min-scan at the heart
 // of Min-min / Sufferage / Tabu-hop candidate selection, machine-column
-// scaling, content fingerprinting, batched offspring evaluation, the gene
-// match mask and set-bit select behind rebalance's task pick, the
-// two-parent difference mask behind crossover and the Hamming distance,
-// and a whole H2LL local-search call) funnels through this header.
+// scaling, content fingerprinting, the gene match mask and set-bit select
+// behind the H2LL task pick, the two-parent difference mask behind
+// crossover and the Hamming distance, and a whole H2LL local-search call)
+// funnels through this header.
 // Three tiers — AVX-512 (8-wide doubles), AVX2 (4-wide), and a portable
 // scalar path — are resolved ONCE at startup from CPU features;
 // `PACGA_FORCE_KERNELS=scalar|avx2|avx512` pins a specific tier for testing
@@ -59,13 +59,6 @@ struct Dispatch {
   /// Stable across platforms, standard libraries, and dispatch paths.
   std::uint64_t (*hash_block)(const double* data, std::size_t n,
                               std::uint64_t seed);
-  /// One dispatch, many rows: out[r] = max over rows[r][0..n). Each row is
-  /// reduced exactly as max_value reduces it (same canonicalized result,
-  /// bit-identical across tiers); the batched form exists so callers with a
-  /// sweep's worth of completion vectors — the breeder's staged offspring —
-  /// pay the indirect call once per sweep instead of once per child.
-  void (*batch_max)(const double* const* rows, std::size_t count,
-                    std::size_t n, double* out);
   /// Match mask over 16-bit genes: writes ceil(n/64) words, bit i of word
   /// w set iff data[64w + i] == value, bits past n zero. Returns the
   /// number of matches. n may be 0 (no word is written). No element past
@@ -196,11 +189,6 @@ inline void scale_inplace(double* data, std::size_t n,
 inline std::uint64_t hash_block(const double* data, std::size_t n,
                                 std::uint64_t seed) noexcept {
   return active().hash_block(data, n, seed);
-}
-
-inline void batch_max(const double* const* rows, std::size_t count,
-                      std::size_t n, double* out) noexcept {
-  active().batch_max(rows, count, n, out);
 }
 
 inline std::size_t eq_mask_u16(const std::uint16_t* data, std::size_t n,

@@ -2,8 +2,6 @@
 //
 //  * every in-place operator path is cross-checked against
 //    Schedule::validate() (full completion-time recomputation);
-//  * in-place crossover produces bit-identical offspring to the historical
-//    by-value operators from the same RNG state;
 //  * Breeder::breed_into reproduces detail::breed exactly;
 //  * a steady-state breeding step (select -> crossover -> mutate -> H2LL
 //    -> evaluate -> replace) performs ZERO heap allocations after warm-up,
@@ -16,7 +14,6 @@
 #include <cstdlib>
 #include <new>
 
-#include "cga/crossover.hpp"
 #include "cga/engine.hpp"
 #include "etc/suite.hpp"
 
@@ -84,24 +81,6 @@ TEST(AssignFrom, ReusesCapacityWithoutAllocating) {
   EXPECT_EQ(g_allocations.load(), before);
 }
 
-TEST(CrossoverInto, MatchesByValueOperators) {
-  const auto m = instance();
-  support::Xoshiro256 rng(3);
-  const auto a = sched::Schedule::random(m, rng);
-  const auto b = sched::Schedule::random(m, rng);
-  for (auto kind : {CrossoverKind::kOnePoint, CrossoverKind::kTwoPoint,
-                    CrossoverKind::kUniform}) {
-    support::Xoshiro256 r1(99), r2(99);
-    const auto by_value = crossover(kind, a, b, r1);
-    sched::Schedule in_place(m);
-    in_place.assign_from(a);
-    crossover_into(kind, in_place, b, r2);
-    EXPECT_EQ(in_place, by_value) << to_string(kind);
-    EXPECT_TRUE(in_place.validate(1e-9)) << to_string(kind);
-    EXPECT_EQ(r1(), r2()) << "RNG streams diverged for " << to_string(kind);
-  }
-}
-
 TEST(Breeder, MatchesLegacyBreed) {
   const auto m = instance();
   const Config config = small_config();
@@ -111,11 +90,9 @@ TEST(Breeder, MatchesLegacyBreed) {
 
   Breeder breeder(m, config);
   Individual out(sched::Schedule(m), 0.0);
-  std::vector<std::size_t> neigh;
-  std::vector<double> fit;
   for (std::size_t cell = 0; cell < pop.size(); cell += 7) {
     support::Xoshiro256 r1(1000 + cell), r2(1000 + cell);
-    const Individual legacy = detail::breed(pop, cell, config, r1, neigh, fit);
+    const Individual legacy = detail::breed(pop, cell, config, r1);
     breeder.breed_into(pop, cell, r2, out);
     EXPECT_EQ(out.schedule, legacy.schedule) << "cell " << cell;
     EXPECT_DOUBLE_EQ(out.fitness, legacy.fitness) << "cell " << cell;
@@ -180,8 +157,7 @@ TEST(Breeder, SteadyStateBreedingStepAllocatesNothing) {
       } else {
         breeder.breed_into(pop, cell, rng, out);
       }
-      if (detail::should_replace(config.replacement, out.fitness,
-                                 pop.at(cell).fitness)) {
+      if (out.fitness < pop.at(cell).fitness) {
         if (shared) {
           pop.publish(cell, out);
         } else {
@@ -198,93 +174,6 @@ TEST(Breeder, SteadyStateBreedingStepAllocatesNothing) {
   steps(true, 4 * pop.size());
   EXPECT_EQ(g_allocations.load(), before)
       << "steady-state breeding steps must not touch the heap";
-}
-
-TEST(Breeder, BatchedEvaluationMatchesOneAtATimeGeneForGene) {
-  // The sync engines defer evaluation (breed_*_deferred) and evaluate a
-  // whole staged block through one kernel sweep (evaluate_batch). From
-  // identical RNG streams the deferred+batched path must reproduce the
-  // one-at-a-time path bit for bit: same genes (evaluation draws no RNG,
-  // so the trajectories cannot diverge) and bit-identical fitness.
-  const auto m = instance();
-  const Config config = small_config();
-  support::Xoshiro256 init(21);
-  Grid grid(config.width, config.height);
-  Population pop(m, grid, init, true, config.objective);
-
-  Breeder one_at_a_time(m, config);
-  Breeder batched(m, config);
-  const std::size_t n = pop.size();
-  std::vector<Individual> single;
-  std::vector<Individual> staged;
-  for (std::size_t i = 0; i < n; ++i) {
-    single.emplace_back(sched::Schedule(m), 0.0);
-    staged.emplace_back(sched::Schedule(m), 0.0);
-  }
-  for (std::size_t cell = 0; cell < n; ++cell) {
-    support::Xoshiro256 r1(500 + cell), r2(500 + cell);
-    one_at_a_time.breed_into(pop, cell, r1, single[cell]);
-    batched.breed_into_deferred(pop, cell, r2, staged[cell]);
-    EXPECT_EQ(r1(), r2()) << "RNG streams diverged at cell " << cell;
-  }
-  batched.evaluate_batch(staged.data(), n);
-  for (std::size_t cell = 0; cell < n; ++cell) {
-    EXPECT_EQ(staged[cell].schedule, single[cell].schedule)
-        << "cell " << cell;
-    EXPECT_DOUBLE_EQ(staged[cell].fitness, single[cell].fitness)
-        << "cell " << cell;
-  }
-
-  // The shared deferred form matches too (single-threaded: same state).
-  const Block none{0, 0};
-  for (std::size_t cell : {0u, 9u, 31u, 63u}) {
-    support::Xoshiro256 r1(500 + cell), r2(500 + cell);
-    one_at_a_time.breed_into(pop, cell, r1, single[cell]);
-    batched.breed_shared_into_deferred(pop, none, cell, r2, staged[cell]);
-  }
-  batched.evaluate_batch(staged.data(), 1);
-  EXPECT_EQ(staged[0].schedule, single[0].schedule);
-  EXPECT_DOUBLE_EQ(staged[0].fitness, single[0].fitness);
-}
-
-TEST(Breeder, BatchedEvaluationAllocatesNothingAfterWarmup) {
-  // The batched path extends the zero-allocation invariant: after one
-  // warm-up sweep (which sizes the batch scratch), a full stage + batch
-  // evaluate + commit generation performs zero heap allocations.
-  const auto m = instance();
-  Config config = small_config();
-  config.local_search.iterations = 10;  // paper configuration
-  support::Xoshiro256 init(22);
-  Grid grid(config.width, config.height);
-  Population pop(m, grid, init, true, config.objective);
-
-  Breeder breeder(m, config);
-  const std::size_t n = pop.size();
-  std::vector<Individual> staged;
-  for (std::size_t i = 0; i < n; ++i) {
-    staged.emplace_back(sched::Schedule(m), 0.0);
-  }
-  support::Xoshiro256 rng(23);
-
-  const Block whole{0, n};
-  auto generation = [&] {
-    for (std::size_t cell = 0; cell < n; ++cell) {
-      breeder.breed_shared_into_deferred(pop, whole, cell, rng, staged[cell]);
-    }
-    breeder.evaluate_batch(staged.data(), n);
-    for (std::size_t cell = 0; cell < n; ++cell) {
-      if (detail::should_replace(config.replacement, staged[cell].fitness,
-                                 pop.at(cell).fitness)) {
-        pop.publish(cell, staged[cell]);
-      }
-    }
-  };
-
-  generation();  // warm-up: sizes every scratch buffer incl. the batch
-  const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 4; ++i) generation();
-  EXPECT_EQ(g_allocations.load(), before)
-      << "staged generation with batched evaluation must not touch the heap";
 }
 
 TEST(Flowtime, AllocationFreeAfterWarmup) {

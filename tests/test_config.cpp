@@ -9,20 +9,19 @@ namespace {
 
 TEST(Config, DefaultsMatchPaperTable1) {
   const Config c;
-  // Table 1: population 16x16, L5 neighborhood, best-2 selection,
-  // p_comb = 1.0, move mutation p_mut = 1.0, H2LL with p_ser = 1.0,
-  // replace-if-better, line sweep, Min-min seed, threads 1-4 (3 adopted).
+  // Table 1: population 16x16, best-2 selection, p_comb = 1.0, p_mut =
+  // 1.0, H2LL with p_ser = 1.0, line sweep, Min-min seed, threads 1-4 (3
+  // adopted). The L5 neighborhood, the move mutation and replace-if-better
+  // are fixed, not configured.
   EXPECT_EQ(c.width, 16u);
   EXPECT_EQ(c.height, 16u);
   EXPECT_EQ(c.population_size(), 256u);
-  EXPECT_EQ(c.neighborhood, NeighborhoodShape::kLinear5);
   EXPECT_EQ(c.selection, SelectionKind::kBestTwo);
   EXPECT_DOUBLE_EQ(c.p_comb, 1.0);
-  EXPECT_EQ(c.mutation, MutationKind::kMove);
   EXPECT_DOUBLE_EQ(c.p_mut, 1.0);
   EXPECT_DOUBLE_EQ(c.p_ls, 1.0);
+  EXPECT_EQ(c.ls_kind, LocalSearchKind::kH2LL);
   EXPECT_EQ(c.local_search.iterations, 10u);
-  EXPECT_EQ(c.replacement, ReplacementPolicy::kReplaceIfBetter);
   EXPECT_EQ(c.update, UpdatePolicy::kAsynchronous);
   EXPECT_EQ(c.sweep, SweepPolicy::kLineSweep);
   EXPECT_TRUE(c.seed_min_min);
@@ -77,8 +76,6 @@ TEST(Termination, FactoryHelpers) {
 }
 
 TEST(EnumNames, RoundTripStrings) {
-  EXPECT_STREQ(to_string(ReplacementPolicy::kReplaceIfBetter), "if-better");
-  EXPECT_STREQ(to_string(ReplacementPolicy::kAlways), "always");
   EXPECT_STREQ(to_string(SweepPolicy::kLineSweep), "line");
   EXPECT_STREQ(to_string(SweepPolicy::kUniformChoice), "uniform");
   EXPECT_STREQ(to_string(UpdatePolicy::kAsynchronous), "async");

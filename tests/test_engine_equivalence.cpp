@@ -73,8 +73,6 @@ cga::Result reference_sequential(const etc::EtcMatrix& etc,
   support::WallTimer timer;
   const support::Deadline deadline(config.termination.wall_seconds);
 
-  std::vector<std::size_t> neigh;
-  std::vector<double> fit;
   std::vector<std::size_t> order =
       cga::detail::make_sweep_order(config.sweep, n, rng);
   std::vector<cga::Individual> staged;
@@ -91,13 +89,11 @@ cga::Result reference_sequential(const etc::EtcMatrix& etc,
     if (config.update == cga::UpdatePolicy::kSynchronous) staged.clear();
 
     for (std::size_t idx : order) {
-      cga::Individual offspring =
-          cga::detail::breed(pop, idx, config, rng, neigh, fit);
+      cga::Individual offspring = cga::detail::breed(pop, idx, config, rng);
       ++evaluations;
       if (offspring.fitness < best.fitness) best = offspring;
       if (config.update == cga::UpdatePolicy::kAsynchronous) {
-        if (cga::detail::should_replace(config.replacement, offspring.fitness,
-                                        pop.at(idx).fitness)) {
+        if (offspring.fitness < pop.at(idx).fitness) {
           pop.at(idx) = std::move(offspring);
         }
       } else {
@@ -112,8 +108,7 @@ cga::Result reference_sequential(const etc::EtcMatrix& etc,
     if (config.update == cga::UpdatePolicy::kSynchronous) {
       for (std::size_t k = 0; k < staged.size(); ++k) {
         const std::size_t idx = order[k];
-        if (cga::detail::should_replace(config.replacement, staged[k].fitness,
-                                        pop.at(idx).fitness)) {
+        if (staged[k].fitness < pop.at(idx).fitness) {
           pop.at(idx) = std::move(staged[k]);
         }
       }

@@ -86,19 +86,6 @@ TEST(Golden, ParallelSingleThreadFixedSeed) {
   EXPECT_EQ(assignment_hash(r1.result.best), 0x7d7d50654bb23519ULL);
 }
 
-TEST(Golden, RebalanceMutationFixedSeed) {
-  // kRebalance draws its task through the same pick as H2LL, so this pin
-  // covers that pick under a second call pattern.
-  const auto m = etc::generate_by_name("u_c_hihi.0");
-  cga::Config c;
-  c.seed = 3;
-  c.mutation = cga::MutationKind::kRebalance;
-  c.termination = cga::Termination::after_generations(50);
-  const auto r = cga::run_sequential(m, c);
-  EXPECT_EQ(r.best_fitness, 0x1.d66347a91095bp+22);
-  EXPECT_EQ(assignment_hash(r.best), 0x78be4abae63b2f33ULL);
-}
-
 /// A Braun class regenerated at another shape (same class and seed).
 etc::EtcMatrix resized(const char* name, std::size_t tasks,
                        std::size_t machines) {
@@ -109,48 +96,29 @@ etc::EtcMatrix resized(const char* name, std::size_t tasks,
   return etc::generate(*spec);
 }
 
-/// One run_sequential of the default Config with the given operator, seed
-/// and generation budget.
-cga::Result run_with(const etc::EtcMatrix& m, cga::LocalSearchKind ls,
-                   std::uint64_t seed, std::uint64_t generations) {
+/// One run_sequential of the default Config with the given seed and
+/// generation budget.
+cga::Result run_with(const etc::EtcMatrix& m, std::uint64_t seed,
+                     std::uint64_t generations) {
   cga::Config c;
-  c.ls_kind = ls;
   c.seed = seed;
   c.termination = cga::Termination::after_generations(generations);
   return cga::run_sequential(m, c);
 }
 
-// Candidate-set pins: H2LL's least-loaded candidates at the paper shape,
-// at the largest shape whose machines fit one mask word (1024x64), above it
-// (1024x128) and just above it for the steepest variant (256x65).
-
-TEST(Golden, H2llSteepestFixedSeed) {
-  const auto r = run_with(etc::generate_by_name("u_i_hilo.0"),
-                          cga::LocalSearchKind::kH2LLSteepest, 5, 30);
-  EXPECT_EQ(r.evaluations, 7680u);
-  EXPECT_EQ(r.best_fitness, 0x1.25343cd07ff23p+16);
-  EXPECT_EQ(assignment_hash(r.best), 0x665b2cfb7fdf9d85ULL);
-}
+// Candidate-set pins: H2LL's least-loaded candidates at the largest shape
+// whose machines fit one mask word (1024x64) and above it (1024x128).
 
 TEST(Golden, H2llOneMaskWordFixedSeed) {
-  const auto r = run_with(resized("u_i_hihi.0", 1024, 64),
-                          cga::LocalSearchKind::kH2LL, 11, 10);
+  const auto r = run_with(resized("u_i_hihi.0", 1024, 64), 11, 10);
   EXPECT_EQ(r.best_fitness, 0x1.e1668f557068bp+18);
   EXPECT_EQ(assignment_hash(r.best), 0x650398df964bbfeaULL);
 }
 
 TEST(Golden, H2llManyMaskWordsFixedSeed) {
-  const auto r = run_with(resized("u_i_hihi.0", 1024, 128),
-                          cga::LocalSearchKind::kH2LL, 11, 10);
+  const auto r = run_with(resized("u_i_hihi.0", 1024, 128), 11, 10);
   EXPECT_EQ(r.best_fitness, 0x1.17592f8475b61p+17);
   EXPECT_EQ(assignment_hash(r.best), 0x183da847b6a9711dULL);
-}
-
-TEST(Golden, H2llSteepestTwoMaskWordsFixedSeed) {
-  const auto r = run_with(resized("u_c_lolo.0", 256, 65),
-                          cga::LocalSearchKind::kH2LLSteepest, 13, 10);
-  EXPECT_EQ(r.best_fitness, 0x1.851b4739e139fp+9);
-  EXPECT_EQ(assignment_hash(r.best), 0x9f141b4e0e1545baULL);
 }
 
 // Late-run pins: populations near convergence, where most H2LL passes
@@ -158,8 +126,7 @@ TEST(Golden, H2llSteepestTwoMaskWordsFixedSeed) {
 // second pin runs 40 passes per offspring, so long runs of such passes.
 
 TEST(Golden, H2llLateRunFixedSeed) {
-  const auto r = run_with(etc::generate_by_name("u_c_lolo.0"),
-                          cga::LocalSearchKind::kH2LL, 9, 60);
+  const auto r = run_with(etc::generate_by_name("u_c_lolo.0"), 9, 60);
   EXPECT_EQ(r.evaluations, 15360u);
   EXPECT_EQ(r.best_fitness, 0x1.4443e48dc762p+12);
   EXPECT_EQ(assignment_hash(r.best), 0x989e9963b3122e2bULL);

@@ -278,42 +278,6 @@ TEST(Kernels, ExhaustiveSizesOneToFiveHundredThirteen) {
   }
 }
 
-TEST(Kernels, BatchMaxMatchesPerRowMaxBitForBit) {
-  // The batched kernel must be indistinguishable from a per-row max_value
-  // loop on every tier — including rows of denormals, parked infinities,
-  // and signed-zero ties.
-  Xoshiro256 rng(31);
-  for (const std::size_t n : {1ul, 7ul, 8ul, 16ul, 17ul, 64ul, 65ul, 257ul}) {
-    for (const std::size_t count : {1ul, 2ul, 5ul, 25ul, 64ul}) {
-      std::vector<std::vector<double>> rows(count, std::vector<double>(n));
-      for (std::size_t r = 0; r < count; ++r) {
-        for (std::size_t i = 0; i < n; ++i) {
-          switch ((r + i) % 5) {
-            case 0: rows[r][i] = kDenorm * static_cast<double>(i + 1); break;
-            case 1: rows[r][i] = -kInf; break;
-            case 2: rows[r][i] = (i % 2 == 0) ? -0.0 : +0.0; break;
-            default: rows[r][i] = rng.uniform(0.0, 1e6); break;
-          }
-        }
-      }
-      std::vector<const double*> ptrs(count);
-      for (std::size_t r = 0; r < count; ++r) ptrs[r] = rows[r].data();
-      for (const Dispatch* t : testable_tables()) {
-        SCOPED_TRACE(std::string("batch n=") + std::to_string(n) +
-                     " count=" + std::to_string(count) + " via " + t->name);
-        std::vector<double> out(count, -1.0);
-        t->batch_max(ptrs.data(), count, n, out.data());
-        for (std::size_t r = 0; r < count; ++r) {
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(out[r]),
-                    std::bit_cast<std::uint64_t>(
-                        detail::scalar_table().max_value(ptrs[r], n)))
-              << "row " << r;
-        }
-      }
-    }
-  }
-}
-
 TEST(Kernels, EqMaskU16BitIdenticalAcrossPaths) {
   // Every tier writes the same mask words as an independent per-gene
   // reference, returns their popcount, leaves tail bits zero and writes

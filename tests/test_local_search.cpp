@@ -5,12 +5,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <numeric>
-#include <span>
 #include <vector>
 
-#include "cga/mutation.hpp"
 #include "etc/suite.hpp"
 #include "support/kernels.hpp"
 #include "support/stats.hpp"
@@ -172,100 +169,9 @@ TEST(LocalTabuHop, ZeroIterationsIdentity) {
   EXPECT_EQ(s.hamming_distance(before), 0u);
 }
 
-TEST(H2llSteepest, NeverWorsensAndConverges) {
-  const auto m = instance();
-  support::Xoshiro256 rng(11);
-  for (int i = 0; i < 30; ++i) {
-    auto s = sched::Schedule::random(m, rng);
-    const double before = s.makespan();
-    h2ll_steepest(s, {10, 0});
-    EXPECT_LE(s.makespan(), before);
-    EXPECT_TRUE(s.validate(1e-9));
-  }
-}
-
-TEST(H2llSteepest, DeterministicGivenSchedule) {
-  const auto m = instance();
-  support::Xoshiro256 rng(12);
-  const auto base = sched::Schedule::random(m, rng);
-  auto s1 = base;
-  auto s2 = base;
-  h2ll_steepest(s1, {5, 0});
-  h2ll_steepest(s2, {5, 0});
-  EXPECT_EQ(s1.hamming_distance(s2), 0u);
-}
-
-TEST(H2llSteepest, AtLeastAsGoodAsRandomizedPerPass) {
-  // Steepest picks the best move among all tasks on the loaded machine;
-  // the randomized version picks a random task. Per single pass from the
-  // same start, steepest is never worse on average.
-  const auto m = instance();
-  support::RunningStats steepest, randomized;
-  for (std::uint64_t seed = 0; seed < 30; ++seed) {
-    support::Xoshiro256 rng(seed);
-    const auto base = sched::Schedule::random(m, rng);
-    auto s1 = base;
-    h2ll_steepest(s1, {1, 0});
-    steepest.add(s1.makespan());
-    auto s2 = base;
-    h2ll(s2, {1, 0}, rng);
-    randomized.add(s2.makespan());
-  }
-  EXPECT_LE(steepest.mean(), randomized.mean() + 1e-9);
-}
-
-TEST(H2llSteepest, StopsAtLocalOptimum) {
-  const auto m = instance();
-  support::Xoshiro256 rng(13);
-  auto s = sched::Schedule::random(m, rng);
-  h2ll_steepest(s, {1000, 0});  // converge fully
-  const double converged = s.makespan();
-  h2ll_steepest(s, {50, 0});  // extra passes: no further change
-  EXPECT_DOUBLE_EQ(s.makespan(), converged);
-}
-
-TEST(ApplyLocalSearch, DispatchMatchesDirectCalls) {
-  const auto m = instance();
-  support::Xoshiro256 rng(21);
-  const auto base = sched::Schedule::random(m, rng);
-  const H2LLParams hp{5, 0};
-  const TabuHopParams tp{5, 4};
-
-  support::Xoshiro256 r1(31), r2(31);
-  auto via_enum = base;
-  apply_local_search(LocalSearchKind::kH2LL, via_enum, hp, tp, r1);
-  auto direct = base;
-  h2ll(direct, hp, r2);
-  EXPECT_EQ(via_enum.hamming_distance(direct), 0u);
-
-  auto steep_enum = base;
-  apply_local_search(LocalSearchKind::kH2LLSteepest, steep_enum, hp, tp, r1);
-  auto steep_direct = base;
-  h2ll_steepest(steep_direct, hp);
-  EXPECT_EQ(steep_enum.hamming_distance(steep_direct), 0u);
-
-  support::Xoshiro256 r3(37), r4(37);
-  auto tabu_enum = base;
-  apply_local_search(LocalSearchKind::kTabuHop, tabu_enum, hp, tp, r3);
-  auto tabu_direct = base;
-  local_tabu_hop(tabu_direct, tp, r4);
-  EXPECT_EQ(tabu_enum.hamming_distance(tabu_direct), 0u);
-
-  auto none = base;
-  apply_local_search(LocalSearchKind::kNone, none, hp, tp, r1);
-  EXPECT_EQ(none.hamming_distance(base), 0u);
-}
-
-TEST(ApplyLocalSearch, KindNames) {
-  EXPECT_STREQ(to_string(LocalSearchKind::kH2LL), "h2ll");
-  EXPECT_STREQ(to_string(LocalSearchKind::kH2LLSteepest), "h2ll-steepest");
-  EXPECT_STREQ(to_string(LocalSearchKind::kTabuHop), "tabu-hop");
-  EXPECT_STREQ(to_string(LocalSearchKind::kNone), "none");
-}
-
 // ---- sorted-candidate references -------------------------------------------
 //
-// The operators as they were written before the lightest-machines mask: an
+// The operator as it was written before the lightest-machines mask: an
 // nth_element selection of the candidate machines, sorted by index, then a
 // plain loop over them, with every pass recomputing the loaded machine, the
 // task pick and the candidates. Kept verbatim apart from the task pick,
@@ -309,17 +215,6 @@ void least_loaded(const sched::Schedule& s, std::size_t k,
   std::sort(cand.begin(), cand.begin() + static_cast<std::ptrdiff_t>(k));
 }
 
-std::size_t argmax_machine_skip(std::span<const double> ct, std::size_t skip) {
-  std::size_t best = ct.size();  // sentinel: nothing seen yet
-  if (skip > 0) best = kernels::argmax(ct.data(), skip);
-  if (skip + 1 < ct.size()) {
-    const std::size_t hi =
-        skip + 1 + kernels::argmax(ct.data() + skip + 1, ct.size() - skip - 1);
-    if (best == ct.size() || ct[hi] > ct[best]) best = hi;
-  }
-  return best;
-}
-
 void h2ll(sched::Schedule& s, const H2LLParams& params,
           support::Xoshiro256& rng) {
   const std::size_t machines = s.machines();
@@ -350,52 +245,6 @@ void h2ll(sched::Schedule& s, const H2LLParams& params,
     if (best_mac != machines) {
       s.move_task(task, static_cast<sched::MachineId>(best_mac));
     }
-  }
-}
-
-void h2ll_steepest(sched::Schedule& s, const H2LLParams& params) {
-  const std::size_t machines = s.machines();
-  if (machines < 2 || s.tasks() == 0) return;
-  const std::size_t n_candidates =
-      params.candidates == 0 ? machines / 2
-                             : std::min(params.candidates, machines - 1);
-  std::vector<std::uint32_t> cand;
-  for (std::size_t it = 0; it < params.iterations; ++it) {
-    const auto ct = s.completions();
-    const std::size_t most_loaded = kernels::argmax(ct.data(), machines);
-    const std::size_t second = argmax_machine_skip(ct, most_loaded);
-    double third_ct = 0.0;
-    if (machines >= 3) {
-      third_ct = -std::numeric_limits<double>::infinity();
-      for (std::size_t m = 0; m < machines; ++m) {
-        if (m == most_loaded || m == second) continue;
-        third_ct = std::max(third_ct, ct[m]);
-      }
-    }
-    least_loaded(s, n_candidates, cand);
-    const double current_ms = s.completion(most_loaded);
-    double best_ms = current_ms;
-    std::size_t best_task = s.tasks();
-    std::size_t best_mac = machines;
-    for (std::size_t t = 0; t < s.tasks(); ++t) {
-      if (s.machine_of(t) != most_loaded) continue;
-      const double src_after = current_ms - s.etc()(t, most_loaded);
-      for (std::size_t c = 0; c < n_candidates; ++c) {
-        const std::size_t mac = cand[c];
-        if (mac == most_loaded) continue;
-        const double dst_after = s.completion(mac) + s.etc()(t, mac);
-        const double rest = mac == second ? third_ct : s.completion(second);
-        const double new_ms =
-            std::max({src_after, dst_after, rest});
-        if (new_ms < best_ms) {
-          best_ms = new_ms;
-          best_task = t;
-          best_mac = mac;
-        }
-      }
-    }
-    if (best_task == s.tasks()) return;
-    s.move_task(best_task, static_cast<sched::MachineId>(best_mac));
   }
 }
 
@@ -563,31 +412,6 @@ TEST(H2LL, MatchesReferenceFromLocalOptimum) {
   // The wall is only a wall if most of its passes reuse kept state.
   EXPECT_GT(2 * still, passes);
   EXPECT_GT(2 * hot_still, hot_passes);
-}
-
-TEST(H2llSteepest, MatchesSortedCandidateReference) {
-  for (const std::size_t machines : kWallMachines) {
-    for (std::uint64_t seed = 0; seed < 12; ++seed) {
-      const auto instances = tie_heavy_instances(machines, 200 + seed);
-      for (std::size_t i = 0; i < instances.size(); ++i) {
-        for (const std::size_t cands : {std::size_t{0}, std::size_t{1},
-                                        machines - 1}) {
-          SCOPED_TRACE("machines=" + std::to_string(machines) +
-                       " seed=" + std::to_string(seed) + " instance=" +
-                       std::to_string(i) + " candidates=" +
-                       std::to_string(cands));
-          support::Xoshiro256 start(seed);
-          const auto base = sched::Schedule::random(instances[i], start);
-          auto lib = base;
-          auto ref = base;
-          h2ll_steepest(lib, {20, cands});
-          reference::h2ll_steepest(ref, {20, cands});
-          EXPECT_TRUE(lib == ref);
-          EXPECT_EQ(lib.makespan(), ref.makespan());
-        }
-      }
-    }
-  }
 }
 
 /// Property sweep over the Braun suite: H2LL respects its contract on all

@@ -8,27 +8,16 @@
 namespace pacga::cga {
 namespace {
 
-TEST(Neighborhood, ShapeSizes) {
-  EXPECT_EQ(shape_size(NeighborhoodShape::kLinear5), 5u);
-  EXPECT_EQ(shape_size(NeighborhoodShape::kCompact9), 9u);
-  EXPECT_EQ(shape_size(NeighborhoodShape::kLinear9), 9u);
-  EXPECT_EQ(shape_size(NeighborhoodShape::kCompact13), 13u);
-}
-
 TEST(Neighborhood, SelfIsFirst) {
-  for (auto shape :
-       {NeighborhoodShape::kLinear5, NeighborhoodShape::kCompact9,
-        NeighborhoodShape::kLinear9, NeighborhoodShape::kCompact13}) {
-    const auto offs = offsets(shape);
-    EXPECT_EQ(offs[0].dx, 0);
-    EXPECT_EQ(offs[0].dy, 0);
+  const Grid g(16, 16);
+  for (std::size_t cell = 0; cell < g.size(); cell += 17) {
+    EXPECT_EQ(neighborhood_of(g, cell)[0], cell);
   }
 }
 
 TEST(Neighborhood, L5IsVonNeumann) {
   const Grid g(16, 16);
-  std::vector<std::size_t> out;
-  neighborhood_of(g, g.index_of({5, 5}), NeighborhoodShape::kLinear5, out);
+  const Neighborhood out = neighborhood_of(g, g.index_of({5, 5}));
   const std::set<std::size_t> got(out.begin(), out.end());
   const std::set<std::size_t> want{
       g.index_of({5, 5}), g.index_of({6, 5}), g.index_of({4, 5}),
@@ -38,8 +27,7 @@ TEST(Neighborhood, L5IsVonNeumann) {
 
 TEST(Neighborhood, WrapsAtEdges) {
   const Grid g(4, 4);
-  std::vector<std::size_t> out;
-  neighborhood_of(g, g.index_of({0, 0}), NeighborhoodShape::kLinear5, out);
+  const Neighborhood out = neighborhood_of(g, g.index_of({0, 0}));
   const std::set<std::size_t> got(out.begin(), out.end());
   const std::set<std::size_t> want{
       g.index_of({0, 0}), g.index_of({1, 0}), g.index_of({3, 0}),
@@ -49,65 +37,33 @@ TEST(Neighborhood, WrapsAtEdges) {
 
 TEST(Neighborhood, AllCellsWithinManhattanRadius) {
   const Grid g(16, 16);
-  std::vector<std::size_t> out;
   const std::size_t center = g.index_of({7, 9});
-  struct ShapeRadius {
-    NeighborhoodShape shape;
-    std::size_t radius;
-  };
-  for (auto [shape, radius] :
-       {ShapeRadius{NeighborhoodShape::kLinear5, 1},
-        ShapeRadius{NeighborhoodShape::kCompact9, 2},
-        ShapeRadius{NeighborhoodShape::kLinear9, 2},
-        ShapeRadius{NeighborhoodShape::kCompact13, 2}}) {
-    neighborhood_of(g, center, shape, out);
-    for (std::size_t cell : out) {
-      EXPECT_LE(g.manhattan(g.cell_of(center), g.cell_of(cell)), radius)
-          << to_string(shape);
-    }
+  for (std::size_t cell : neighborhood_of(g, center)) {
+    EXPECT_LE(g.manhattan(g.cell_of(center), g.cell_of(cell)), 1u);
   }
 }
 
 TEST(Neighborhood, NoDuplicatesOnLargeGrid) {
   const Grid g(16, 16);
-  std::vector<std::size_t> out;
-  for (auto shape :
-       {NeighborhoodShape::kLinear5, NeighborhoodShape::kCompact9,
-        NeighborhoodShape::kLinear9, NeighborhoodShape::kCompact13}) {
-    neighborhood_of(g, 37, shape, out);
-    std::set<std::size_t> unique(out.begin(), out.end());
-    EXPECT_EQ(unique.size(), out.size()) << to_string(shape);
-  }
+  const Neighborhood out = neighborhood_of(g, 37);
+  std::set<std::size_t> unique(out.begin(), out.end());
+  EXPECT_EQ(unique.size(), out.size());
 }
 
 TEST(Neighborhood, DuplicatesCollapseOnTinyGrid) {
   // On a 2x2 torus, L5's four displacements alias each other.
   const Grid g(2, 2);
-  std::vector<std::size_t> out;
-  neighborhood_of(g, 0, NeighborhoodShape::kLinear5, out);
+  const Neighborhood out = neighborhood_of(g, 0);
   EXPECT_EQ(out.size(), 5u);  // positions kept, values alias
   for (std::size_t cell : out) EXPECT_LT(cell, 4u);
 }
 
-TEST(Neighborhood, ScratchBufferReused) {
-  const Grid g(8, 8);
-  std::vector<std::size_t> out;
-  neighborhood_of(g, 0, NeighborhoodShape::kCompact13, out);
-  EXPECT_EQ(out.size(), 13u);
-  neighborhood_of(g, 1, NeighborhoodShape::kLinear5, out);
-  EXPECT_EQ(out.size(), 5u);  // cleared, not appended
-}
-
 TEST(Neighborhood, SymmetryOnTorus) {
-  // If b is in neigh(a), then a is in neigh(b) (all shapes symmetric).
+  // If b is in neigh(a), then a is in neigh(b).
   const Grid g(16, 16);
-  std::vector<std::size_t> na, nb;
-  for (auto shape : {NeighborhoodShape::kLinear5, NeighborhoodShape::kCompact9}) {
-    neighborhood_of(g, 20, shape, na);
-    for (std::size_t b : na) {
-      neighborhood_of(g, b, shape, nb);
-      EXPECT_NE(std::find(nb.begin(), nb.end(), std::size_t{20}), nb.end());
-    }
+  for (std::size_t b : neighborhood_of(g, 20)) {
+    const Neighborhood nb = neighborhood_of(g, b);
+    EXPECT_NE(std::find(nb.begin(), nb.end(), std::size_t{20}), nb.end());
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "support/stats.hpp"
@@ -189,70 +190,12 @@ TEST_P(ThreadCountTest, BlockPartitionMatchesThreadCount) {
 INSTANTIATE_TEST_SUITE_P(OneToEight, ThreadCountTest,
                          ::testing::Values(1, 2, 3, 4, 6, 8));
 
-TEST(ParallelSyncMode, RunsToGenerationBudget) {
+TEST(ParallelEngine, SynchronousUpdateThrows) {
+  // PA-CGA is asynchronous; the synchronous update runs on run_sequential.
   const auto m = instance();
-  auto c = fast_config(3);
-  c.update = cga::UpdatePolicy::kSynchronous;
-  c.termination = cga::Termination::after_generations(8);
-  const auto r = run_parallel(m, c);
-  // Barrier-coupled: every thread does exactly the same generation count.
-  for (const auto& st : r.threads) EXPECT_EQ(st.generations, 8u);
-  EXPECT_TRUE(r.result.best.validate(1e-9));
-}
-
-TEST(ParallelSyncMode, WallClockTerminatesWithoutDeadlock) {
-  const auto m = instance();
-  auto c = fast_config(4);
-  c.update = cga::UpdatePolicy::kSynchronous;
-  c.termination = cga::Termination::after_seconds(0.2);
-  const auto r = run_parallel(m, c);
-  EXPECT_GE(r.result.elapsed_seconds, 0.2);
-  EXPECT_LT(r.result.elapsed_seconds, 10.0);
-  // All threads agree on the generation count (collective decision).
-  for (const auto& st : r.threads) {
-    EXPECT_EQ(st.generations, r.threads[0].generations);
-  }
-}
-
-TEST(ParallelSyncMode, EvaluationBudgetStopsCollectively) {
-  const auto m = instance();
-  auto c = fast_config(4);
-  c.update = cga::UpdatePolicy::kSynchronous;
-  c.termination = cga::Termination::after_evaluations(200);
-  const auto r = run_parallel(m, c);
-  EXPECT_GE(r.total_evaluations(), 200u);
-  // Overshoot at most one full population generation.
-  EXPECT_LE(r.total_evaluations(), 200u + c.population_size());
-}
-
-TEST(ParallelSyncMode, TraceAndQualityComparableToAsync) {
-  const auto m = instance(61);
   auto c = fast_config(2);
-  c.collect_trace = true;
-  c.termination = cga::Termination::after_generations(15);
   c.update = cga::UpdatePolicy::kSynchronous;
-  const auto sync = run_parallel(m, c);
-  c.update = cga::UpdatePolicy::kAsynchronous;
-  const auto async = run_parallel(m, c);
-  ASSERT_FALSE(sync.result.trace.empty());
-  ASSERT_FALSE(async.result.trace.empty());
-  // Same search, same budget: final quality within a loose factor.
-  EXPECT_LT(sync.result.best_fitness, async.result.best_fitness * 1.25);
-  EXPECT_LT(async.result.best_fitness, sync.result.best_fitness * 1.25);
-}
-
-TEST(ParallelSyncMode, LockStressWithBarriers) {
-  const auto m = instance(67);
-  cga::Config c;
-  c.width = 4;
-  c.height = 4;
-  c.threads = 8;
-  c.update = cga::UpdatePolicy::kSynchronous;
-  c.local_search.iterations = 1;
-  c.termination = cga::Termination::after_generations(40);
-  const auto r = run_parallel(m, c);
-  EXPECT_TRUE(r.result.best.validate(1e-9));
-  for (const auto& st : r.threads) EXPECT_EQ(st.generations, 40u);
+  EXPECT_THROW(run_parallel(m, c), std::invalid_argument);
 }
 
 std::vector<sched::MachineId> as_seed(const sched::Schedule& s) {
@@ -263,10 +206,10 @@ std::vector<sched::MachineId> as_seed(const sched::Schedule& s) {
 /// stream seeds the population, warm seed lands in the documented cell
 /// BEFORE the initial best is taken, the worker breeds from stream
 /// rngs[1] of make_streams(seed, 2), and the sweep order comes from the
-/// per-thread order stream seed ^ 0xb10c0000. Both update policies. A
-/// seeded threads==1 run of the real engine must match this loop gene for
-/// gene — this is the wall that pins the seeding and batched-evaluation
-/// plumbing to the pre-existing trajectory semantics.
+/// per-thread order stream seed ^ 0xb10c0000. A seeded threads==1 run of
+/// the real engine must match this loop gene for gene — this is the wall
+/// that pins the seeding plumbing to the pre-existing trajectory
+/// semantics.
 cga::Result reference_single_thread(const etc::EtcMatrix& etc,
                                     const cga::Config& config) {
   config.validate();
@@ -288,9 +231,6 @@ cga::Result reference_single_thread(const etc::EtcMatrix& etc,
   std::vector<std::size_t> order;
   cga::fill_sweep_order(config.sweep, n, order, order_rng);
 
-  std::vector<std::size_t> neigh;
-  std::vector<double> fit;
-  std::vector<cga::Individual> staged;
   std::uint64_t evaluations = 0;
   std::uint64_t generations = 0;
   bool stop = false;
@@ -299,29 +239,11 @@ cga::Result reference_single_thread(const etc::EtcMatrix& etc,
         config.sweep == cga::SweepPolicy::kUniformChoice) {
       cga::fill_sweep_order(config.sweep, n, order, order_rng);
     }
-    if (config.update == cga::UpdatePolicy::kSynchronous) staged.clear();
     for (std::size_t idx : order) {
-      cga::Individual child =
-          cga::detail::breed(pop, idx, config, rng, neigh, fit);
+      cga::Individual child = cga::detail::breed(pop, idx, config, rng);
       ++evaluations;
       if (child.fitness < best.fitness) best = child;
-      if (config.update == cga::UpdatePolicy::kAsynchronous) {
-        if (cga::detail::should_replace(config.replacement, child.fitness,
-                                        pop.at(idx).fitness)) {
-          pop.at(idx) = std::move(child);
-        }
-      } else {
-        staged.push_back(std::move(child));
-      }
-    }
-    if (config.update == cga::UpdatePolicy::kSynchronous) {
-      for (std::size_t k = 0; k < staged.size(); ++k) {
-        const std::size_t idx = order[k];
-        if (cga::detail::should_replace(config.replacement, staged[k].fitness,
-                                        pop.at(idx).fitness)) {
-          pop.at(idx) = std::move(staged[k]);
-        }
-      }
+      if (child.fitness < pop.at(idx).fitness) pop.at(idx) = std::move(child);
     }
     ++generations;
     // run_parallel checks budgets once per block sweep.
@@ -341,16 +263,12 @@ cga::Result reference_single_thread(const etc::EtcMatrix& etc,
   return result;
 }
 
-class SeededUpdatePolicy
-    : public ::testing::TestWithParam<cga::UpdatePolicy> {};
-
-TEST_P(SeededUpdatePolicy, SingleThreadMatchesSeededReferenceGeneForGene) {
+TEST(ParallelEngineSeeded, SingleThreadMatchesSeededReferenceGeneForGene) {
   const auto m = instance();
   support::Xoshiro256 seed_rng(7);
   const auto warm = sched::Schedule::random(m, seed_rng);
   for (std::uint64_t seed : {2ull, 19ull, 101ull}) {
     auto c = fast_config(1);
-    c.update = GetParam();
     c.seed = seed;
     c.warm_seed = as_seed(warm);
     const auto engine = run_parallel(m, c);
@@ -364,42 +282,11 @@ TEST_P(SeededUpdatePolicy, SingleThreadMatchesSeededReferenceGeneForGene) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(BothPolicies, SeededUpdatePolicy,
-                         ::testing::Values(cga::UpdatePolicy::kAsynchronous,
-                                           cga::UpdatePolicy::kSynchronous),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
-
-TEST(ParallelEngineSeeded, SyncModeDeterministicPerThreadCount) {
-  // Barrier-coupled sync mode with disjoint blocks is deterministic for
-  // every thread count (not across thread counts — the stream layout is
-  // per-thread by design): run twice at a fixed generation cap, compare
-  // gene for gene.
-  const auto m = instance();
-  support::Xoshiro256 seed_rng(9);
-  const auto warm = sched::Schedule::random(m, seed_rng);
-  for (std::size_t t = 1; t <= 4; ++t) {
-    auto c = fast_config(t);
-    c.update = cga::UpdatePolicy::kSynchronous;
-    c.termination = cga::Termination::after_generations(6);
-    c.warm_seed = as_seed(warm);
-    const auto r1 = run_parallel(m, c);
-    const auto r2 = run_parallel(m, c);
-    EXPECT_DOUBLE_EQ(r1.result.best_fitness, r2.result.best_fitness)
-        << "threads " << t;
-    EXPECT_EQ(r1.result.best.hamming_distance(r2.result.best), 0u)
-        << "threads " << t;
-    EXPECT_LE(r1.result.best_fitness, warm.makespan()) << "threads " << t;
-    for (const auto& st : r1.threads) EXPECT_EQ(st.generations, 6u);
-  }
-}
-
 TEST(ParallelEngineSeeded, NeverWorseThanSeedAcrossRandomShapes) {
   // Property over randomized shapes and seeds, including the degenerate
   // single-machine instance (where every schedule — hence the seed — is
-  // already optimal): the seeded result is never worse than the seed, in
-  // either update mode, at one and at several threads. No clamp performs
+  // already optimal): the seeded result is never worse than the seed, at
+  // one and at several threads. No clamp performs
   // this; it holds by construction of the initial population.
   struct Shape {
     std::size_t tasks, machines;
@@ -416,27 +303,22 @@ TEST(ParallelEngineSeeded, NeverWorseThanSeedAcrossRandomShapes) {
     support::Xoshiro256 seed_rng(stamp * 31);
     const auto warm = sched::Schedule::random(m, seed_rng);
     for (std::size_t t : {std::size_t{1}, std::size_t{2}}) {
-      for (auto update : {cga::UpdatePolicy::kAsynchronous,
-                          cga::UpdatePolicy::kSynchronous}) {
-        cga::Config c;
-        c.width = 4;
-        c.height = 4;
-        c.threads = t;
-        c.update = update;
-        c.seed = stamp;
-        c.local_search.iterations = 1;
-        c.termination = cga::Termination::after_generations(3);
-        c.warm_seed = as_seed(warm);
-        const auto r = run_parallel(m, c);
-        EXPECT_LE(r.result.best_fitness, warm.makespan())
-            << s.tasks << "x" << s.machines << " t=" << t << " "
-            << to_string(update);
-        EXPECT_TRUE(r.result.best.validate(1e-9));
-        if (s.machines == 1) {
-          // seed == optimum: the run returns it bit-exactly.
-          EXPECT_DOUBLE_EQ(r.result.best_fitness, warm.makespan());
-          EXPECT_EQ(r.result.best.hamming_distance(warm), 0u);
-        }
+      cga::Config c;
+      c.width = 4;
+      c.height = 4;
+      c.threads = t;
+      c.seed = stamp;
+      c.local_search.iterations = 1;
+      c.termination = cga::Termination::after_generations(3);
+      c.warm_seed = as_seed(warm);
+      const auto r = run_parallel(m, c);
+      EXPECT_LE(r.result.best_fitness, warm.makespan())
+          << s.tasks << "x" << s.machines << " t=" << t;
+      EXPECT_TRUE(r.result.best.validate(1e-9));
+      if (s.machines == 1) {
+        // seed == optimum: the run returns it bit-exactly.
+        EXPECT_DOUBLE_EQ(r.result.best_fitness, warm.makespan());
+        EXPECT_EQ(r.result.best.hamming_distance(warm), 0u);
       }
     }
   }
@@ -453,17 +335,6 @@ TEST(ParallelEngineSeeded, ReseedingWithOwnBestNeverRegresses) {
   c.warm_seed = as_seed(first.result.best);
   const auto second = run_parallel(m, c);
   EXPECT_LE(second.result.best_fitness, first.result.best_fitness);
-}
-
-TEST(ThreadPinning, PinCurrentThreadReturnsVerdict) {
-  // On Linux pinning to core 0 should succeed; elsewhere it reports false.
-  // Either way it must not crash and the engine must accept the flag.
-  (void)pin_current_thread(0);
-  const auto m = instance();
-  auto c = fast_config(2);
-  c.pin_threads = true;
-  const auto r = run_parallel(m, c);
-  EXPECT_TRUE(r.result.best.validate(1e-9));
 }
 
 }  // namespace

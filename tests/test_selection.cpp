@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <vector>
 
 namespace pacga::cga {
@@ -35,8 +34,7 @@ TEST(BestTwo, DeterministicNoRngConsumption) {
 TEST(SingleCellNeighborhood, ReturnsSelfTwice) {
   support::Xoshiro256 rng(4);
   const std::vector<double> fit{1.0};
-  for (auto kind : {SelectionKind::kBestTwo, SelectionKind::kTournament,
-                    SelectionKind::kRoulette, SelectionKind::kRandomTwo}) {
+  for (auto kind : {SelectionKind::kBestTwo, SelectionKind::kTournament}) {
     const auto [a, b] = select_parents(kind, fit, rng);
     EXPECT_EQ(a, 0u);
     EXPECT_EQ(b, 0u);
@@ -67,54 +65,9 @@ TEST(Tournament, PrefersFitter) {
   EXPECT_NEAR(static_cast<double>(best_first) / n, 0.36, 0.05);
 }
 
-TEST(Roulette, PrefersFitter) {
-  support::Xoshiro256 rng(7);
-  const std::vector<double> fit{1.0, 100.0, 100.0, 100.0, 100.0};
-  std::map<std::size_t, int> firsts;
-  const int n = 3000;
-  for (int i = 0; i < n; ++i) {
-    const auto [a, b] = select_parents(SelectionKind::kRoulette, fit, rng);
-    ++firsts[a];
-    EXPECT_NE(a, b);
-  }
-  // Cell 0 carries nearly all the weight.
-  EXPECT_GT(firsts[0], n / 2);
-}
-
-TEST(Roulette, UniformWhenAllEqual) {
-  support::Xoshiro256 rng(8);
-  const std::vector<double> fit{3.0, 3.0, 3.0, 3.0};
-  std::map<std::size_t, int> firsts;
-  const int n = 4000;
-  for (int i = 0; i < n; ++i) {
-    const auto [a, b] = select_parents(SelectionKind::kRoulette, fit, rng);
-    ++firsts[a];
-  }
-  for (const auto& [pos, count] : firsts) {
-    EXPECT_NEAR(static_cast<double>(count) / n, 0.25, 0.05) << pos;
-  }
-}
-
-TEST(RandomTwo, UniformAndDistinct) {
-  support::Xoshiro256 rng(9);
-  const std::vector<double> fit{1.0, 2.0, 3.0, 4.0};
-  std::map<std::size_t, int> firsts;
-  const int n = 4000;
-  for (int i = 0; i < n; ++i) {
-    const auto [a, b] = select_parents(SelectionKind::kRandomTwo, fit, rng);
-    EXPECT_NE(a, b);
-    ++firsts[a];
-  }
-  for (const auto& [pos, count] : firsts) {
-    EXPECT_NEAR(static_cast<double>(count) / n, 0.25, 0.05) << pos;
-  }
-}
-
 TEST(SelectionNames, AllDistinct) {
   EXPECT_STREQ(to_string(SelectionKind::kBestTwo), "best2");
   EXPECT_STREQ(to_string(SelectionKind::kTournament), "tournament");
-  EXPECT_STREQ(to_string(SelectionKind::kRoulette), "roulette");
-  EXPECT_STREQ(to_string(SelectionKind::kRandomTwo), "random2");
 }
 
 }  // namespace
