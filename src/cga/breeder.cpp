@@ -5,7 +5,6 @@
 #include "cga/crossover.hpp"
 #include "cga/local_search.hpp"
 #include "cga/mutation.hpp"
-#include "cga/neighborhood.hpp"
 #include "cga/selection.hpp"
 
 namespace pacga::cga {
@@ -37,7 +36,7 @@ Breeder::Breeder(const etc::EtcMatrix& etc, const Config& config)
 void Breeder::breed_into(const Population& pop, std::size_t cell,
                          support::Xoshiro256& rng, Individual& out) {
   const Config& config = *config_;
-  const Neighborhood neigh = neighborhood_of(pop.grid(), cell);
+  const Neighborhood& neigh = pop.neighbors(cell);
   std::array<double, kNeighborhoodSize> fit;
   for (std::size_t i = 0; i < kNeighborhoodSize; ++i) {
     fit[i] = pop.at(neigh[i]).fitness;
@@ -50,26 +49,11 @@ void Breeder::breed_into(const Population& pop, std::size_t cell,
   detail::vary_and_evaluate(out, pop.at(neigh[pb_pos]).schedule, config, rng);
 }
 
-namespace {
-
-/// Copies cell `c` into `out`: directly when the caller owns it (no other
-/// thread writes it), else through the validated read.
-void copy_cell(const Population& pop, const Block& owned, std::size_t c,
-               Individual& out) {
-  if (owned.contains(c)) {
-    out.schedule.assign_from(pop.at(c).schedule);
-  } else {
-    pop.read_cell(c, out);
-  }
-}
-
-}  // namespace
-
 void Breeder::breed_shared_into(const Population& pop, const Block& owned,
                                 std::size_t cell, support::Xoshiro256& rng,
                                 Individual& out) {
   const Config& config = *config_;
-  const Neighborhood neigh = neighborhood_of(pop.grid(), cell);
+  const Neighborhood& neigh = pop.neighbors(cell);
   std::array<double, kNeighborhoodSize> fit;
   for (std::size_t i = 0; i < kNeighborhoodSize; ++i) {
     const std::size_t c = neigh[i];
@@ -78,10 +62,22 @@ void Breeder::breed_shared_into(const Population& pop, const Block& owned,
   const auto [pa_pos, pb_pos] = select_parents(config.selection, fit, rng);
 
   // Parent a goes straight into the offspring buffer (it is the
-  // offspring's starting point anyway), parent b into a private buffer.
-  copy_cell(pop, owned, neigh[pa_pos], out);
-  copy_cell(pop, owned, neigh[pb_pos], parent_b_);
-  detail::vary_and_evaluate(out, parent_b_.schedule, config, rng);
+  // offspring's starting point anyway).
+  const std::size_t a = neigh[pa_pos];
+  if (owned.contains(a)) {
+    out.schedule.assign_from(pop.at(a).schedule);
+  } else {
+    pop.read_cell(a, out);
+  }
+  // An owned parent b is read in place: the caller is its only writer and
+  // does not publish during the step. A foreign one is snapshotted first.
+  const std::size_t b = neigh[pb_pos];
+  const sched::Schedule* parent_b = &pop.at(b).schedule;
+  if (!owned.contains(b)) {
+    pop.read_cell(b, parent_b_);
+    parent_b = &parent_b_.schedule;
+  }
+  detail::vary_and_evaluate(out, *parent_b, config, rng);
 }
 
 }  // namespace pacga::cga

@@ -3,9 +3,10 @@
 //
 // The historical loops heap-allocated two parent Individual copies plus a
 // fresh offspring Schedule on EVERY evaluation — 4+ vector allocations on
-// the hottest path in the system. A Breeder owns the parent-b copy buffer
-// (shared mode), the neighborhood and its fitnesses are fixed-size arrays
-// on the stack, and the caller owns the offspring buffer. After the first
+// the hottest path in the system. A Breeder owns the buffer for a foreign
+// parent b (shared mode), the neighborhood comes from the population's
+// table (Population::neighbors), its fitnesses are a fixed-size array on
+// the stack, and the caller owns the offspring buffer. After the first
 // step (warm-up), a steady-state select -> crossover -> mutate ->
 // local-search -> evaluate sequence performs ZERO heap allocations
 // (verified by test_breeder's operator-new counter; kTabuHop is the
@@ -40,10 +41,11 @@ class Breeder {
 
   /// Same step on a population other threads are writing (PA-CGA, paper
   /// §3.2). `owned` is the calling worker's block: the caller is the only
-  /// writer of those cells, so their fitnesses and parent copies are read
-  /// directly. Every other cell is read through Population::read_fitness /
-  /// read_cell into the breeder's private buffers. Variation and
-  /// evaluation run on those private copies. The same RNG draws and the
+  /// writer of those cells and does not publish during the step, so their
+  /// fitnesses are read directly, an owned parent a is copied directly into
+  /// `out`, and an owned parent b is read in place. A foreign cell is read
+  /// through Population::read_fitness / read_cell, into `out` (parent a) or
+  /// the breeder's private buffer (parent b). The same RNG draws and the
   /// same offspring as breed_into, whatever `owned` is.
   void breed_shared_into(const Population& pop, const Block& owned,
                          std::size_t cell, support::Xoshiro256& rng,
@@ -59,7 +61,7 @@ class Breeder {
 
  private:
   const Config* config_;
-  Individual parent_b_;  ///< shared-mode parent snapshot
+  Individual parent_b_;  ///< shared-mode snapshot of a foreign parent b
 };
 
 namespace detail {

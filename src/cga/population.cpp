@@ -11,6 +11,10 @@ Population::Population(const etc::EtcMatrix& etc, Grid grid,
                        support::Xoshiro256& rng, bool seed_min_min,
                        sched::Objective objective, double lambda)
     : grid_(grid) {
+  neighbors_.reserve(grid_.size());
+  for (std::size_t i = 0; i < grid_.size(); ++i) {
+    neighbors_.push_back(neighborhood_of(grid_, i));
+  }
   cells_.reserve(grid_.size());
   for (std::size_t i = 0; i < grid_.size(); ++i) {
     cells_.push_back(Individual::evaluated(sched::Schedule::random(etc, rng),

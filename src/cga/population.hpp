@@ -14,6 +14,11 @@
 // Readers write no shared line. The counters live in their own
 // cache-line-padded array, so a publish does not invalidate the counters
 // of neighboring cells.
+//
+// The population also holds every cell's linear-5 neighborhood, computed
+// once at construction: the grid never changes (reseed keeps it), so a
+// breeding step reads its five neighbors from the table instead of
+// redoing the toroidal arithmetic.
 #pragma once
 
 #include <atomic>
@@ -24,6 +29,7 @@
 
 #include "cga/grid.hpp"
 #include "cga/individual.hpp"
+#include "cga/neighborhood.hpp"
 #include "etc/etc_matrix.hpp"
 #include "support/rng.hpp"
 #include "support/threading.hpp"
@@ -73,6 +79,12 @@ class Population {
   const Grid& grid() const noexcept { return grid_; }
   std::size_t size() const noexcept { return cells_.size(); }
 
+  /// Cell `i`'s neighborhood, neighborhood_of(grid(), i), from the table
+  /// built at construction.
+  const Neighborhood& neighbors(std::size_t i) const noexcept {
+    return neighbors_[i];
+  }
+
   /// Direct access: for single-threaded engines, and for a run_parallel
   /// worker reading its own block. A cell another thread may be writing is
   /// read through read_fitness / read_cell instead.
@@ -105,6 +117,7 @@ class Population {
 
  private:
   Grid grid_;
+  std::vector<Neighborhood> neighbors_;
   std::vector<Individual> cells_;
   /// Per-cell sequence counters: odd while a publish is in progress.
   std::unique_ptr<support::Padded<std::atomic<std::uint64_t>>[]> seq_;

@@ -1,13 +1,21 @@
 // Expected Time to Compute (ETC) matrix — the instance model of Braun et
 // al. for independent task scheduling on heterogeneous machines.
 //
-// The paper stores the TRANSPOSED (machine-major) matrix: scanning the ETCs
-// of successive tasks on one machine walks consecutive memory, so H2LL's
-// candidate scan and the incremental completion-time updates hit cache
-// lines instead of striding (reported 5-10 % end-to-end gain, reproduced by
-// bench_micro's layout ablation). We keep BOTH layouts: machine-major is
-// the hot one; task-major exists for the ablation and for row-oriented
-// consumers (heuristics like Min-min scan per-task rows).
+// The matrix is stored twice. Task-major rows serve the hot path: the H2LL
+// kernel streams a task's row over every machine, and every element read
+// (operator(), so each move_task of crossover and mutation, the completion
+// recompute, the seeds, repair and list scheduling) lands in that same
+// row. Machine-major columns serve the column consumers: domination and
+// consistency, the per-machine summaries and fingerprint, scale_machine and
+// machine_heterogeneity.
+//
+// The paper stores the transposed (machine-major) matrix for a reported
+// 5-10 % gain, on the argument that successive tasks on one machine sit in
+// consecutive memory. That argument does not fit this code's access
+// pattern: no hot loop walks a machine's column. H2LL scans a task over
+// all machines, and a move reads one task on two machines, so both read
+// one 128-byte task row at 16 machines. bench_micro's layout ablation
+// times both streams.
 #pragma once
 
 #include <cstddef>
@@ -35,9 +43,10 @@ class EtcMatrix {
   std::size_t tasks() const noexcept { return tasks_; }
   std::size_t machines() const noexcept { return machines_; }
 
-  /// ETC of task t on machine m (machine-major storage, the hot layout).
+  /// ETC of task t on machine m, read from the task-major row (the row
+  /// H2LL streams). Same value as on_machine(m)[t].
   double operator()(std::size_t t, std::size_t m) const noexcept {
-    return by_machine_[m * tasks_ + t];
+    return by_task_[t * machines_ + m];
   }
 
   /// Contiguous ETCs of all tasks on machine m (machine-major row).
@@ -53,12 +62,6 @@ class EtcMatrix {
   /// The whole task-major matrix: row t (task t's ETCs on every machine)
   /// starts at element t * machines(). Same values as operator().
   std::span<const double> task_major() const noexcept { return by_task_; }
-
-  /// Task-major element access — identical values to operator(), different
-  /// memory stream. Exists for the layout ablation benchmark.
-  double task_major_at(std::size_t t, std::size_t m) const noexcept {
-    return by_task_[t * machines_ + m];
-  }
 
   /// Ready time of machine m (when it finishes previously committed work).
   double ready(std::size_t m) const noexcept { return ready_[m]; }

@@ -143,16 +143,6 @@ void Schedule::move_task(std::size_t t, MachineId m) noexcept {
   assignment_[t] = m;
 }
 
-void Schedule::swap_tasks(std::size_t a, std::size_t b) noexcept {
-  const MachineId ma = assignment_[a];
-  const MachineId mb = assignment_[b];
-  if (ma == mb) return;
-  completion_[ma] += (*etc_)(b, ma) - (*etc_)(a, ma);
-  completion_[mb] += (*etc_)(a, mb) - (*etc_)(b, mb);
-  assignment_[a] = mb;
-  assignment_[b] = ma;
-}
-
 namespace {
 
 // Calls f(i) for every i < n with a[i] != b[i], in ascending order, and

@@ -95,9 +95,6 @@ class Schedule {
   /// is already on m.
   void move_task(std::size_t t, MachineId m) noexcept;
 
-  /// Swaps the machines of two tasks; O(1) update.
-  void swap_tasks(std::size_t a, std::size_t b) noexcept;
-
   /// Reassigns the whole task range [begin, end) from `source`'s assignment
   /// — the incremental form of crossover segment copy. A difference-mask
   /// kernel (kernels::ne_mask_u16) finds the genes where the two differ,

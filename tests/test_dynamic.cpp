@@ -183,7 +183,9 @@ TEST(EtcMutator, SlowdownScalesInPlaceBothLayouts) {
     for (std::size_t m = 0; m < before.machines(); ++m) {
       const double expected = m == 2 ? before(t, m) * 1.5 : before(t, m);
       EXPECT_DOUBLE_EQ(after(t, m), expected);
-      EXPECT_DOUBLE_EQ(after.task_major_at(t, m), expected);  // both layouts
+      // Both stored copies: the task-major row and the machine-major column.
+      EXPECT_DOUBLE_EQ(after.of_task(t)[m], expected);
+      EXPECT_DOUBLE_EQ(after.on_machine(m)[t], expected);
     }
   }
   EXPECT_NE(after.fingerprint(), before.fingerprint());  // summary refreshed

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "etc/braun.hpp"
 #include "support/rng.hpp"
 
 namespace pacga::etc {
@@ -14,6 +15,18 @@ namespace {
 EtcMatrix small() {
   // 3 tasks x 2 machines, task-major.
   return EtcMatrix(3, 2, {1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
+}
+
+/// Both stored copies hold the same bits: element access, the task-major
+/// row and the machine-major column agree on every entry.
+void expect_layouts_agree(const EtcMatrix& m) {
+  for (std::size_t t = 0; t < m.tasks(); ++t) {
+    for (std::size_t k = 0; k < m.machines(); ++k) {
+      ASSERT_EQ(m(t, k), m.of_task(t)[k]) << "task " << t << " machine " << k;
+      ASSERT_EQ(m(t, k), m.on_machine(k)[t])
+          << "task " << t << " machine " << k;
+    }
+  }
 }
 
 TEST(EtcMatrix, Dimensions) {
@@ -31,11 +44,19 @@ TEST(EtcMatrix, ElementAccessMatchesTaskMajorInput) {
 }
 
 TEST(EtcMatrix, TransposedLayoutAgrees) {
-  const auto m = small();
-  for (std::size_t t = 0; t < m.tasks(); ++t) {
-    for (std::size_t mm = 0; mm < m.machines(); ++mm) {
-      EXPECT_DOUBLE_EQ(m(t, mm), m.task_major_at(t, mm));
-    }
+  GenSpec spec;
+  spec.tasks = 96;
+  spec.machines = 12;
+  spec.consistency = Consistency::kInconsistent;
+  spec.seed = 17;
+  EtcMatrix m = generate(spec);
+  expect_layouts_agree(m);
+  // scale_machine writes both copies; they must stay equal after each call.
+  support::Xoshiro256 rng(23);
+  for (int event = 0; event < 20; ++event) {
+    m.scale_machine(rng.index(m.machines()), rng.uniform(0.25, 4.0));
+    SCOPED_TRACE(event);
+    expect_layouts_agree(m);
   }
 }
 
@@ -140,8 +161,9 @@ TEST(EtcMatrix, ScaleMachineUpdatesBothLayoutsAndSummary) {
   // Column 1 scaled in BOTH layouts, column 0 untouched.
   EXPECT_DOUBLE_EQ(m(0, 1), 20.0);
   EXPECT_DOUBLE_EQ(m(2, 1), 60.0);
-  EXPECT_DOUBLE_EQ(m.task_major_at(1, 1), 40.0);
+  EXPECT_DOUBLE_EQ(m.on_machine(1)[1], 40.0);
   EXPECT_DOUBLE_EQ(m(0, 0), 1.0);
+  expect_layouts_agree(m);
   // min/max and the content fingerprint track the mutation.
   EXPECT_DOUBLE_EQ(m.max_etc(), 60.0);
   EXPECT_DOUBLE_EQ(m.min_etc(), 1.0);

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <functional>
 #include <thread>
+#include <utility>
 
 #include "etc/braun.hpp"
 #include "heuristics/minmin.hpp"
@@ -40,6 +41,30 @@ TEST(Population, FitnessMatchesSchedules) {
     EXPECT_DOUBLE_EQ(pop.at(i).fitness, pop.at(i).schedule.makespan());
     EXPECT_TRUE(pop.at(i).schedule.validate(1e-9));
   }
+}
+
+TEST(Population, NeighborTableMatchesNeighborhoodOf) {
+  const auto m = instance();
+  support::Xoshiro256 rng(5);
+  const auto expect_table = [](const Population& pop) {
+    for (std::size_t i = 0; i < pop.size(); ++i) {
+      EXPECT_EQ(pop.neighbors(i), neighborhood_of(pop.grid(), i))
+          << pop.grid().width() << "x" << pop.grid().height() << " cell "
+          << i;
+    }
+  };
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {1, 7}, {7, 1}, {2, 2}, {3, 5}, {16, 16}};
+  for (const auto& [w, h] : shapes) {
+    const Population pop(m, Grid(w, h), rng, false,
+                         sched::Objective::kMakespan);
+    expect_table(pop);
+  }
+  // Move assignment carries the source's table along with its grid.
+  Population moved(m, Grid(2, 2), rng, false, sched::Objective::kMakespan);
+  moved = Population(m, Grid(3, 5), rng, false, sched::Objective::kMakespan);
+  EXPECT_EQ(moved.grid().width(), 3u);
+  expect_table(moved);
 }
 
 TEST(Population, MinMinSeedPlacedAtCellZero) {

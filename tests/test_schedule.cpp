@@ -73,20 +73,6 @@ TEST(Schedule, MoveToSameMachineIsNoOp) {
   EXPECT_TRUE(s.validate());
 }
 
-TEST(Schedule, SwapUpdatesIncrementally) {
-  const auto m = tiny();
-  Schedule s(m, {0, 1, 0, 1});
-  s.swap_tasks(0, 1);  // task0 -> m1, task1 -> m0
-  EXPECT_EQ(s.machine_of(0), 1);
-  EXPECT_EQ(s.machine_of(1), 0);
-  EXPECT_TRUE(s.validate());
-  // Swap of same-machine tasks is a no-op.
-  Schedule u(m, {0, 0, 1, 1});
-  u.swap_tasks(0, 1);
-  EXPECT_EQ(u.machine_of(0), 0);
-  EXPECT_TRUE(u.validate());
-}
-
 TEST(Schedule, CopySegmentMatchesSource) {
   const auto m = braun_small();
   support::Xoshiro256 rng(1);
@@ -186,18 +172,12 @@ TEST_P(IncrementalPropertyTest, CacheStaysCoherent) {
   Schedule s = Schedule::random(m, rng);
   const Schedule other = Schedule::random(m, rng);
   for (int op = 0; op < 2000; ++op) {
-    switch (rng.index(3)) {
+    switch (rng.index(2)) {
       case 0:
         s.move_task(rng.index(s.tasks()),
                     static_cast<MachineId>(rng.index(s.machines())));
         break;
       case 1: {
-        const std::size_t a = rng.index(s.tasks());
-        const std::size_t b = rng.index(s.tasks());
-        if (a != b) s.swap_tasks(a, b);
-        break;
-      }
-      case 2: {
         std::size_t lo = rng.index(s.tasks());
         std::size_t hi = rng.index(s.tasks());
         if (lo > hi) std::swap(lo, hi);
