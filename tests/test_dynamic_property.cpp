@@ -16,7 +16,10 @@
 //    byte-identical event logs and identical final assignments, and the
 //    warm-pool reschedule path produces the same final schedule no
 //    matter how many workers serve it (per-job seeding + capped
-//    generations make the solve timing-independent).
+//    generations make the solve timing-independent). A second input
+//    replays the way the daemon's REPLAY verb does: every event goes
+//    through its log line (parse_event(format_event(e))), and returning
+//    machines carry ready times.
 //
 // Both run in Release and under ThreadSanitizer in CI (the tsan job).
 #include <gtest/gtest.h>
@@ -118,14 +121,21 @@ struct GoldenRun {
   double final_makespan = 0.0;
 };
 
-/// One fixed-seed dynamic scenario: 300 events, a warm-pool reschedule
-/// every 60 (generation-capped and seeded, so the solve is a pure
-/// function of its inputs), improvements adopted. Deterministic by
-/// construction — the point of the test is to PROVE that.
-GoldenRun run_golden_scenario(std::size_t workers) {
-  constexpr std::uint64_t kSeed = 77;
+constexpr std::uint64_t kSeed = 77;
+
+struct GoldenInput {
+  batch::EventStreamSpec stream;
+  /// Apply each event as parsed back from its log line, as REPLAY does.
+  bool via_log_line = false;
+};
+
+/// One fixed-seed dynamic scenario: a warm-pool reschedule every 60
+/// events (generation-capped and seeded, so the solve is a pure function
+/// of its inputs), improvements adopted. Deterministic by construction —
+/// the point of the test is to PROVE that.
+GoldenRun run_golden_scenario(const GoldenInput& input, std::size_t workers) {
   GoldenRun run;
-  const auto stream = batch::generate_event_stream(fuzz_stream(300, kSeed));
+  const auto stream = batch::generate_event_stream(input.stream);
 
   service::ServiceOptions options;
   options.workers = workers;
@@ -134,8 +144,9 @@ GoldenRun run_golden_scenario(std::size_t workers) {
 
   RescheduleSession session(fuzz_workload(kSeed));
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    (void)session.apply(stream[i]);
-    run.event_log += format_event(stream[i]);
+    const std::string line = format_event(stream[i]);
+    (void)session.apply(input.via_log_line ? parse_event(line) : stream[i]);
+    run.event_log += line;
     run.event_log += '\n';
     if (i % 60 == 59) {
       service::JobSpec spec =
@@ -155,20 +166,29 @@ GoldenRun run_golden_scenario(std::size_t workers) {
 }
 
 TEST(DynamicGolden, ReplayIsByteIdenticalAcrossRunsAndThreadCounts) {
-  const GoldenRun first = run_golden_scenario(/*workers=*/1);
-  const GoldenRun again = run_golden_scenario(/*workers=*/1);
-  EXPECT_EQ(first.event_log, again.event_log)
-      << "event log must replay byte-identically";
-  EXPECT_EQ(first.final_assignment, again.final_assignment);
-  EXPECT_DOUBLE_EQ(first.final_makespan, again.final_makespan);
+  GoldenInput replayed{fuzz_stream(300, kSeed), /*via_log_line=*/true};
+  replayed.stream.up_ready_hi = 200.0;  // returning machines carry work
+  for (const GoldenInput& input :
+       {GoldenInput{fuzz_stream(300, kSeed)}, replayed}) {
+    SCOPED_TRACE(input.via_log_line ? "via log lines" : "via structs");
+    const GoldenRun first = run_golden_scenario(input, /*workers=*/1);
+    const GoldenRun again = run_golden_scenario(input, /*workers=*/1);
+    EXPECT_EQ(first.event_log, again.event_log)
+        << "event log must replay byte-identically";
+    EXPECT_EQ(first.final_assignment, again.final_assignment);
+    EXPECT_DOUBLE_EQ(first.final_makespan, again.final_makespan);
 
-  // The warm-pool path must not let worker count (scheduling, arena
-  // reuse order) leak into results: per-job seeding makes each solve a
-  // pure function of (etc, spec).
-  const GoldenRun pooled = run_golden_scenario(/*workers=*/3);
-  EXPECT_EQ(first.event_log, pooled.event_log);
-  EXPECT_EQ(first.final_assignment, pooled.final_assignment);
-  EXPECT_DOUBLE_EQ(first.final_makespan, pooled.final_makespan);
+    // The warm-pool path must not let worker count (scheduling, arena
+    // reuse order) leak into results: per-job seeding makes each solve a
+    // pure function of (etc, spec).
+    const GoldenRun pooled = run_golden_scenario(input, /*workers=*/3);
+    EXPECT_EQ(first.event_log, pooled.event_log);
+    EXPECT_EQ(first.final_assignment, pooled.final_assignment);
+    EXPECT_DOUBLE_EQ(first.final_makespan, pooled.final_makespan);
+    if (input.via_log_line) {  // the stream really carries ready times
+      EXPECT_NE(first.event_log.find(" ready="), std::string::npos);
+    }
+  }
 }
 
 }  // namespace

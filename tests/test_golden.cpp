@@ -9,6 +9,7 @@
 
 #include "baselines/cma_lth.hpp"
 #include "baselines/struggle_ga.hpp"
+#include "batch/workload.hpp"
 #include "cga/engine.hpp"
 #include "etc/braun.hpp"
 #include "etc/suite.hpp"
@@ -28,6 +29,26 @@ TEST(Golden, BraunInstanceFingerprints) {
   EXPECT_NEAR(hihi.max_etc(), 2.92709e6, 1e2);
   EXPECT_NEAR(lolo.min_etc(), 1.31024, 1e-4);
   EXPECT_NEAR(lolo.max_etc(), 974.988, 1e-2);
+}
+
+TEST(Golden, WorkloadEtcFingerprints) {
+  // The generated instance behind the daemon's WORKLOAD and DYNAMIC verbs,
+  // pinned bit for bit: a consistent spec (pure workload / mips) and a
+  // noisy one (the per-(task, machine) hash noise on top).
+  batch::WorkloadSpec consistent;
+  consistent.tasks = 64;
+  consistent.machines = 8;
+  consistent.inconsistency = 0.0;
+  consistent.seed = 3;
+  EXPECT_EQ(batch::make_workload_etc(consistent).fingerprint(),
+            0x2b231d32cbfef598ULL);
+  batch::WorkloadSpec noisy;
+  noisy.tasks = 96;
+  noisy.machines = 12;
+  noisy.inconsistency = 1.5;
+  noisy.seed = 7;
+  EXPECT_EQ(batch::make_workload_etc(noisy).fingerprint(),
+            0xa5e1c16983960ff8ULL);
 }
 
 TEST(Golden, MinMinMakespans) {
