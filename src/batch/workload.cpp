@@ -57,44 +57,26 @@ Workload generate_workload(const WorkloadSpec& spec) {
   return w;
 }
 
-etc::EtcMatrix make_batch_etc(const Workload& workload,
-                              std::span<const std::size_t> task_ids,
-                              std::span<const std::size_t> machine_ids,
-                              std::span<const double> ready,
-                              double inconsistency, std::uint64_t seed) {
-  if (task_ids.empty() || machine_ids.empty())
-    throw std::invalid_argument("make_batch_etc: empty batch or park");
-  if (ready.size() != machine_ids.size())
-    throw std::invalid_argument("make_batch_etc: ready size mismatch");
-
-  std::vector<double> data(task_ids.size() * machine_ids.size());
-  for (std::size_t bi = 0; bi < task_ids.size(); ++bi) {
-    const Task& task = workload.tasks.at(task_ids[bi]);
-    for (std::size_t bm = 0; bm < machine_ids.size(); ++bm) {
-      const Machine& mac = workload.machines.at(machine_ids[bm]);
-      // Deterministic per-(task, machine) noise: the execution profile of
-      // a task must not change when it is rescheduled after a drop.
-      support::SplitMix64 hash(seed ^ (task_ids[bi] * 0x9e3779b97f4a7c15ULL) ^
-                               (machine_ids[bm] * 0xc2b2ae3d27d4eb4fULL));
-      const double unit =
-          static_cast<double>(hash.next() >> 11) * 0x1.0p-53;  // [0,1)
-      const double noise = 1.0 + inconsistency * unit;
-      data[bi * machine_ids.size() + bm] = task.workload / mac.mips * noise;
-    }
-  }
-  return etc::EtcMatrix(task_ids.size(), machine_ids.size(), std::move(data),
-                        {ready.begin(), ready.end()});
+double etc_noise(std::uint64_t seed, double inconsistency,
+                 std::uint64_t task_uid, std::uint64_t machine_uid) {
+  support::SplitMix64 hash(seed ^ (task_uid * 0x9e3779b97f4a7c15ULL) ^
+                           (machine_uid * 0xc2b2ae3d27d4eb4fULL));
+  const double unit =
+      static_cast<double>(hash.next() >> 11) * 0x1.0p-53;  // [0,1)
+  return 1.0 + inconsistency * unit;
 }
 
 etc::EtcMatrix make_workload_etc(const WorkloadSpec& spec) {
   const Workload w = generate_workload(spec);
-  std::vector<std::size_t> task_ids(w.tasks.size());
-  for (std::size_t i = 0; i < task_ids.size(); ++i) task_ids[i] = i;
-  std::vector<std::size_t> machine_ids(w.machines.size());
-  for (std::size_t m = 0; m < machine_ids.size(); ++m) machine_ids[m] = m;
-  const std::vector<double> ready(machine_ids.size(), 0.0);
-  return make_batch_etc(w, task_ids, machine_ids, ready, spec.inconsistency,
-                        spec.seed);
+  const std::size_t machines = w.machines.size();
+  std::vector<double> data(w.tasks.size() * machines);
+  for (std::size_t t = 0; t < w.tasks.size(); ++t) {
+    for (std::size_t m = 0; m < machines; ++m) {
+      data[t * machines + m] = w.tasks[t].workload / w.machines[m].mips *
+                               etc_noise(spec.seed, spec.inconsistency, t, m);
+    }
+  }
+  return etc::EtcMatrix(w.tasks.size(), machines, std::move(data));
 }
 
 }  // namespace pacga::batch

@@ -6,7 +6,7 @@
 // resources join/drop dynamically. This module generates that scenario
 // from first principles — task workloads in millions of instructions,
 // machine capacities in mips (the quantities §2.1 lists) — and derives the
-// per-batch ETC matrices the scheduler consumes:
+// ETC matrix the scheduler consumes:
 //     ETC[t][m] = workload_t / mips_m * noise(t, m)
 // with multiplicative noise controlling the consistency class (zero noise
 // gives a perfectly consistent matrix; larger noise makes machines
@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "etc/etc_matrix.hpp"
@@ -60,7 +59,8 @@ struct Workload {
 /// Throws std::invalid_argument naming the offending parameter when `spec`
 /// is degenerate (zero tasks/machines, non-positive or non-finite rate,
 /// inverted workload/mips ranges, negative inconsistency) — the guard that
-/// keeps inf/NaN arrival times out of the streaming session and the service.
+/// keeps inf/NaN arrival times and ETC entries out of the service and the
+/// dynamic session.
 void validate(const WorkloadSpec& spec);
 
 /// Generates a workload per `spec`. Deterministic in the seed. Validates
@@ -68,19 +68,16 @@ void validate(const WorkloadSpec& spec);
 Workload generate_workload(const WorkloadSpec& spec);
 
 /// Builds the ETC matrix of the ENTIRE workload as one batch on idle
-/// machines (zero ready times) — the adapter that turns a workload
-/// reference into a solvable instance for the scheduler service's
-/// workload-spec jobs. Deterministic in spec.seed.
+/// machines (zero ready times) — the instance behind the daemon's WORKLOAD
+/// jobs and the starting matrix of a DYNAMIC session. Task and machine
+/// uids are their indices. Deterministic in spec.seed.
 etc::EtcMatrix make_workload_etc(const WorkloadSpec& spec);
 
-/// Builds the ETC matrix for one batch of tasks on a machine park with
-/// the given ready times (one per machine). The noise is a deterministic
-/// hash of (seed, original task id, machine id), so a task resubmitted
-/// after a machine drop keeps its execution profile.
-etc::EtcMatrix make_batch_etc(const Workload& workload,
-                              std::span<const std::size_t> task_ids,
-                              std::span<const std::size_t> machine_ids,
-                              std::span<const double> ready,
-                              double inconsistency, std::uint64_t seed);
+/// The multiplicative noise factor in [1, 1 + inconsistency) of one
+/// (task, machine) pair: a deterministic hash of (seed, task uid, machine
+/// uid). Keyed on stable uids, so a task keeps its execution profile on
+/// every machine through any churn around it (dynamic::EtcMutator).
+double etc_noise(std::uint64_t seed, double inconsistency,
+                 std::uint64_t task_uid, std::uint64_t machine_uid);
 
 }  // namespace pacga::batch

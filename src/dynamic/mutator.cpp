@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "support/algo.hpp"
-#include "support/rng.hpp"
 
 namespace pacga::dynamic {
 
@@ -43,13 +42,10 @@ EtcMutator::EtcMutator(const batch::WorkloadSpec& spec)
 }
 
 double EtcMutator::entry(const DynTask& t, const DynMachine& m) const {
-  // Identical hash scheme to batch::make_batch_etc, keyed on STABLE uids:
-  // a task's execution profile survives any amount of churn around it.
-  support::SplitMix64 hash(noise_seed_ ^ (t.uid * 0x9e3779b97f4a7c15ULL) ^
-                           (m.uid * 0xc2b2ae3d27d4eb4fULL));
-  const double unit = static_cast<double>(hash.next() >> 11) * 0x1.0p-53;
-  const double noise = 1.0 + inconsistency_ * unit;
-  return t.workload * m.slow / m.mips * noise;
+  // The noise of batch::make_workload_etc, keyed on STABLE uids: a task's
+  // execution profile survives any amount of churn around it.
+  return t.workload * m.slow / m.mips *
+         batch::etc_noise(noise_seed_, inconsistency_, t.uid, m.uid);
 }
 
 etc::EtcMatrix EtcMutator::materialize() const {

@@ -2,13 +2,14 @@
 //
 // The mutator owns both the generative model (per-task workloads in MI,
 // per-machine capacities in mips plus an accumulated slowdown factor —
-// the §2.1 quantities, same formula as batch::make_batch_etc) and the
+// the §2.1 quantities, same formula as batch::make_workload_etc) and the
 // materialized EtcMatrix the solvers consume:
 //
 //     ETC[t][m] = workload_t * slow_m / mips_m * noise(task_uid, machine_uid)
 //
-// with the deterministic per-(task, machine) hash noise of the batch
-// module, so a task keeps its execution profile across arbitrary churn.
+// with the deterministic per-(task, machine) hash noise of
+// batch::etc_noise, so a task keeps its execution profile across
+// arbitrary churn.
 //
 // Ready times: each machine additionally carries a ready time (when it can
 // take new work — the §2.1 ready_m), materialized into the EtcMatrix so

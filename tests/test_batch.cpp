@@ -134,39 +134,20 @@ TEST(BatchEtc, MatchesWorkloadOverMips) {
   auto spec = small_spec();
   spec.inconsistency = 0.0;  // exact ratio, no noise
   const auto w = generate_workload(spec);
-  const std::size_t task_ids[] = {0, 3, 7};
-  const std::size_t machine_ids[] = {1, 4};
-  const double ready[] = {0.0, 2.5};
-  const auto etc = make_batch_etc(w, task_ids, machine_ids, ready, 0.0, 1);
-  ASSERT_EQ(etc.tasks(), 3u);
-  ASSERT_EQ(etc.machines(), 2u);
-  EXPECT_DOUBLE_EQ(etc(0, 0), w.tasks[0].workload / w.machines[1].mips);
-  EXPECT_DOUBLE_EQ(etc(2, 1), w.tasks[7].workload / w.machines[4].mips);
-  EXPECT_DOUBLE_EQ(etc.ready(1), 2.5);
-}
-
-TEST(BatchEtc, NoiseIsStableAcrossResubmission) {
-  const auto w = generate_workload(small_spec());
-  const std::size_t task_ids[] = {5};
-  const std::size_t machine_ids[] = {0, 1, 2};
-  const double ready[] = {0.0, 0.0, 0.0};
-  const auto a = make_batch_etc(w, task_ids, machine_ids, ready, 0.8, 42);
-  const auto b = make_batch_etc(w, task_ids, machine_ids, ready, 0.8, 42);
-  for (std::size_t m = 0; m < 3; ++m) {
-    EXPECT_DOUBLE_EQ(a(0, m), b(0, m));
+  const auto etc = make_workload_etc(spec);
+  ASSERT_EQ(etc.tasks(), w.tasks.size());
+  ASSERT_EQ(etc.machines(), w.machines.size());
+  for (std::size_t t = 0; t < etc.tasks(); ++t) {
+    for (std::size_t m = 0; m < etc.machines(); ++m) {
+      EXPECT_EQ(etc(t, m), w.tasks[t].workload / w.machines[m].mips);
+    }
   }
 }
 
 TEST(BatchEtc, ZeroNoiseGivesConsistentMatrix) {
   auto spec = small_spec();
-  const auto w = generate_workload(spec);
-  std::vector<std::size_t> task_ids(20);
-  for (std::size_t i = 0; i < 20; ++i) task_ids[i] = i;
-  std::vector<std::size_t> machine_ids(w.machines.size());
-  for (std::size_t m = 0; m < machine_ids.size(); ++m) machine_ids[m] = m;
-  std::vector<double> ready(machine_ids.size(), 0.0);
-  const auto etc = make_batch_etc(w, task_ids, machine_ids, ready, 0.0, 1);
-  EXPECT_TRUE(etc.is_consistent());
+  spec.inconsistency = 0.0;
+  EXPECT_TRUE(make_workload_etc(spec).is_consistent());
 }
 
 }  // namespace
