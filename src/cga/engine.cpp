@@ -9,13 +9,6 @@ namespace pacga::cga {
 
 namespace detail {
 
-std::vector<std::size_t> make_sweep_order(SweepPolicy policy, std::size_t n,
-                                          support::Xoshiro256& rng) {
-  std::vector<std::size_t> order;
-  fill_sweep_order(policy, n, order, rng);
-  return order;
-}
-
 Individual breed(const Population& pop, std::size_t index,
                  const Config& config, support::Xoshiro256& rng) {
   const Neighborhood neigh = neighborhood_of(pop.grid(), index);

@@ -85,19 +85,11 @@ Result run_sequential(const etc::EtcMatrix& etc, const Config& config,
 
 namespace detail {
 
-/// Builds the visiting order for one generation. For kUniformChoice the
-/// returned order is a fresh uniform sample WITH replacement (paper's
-/// "uniform choice" policy); all other policies are permutations.
-/// (Compatibility wrapper over cga::fill_sweep_order; the engines use
-/// SweepOrderCache and never reallocate.)
-std::vector<std::size_t> make_sweep_order(SweepPolicy policy, std::size_t n,
-                                          support::Xoshiro256& rng);
-
 /// One breeding step on cell `index` (paper Algorithm 3 lines 3-8, minus
 /// replacement): neighborhood -> selection -> recombination -> mutation ->
 /// local search -> evaluation. Reads the population unsynchronized.
-/// (Compatibility wrapper: allocates a fresh offspring per call. The
-/// engines use cga::Breeder, which reuses buffers and allocates nothing.)
+/// (Independent reference for cga::Breeder, which the engines use: this
+/// allocates a fresh offspring per call, the Breeder allocates nothing.)
 Individual breed(const Population& pop, std::size_t index,
                  const Config& config, support::Xoshiro256& rng);
 

@@ -32,10 +32,9 @@
 namespace pacga::cga {
 
 /// Cached cell-visiting order for one block (or the whole population).
-/// Construction draws from `rng` exactly like the historical
-/// make_sweep_order call, and next_sweep() refreshes the order IN PLACE for
-/// the policies that need a fresh one per generation — the buffer is never
-/// reallocated.
+/// Construction draws from `rng` exactly like one fill_sweep_order call,
+/// and next_sweep() refreshes the order IN PLACE for the policies that
+/// need a fresh one per generation — the buffer is never reallocated.
 class SweepOrderCache {
  public:
   SweepOrderCache(SweepPolicy policy, std::size_t n, support::Xoshiro256& rng);
@@ -58,8 +57,10 @@ class SweepOrderCache {
   std::vector<std::size_t> order_;
 };
 
-/// In-place form of the historical detail::make_sweep_order: overwrites
-/// `order` (resized to `n`) with the visiting order of one sweep.
+/// Overwrites `order` (resized to `n`) with the visiting order of one
+/// sweep. For kUniformChoice it is a fresh uniform sample WITH replacement
+/// (the paper's "uniform choice" policy); all other policies are
+/// permutations.
 void fill_sweep_order(SweepPolicy policy, std::size_t n,
                       std::vector<std::size_t>& order,
                       support::Xoshiro256& rng);

@@ -73,8 +73,8 @@ cga::Result reference_sequential(const etc::EtcMatrix& etc,
   support::WallTimer timer;
   const support::Deadline deadline(config.termination.wall_seconds);
 
-  std::vector<std::size_t> order =
-      cga::detail::make_sweep_order(config.sweep, n, rng);
+  std::vector<std::size_t> order;
+  cga::fill_sweep_order(config.sweep, n, order, rng);
   std::vector<cga::Individual> staged;
 
   std::uint64_t evaluations = 0;
@@ -84,7 +84,7 @@ cga::Result reference_sequential(const etc::EtcMatrix& etc,
   while (!stop) {
     if (config.sweep == cga::SweepPolicy::kNewShuffle ||
         config.sweep == cga::SweepPolicy::kUniformChoice) {
-      order = cga::detail::make_sweep_order(config.sweep, n, rng);
+      cga::fill_sweep_order(config.sweep, n, order, rng);
     }
     if (config.update == cga::UpdatePolicy::kSynchronous) staged.clear();
 

@@ -32,27 +32,29 @@ Config fast_config() {
   return c;
 }
 
-TEST(MakeSweepOrder, LineAndReverse) {
+TEST(FillSweepOrder, LineAndReverse) {
   support::Xoshiro256 rng(1);
-  const auto line = detail::make_sweep_order(SweepPolicy::kLineSweep, 5, rng);
-  EXPECT_EQ(line, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-  const auto rev = detail::make_sweep_order(SweepPolicy::kReverseSweep, 5, rng);
-  EXPECT_EQ(rev, (std::vector<std::size_t>{4, 3, 2, 1, 0}));
+  std::vector<std::size_t> order;
+  fill_sweep_order(SweepPolicy::kLineSweep, 5, order, rng);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  fill_sweep_order(SweepPolicy::kReverseSweep, 5, order, rng);
+  EXPECT_EQ(order, (std::vector<std::size_t>{4, 3, 2, 1, 0}));
 }
 
-TEST(MakeSweepOrder, ShufflesArePermutations) {
+TEST(FillSweepOrder, ShufflesArePermutations) {
   support::Xoshiro256 rng(2);
+  std::vector<std::size_t> order;
   for (auto policy : {SweepPolicy::kFixedShuffle, SweepPolicy::kNewShuffle}) {
-    auto order = detail::make_sweep_order(policy, 50, rng);
+    fill_sweep_order(policy, 50, order, rng);
     std::sort(order.begin(), order.end());
     for (std::size_t i = 0; i < 50; ++i) EXPECT_EQ(order[i], i);
   }
 }
 
-TEST(MakeSweepOrder, UniformChoiceSamplesWithReplacement) {
+TEST(FillSweepOrder, UniformChoiceSamplesWithReplacement) {
   support::Xoshiro256 rng(3);
-  const auto order =
-      detail::make_sweep_order(SweepPolicy::kUniformChoice, 100, rng);
+  std::vector<std::size_t> order;
+  fill_sweep_order(SweepPolicy::kUniformChoice, 100, order, rng);
   EXPECT_EQ(order.size(), 100u);
   const std::set<std::size_t> unique(order.begin(), order.end());
   EXPECT_LT(unique.size(), 100u);  // collisions virtually certain
