@@ -1,9 +1,12 @@
 #include "cga/engine.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cassert>
 
 #include "cga/neighborhood.hpp"
 #include "cga/selection.hpp"
+#include "heuristics/minmin.hpp"
 
 namespace pacga::cga {
 
@@ -24,14 +27,18 @@ Individual breed(const Population& pop, std::size_t index,
 
 }  // namespace detail
 
+bool SequentialEngine::fits(const etc::EtcMatrix& etc,
+                            const Config& config) const noexcept {
+  return best_ && pop_->at(0).schedule.tasks() == etc.tasks() &&
+         pop_->at(0).schedule.machines() == etc.machines() &&
+         config.width == config_.width && config.height == config_.height &&
+         config.sweep == config_.sweep && config.update == config_.update;
+}
+
 bool SequentialEngine::ensure(const etc::EtcMatrix& etc,
                               const Config& config) {
   config.validate();
-  const bool same_shape =
-      best_ && pop_->at(0).schedule.tasks() == etc.tasks() &&
-      pop_->at(0).schedule.machines() == etc.machines() &&
-      config.width == config_.width && config.height == config_.height &&
-      config.sweep == config_.sweep && config.update == config_.update;
+  const bool same_shape = fits(etc, config);
   config_ = config;
   if (same_shape) return false;
 
@@ -50,7 +57,23 @@ bool SequentialEngine::ensure(const etc::EtcMatrix& etc,
   for (std::size_t i = 0; i < buffers; ++i) {
     staged_.emplace_back(sched::Schedule(etc), 0.0);
   }
+  seeds_.assign(pop_->size(), {});
   return true;
+}
+
+std::span<const sched::MachineId> SequentialEngine::min_min_seed(
+    const etc::EtcMatrix& etc) {
+  MinMinSeed& slot = seeds_[etc.fingerprint() % seeds_.size()];
+  if (!slot.assignment.empty() && slot.fingerprint == etc.fingerprint()) {
+    assert(std::ranges::equal(heur::min_min(etc).assignment(),
+                              slot.assignment));
+    return slot.assignment;
+  }
+  const sched::Schedule seed = heur::min_min(etc);
+  const auto a = seed.assignment();
+  slot.assignment.assign(a.begin(), a.end());
+  slot.fingerprint = etc.fingerprint();
+  return slot.assignment;
 }
 
 RunStats SequentialEngine::run(const etc::EtcMatrix& etc,
@@ -62,8 +85,13 @@ RunStats SequentialEngine::run(const etc::EtcMatrix& etc,
   // in the arena before.
   Population& pop = *pop_;
   rng_.reseed(config_.seed);
-  pop.reseed(etc, rng_, config_.seed_min_min, config_.objective,
-             config_.lambda);
+  pop.reseed(etc, rng_, config_.objective, config_.lambda);
+  // Min-min draws no RNG, so planting its seed after the reseed leaves
+  // every random cell as the reseed drew it.
+  if (config_.seed_min_min) {
+    pop.seed_cell(0, etc, min_min_seed(etc), config_.objective,
+                  config_.lambda);
+  }
   apply_warm_seed(pop, etc, config_);
   order_->reset(rng_);
   BestTracker& best = *best_;

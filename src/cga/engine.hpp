@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cga/breeder.hpp"
@@ -33,8 +34,17 @@ struct RunStats {
 
 /// The sequential CGA as a reusable arena. A run with the previous run's
 /// shape (tasks x machines, grid, sweep and update policy) reinitializes
-/// the buffers in place — allocation-free unless Min-min seeding is on —
-/// and any other run rebuilds them. Warm and cold runs are identical.
+/// the buffers in place and any other run rebuilds them. Warm and cold
+/// runs are identical.
+///
+/// The arena also remembers the Min-min seed of the matrices it has run:
+/// a direct-mapped table of one slot per population cell, indexed by
+/// EtcMatrix::fingerprint() (trusted as the solution cache trusts it) and
+/// cleared on a rebuild. A matrix seen before plants its stored seed
+/// instead of rerunning Min-min, so a warm run on it allocates nothing,
+/// Min-min seeding or not; a new matrix pays one Min-min run and one
+/// tasks-sized copy. Debug builds recompute Min-min on every hit and
+/// assert that it equals the stored seed.
 /// NOT thread-safe, and pinned in memory (the breeder points into it).
 class SequentialEngine {
  public:
@@ -45,6 +55,10 @@ class SequentialEngine {
   /// Validates `config` and sizes the arena for `etc`; true when that
   /// took a (re)build. run() calls it first.
   bool ensure(const etc::EtcMatrix& etc, const Config& config);
+
+  /// True when the arena is built for the shape of a run on `etc` per
+  /// `config`, so ensure() would reuse it.
+  bool fits(const etc::EtcMatrix& etc, const Config& config) const noexcept;
 
   /// One run on `etc` per `config` (`config.threads` is ignored).
   /// Deterministic: same seed, same result. `observer` (optional) is
@@ -64,6 +78,16 @@ class SequentialEngine {
   std::uint64_t builds() const noexcept { return builds_; }
 
  private:
+  /// One slot of the Min-min seed table; empty until filled.
+  struct MinMinSeed {
+    std::uint64_t fingerprint = 0;
+    std::vector<sched::MachineId> assignment;
+  };
+
+  /// `etc`'s Min-min assignment: from the table on a hit, computed and
+  /// stored on a miss.
+  std::span<const sched::MachineId> min_min_seed(const etc::EtcMatrix& etc);
+
   Config config_;  ///< the current run's config; breeder_ reads through it
   std::uint64_t builds_ = 0;
   support::Xoshiro256 rng_;
@@ -75,6 +99,7 @@ class SequentialEngine {
   /// the synchronous auxiliary population (staged_[k] belongs to order[k]
   /// of the current sweep, evaluated when bred).
   std::vector<Individual> staged_;
+  std::vector<MinMinSeed> seeds_;  ///< one slot per cell; empty on rebuild
 };
 
 /// One run of a fresh SequentialEngine, its best individual moved into

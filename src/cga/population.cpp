@@ -28,8 +28,7 @@ Population::Population(const etc::EtcMatrix& etc, Grid grid,
 }
 
 void Population::reseed(const etc::EtcMatrix& etc, support::Xoshiro256& rng,
-                        bool seed_min_min, sched::Objective objective,
-                        double lambda) {
+                        sched::Objective objective, double lambda) {
   if (cells_.empty()) return;
   if (etc.tasks() != cells_.front().schedule.tasks() ||
       etc.machines() != cells_.front().schedule.machines())
@@ -37,11 +36,6 @@ void Population::reseed(const etc::EtcMatrix& etc, support::Xoshiro256& rng,
   for (auto& cell : cells_) {
     cell.schedule.randomize_from(etc, rng);
     cell.fitness = sched::evaluate(cell.schedule, objective, lambda);
-  }
-  if (seed_min_min) {
-    const sched::Schedule seeded = heur::min_min(etc);
-    cells_[0].schedule.adopt(etc, seeded.assignment());
-    cells_[0].fitness = sched::evaluate(cells_[0].schedule, objective, lambda);
   }
 }
 

@@ -55,15 +55,14 @@ class Population {
 
   /// In-place re-initialization for a NEW instance of the same tasks x
   /// machines shape: every cell is rebound to `etc` and randomized into
-  /// its existing storage (no per-cell reallocation); cell 0 optionally
-  /// gets the Min-min seed. This is the warm-start path of the scheduler
-  /// service — apart from the optional Min-min construction (which
-  /// allocates internally), a reseed of a same-shape population performs
-  /// zero heap allocations. Like seed_cell, it writes unsynchronized: call
-  /// it only between runs. Throws std::invalid_argument when `etc`'s shape
+  /// its existing storage, with the same RNG draws as construction. This
+  /// is the warm-start path of the scheduler service: a reseed performs
+  /// zero heap allocations, and a Min-min seed goes in afterwards through
+  /// seed_cell(0, ...). Like seed_cell, it writes unsynchronized: call it
+  /// only between runs. Throws std::invalid_argument when `etc`'s shape
   /// differs from the shape the population was built for.
   void reseed(const etc::EtcMatrix& etc, support::Xoshiro256& rng,
-              bool seed_min_min, sched::Objective objective, double lambda);
+              sched::Objective objective, double lambda);
 
   /// Overwrites cell `i` with `assignment` (adopted into the existing
   /// storage — zero heap allocations) and re-evaluates its fitness. This

@@ -73,6 +73,25 @@ SolvePolicy WarmSolver::decide(const JobSpec& spec, const etc::EtcMatrix& etc,
   return SolvePolicy::kCga;
 }
 
+std::uint64_t WarmSolver::arena_builds() const noexcept {
+  std::uint64_t builds = 0;
+  for (const Arena& arena : arenas_) builds += arena.engine.builds();
+  return builds;
+}
+
+cga::SequentialEngine& WarmSolver::arena_for(const etc::EtcMatrix& etc) {
+  Arena* pick = &arenas_[0];
+  for (Arena& arena : arenas_) {
+    if (arena.engine.fits(etc, job_config_)) {
+      pick = &arena;
+      break;
+    }
+    if (arena.last_used < pick->last_used) pick = &arena;
+  }
+  pick->last_used = ++arena_clock_;
+  return pick->engine;
+}
+
 void WarmSolver::solve_heuristic(const etc::EtcMatrix& etc, SolvePolicy policy,
                                  JobResult& out) {
   const auto score = [&](const sched::Schedule& s) {
@@ -131,7 +150,8 @@ void WarmSolver::solve_cga(const etc::EtcMatrix& etc, const JobSpec& spec,
 
   const bool tracing = tracer && tracer->enabled();
   const std::uint64_t build_start = tracing ? tracer->now_ns() : 0;
-  if (engine_.ensure(etc, job_config_) && tracing) {
+  cga::SequentialEngine& engine = arena_for(etc);
+  if (engine.ensure(etc, job_config_) && tracing) {
     tracer->span(obs::SpanKind::kArenaBuild, job_id, build_start,
                  tracer->now_ns(), etc.tasks(), etc.machines());
   }
@@ -140,9 +160,9 @@ void WarmSolver::solve_cga(const etc::EtcMatrix& etc, const JobSpec& spec,
   job_id_ = job_id;
   job_observer_ = &observer;
   const cga::RunStats stats =
-      engine_.run(etc, job_config_, generation_probe_, cancel);
+      engine.run(etc, job_config_, generation_probe_, cancel);
 
-  const cga::Individual& best = engine_.best();
+  const cga::Individual& best = engine.best();
   fill_result(out, best.schedule, best.fitness, SolvePolicy::kCga);
   out.generations = stats.generations;
   out.evaluations = stats.evaluations;

@@ -4,13 +4,14 @@
 // The economics of serving: on a small instance the CGA's useful work per
 // job is milliseconds, so per-job setup (population construction, breeder
 // scratch, sweep order — a dozen vector allocations each sized
-// tasks*machines) would dominate. A WarmSolver therefore keeps one
-// cga::SequentialEngine — the same engine run_sequential runs — as its
-// arena: jobs of the same (tasks x machines) shape re-initialize its
-// buffers in place, so the steady-state serving path performs ZERO heap
-// allocations for kCga jobs without Min-min seeding — the breeding path
-// itself is allocation-free with seeding too (test_service pins both,
-// and pins warm solves equal to run_sequential).
+// tasks*machines — and the Min-min seed) would dominate. A WarmSolver
+// therefore keeps up to kWarmArenas cga::SequentialEngine arenas — the
+// engine run_sequential runs — one per arena shape: a job whose shape has
+// an arena re-initializes its buffers in place, and a matrix the arena has
+// run before takes its Min-min seed from the engine's seed table. The
+// steady-state serving path of a kCga job on a seen matrix performs ZERO
+// heap allocations, Min-min seeding or not (test_service pins this, and
+// pins warm solves equal to run_sequential).
 //
 // Policy escalation (kAuto): tiny-or-urgent jobs get Min-min+Sufferage
 // (microseconds, near-optimal at that scale); real budgets get the warm
@@ -18,6 +19,7 @@
 // big instances with generous budgets get the PA-CGA parallel engine.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -44,22 +46,28 @@ inline constexpr std::size_t kHeuristicMaxTasks = 12;     ///< at most: heuristi
 inline constexpr double kParallelBudgetSeconds = 0.25;    ///< at least: PA-CGA...
 inline constexpr std::size_t kParallelMinTasks = 256;     ///< ...on big instances
 
+/// Warm CGA arenas per WarmSolver, one per arena shape (tasks, machines,
+/// shrunk grid); a job of a new shape evicts the least recently used one.
+/// A constant, not an option: it bounds each worker's resident arenas,
+/// and 4 covers the CGA shapes of a typical tenant mix.
+inline constexpr std::size_t kWarmArenas = 4;
+
 /// Fraction of the remaining wall budget handed to the solver; the rest is
 /// headroom for the anytime loop's one-generation overshoot plus result
 /// bookkeeping, so on-time pickups normally finish INSIDE the deadline.
 inline constexpr double kDeadlineHeadroom = 0.9;
 
 /// One worker's persistent solver. NOT thread-safe — exactly one worker
-/// (or test) drives it. Between jobs the arena's schedules keep a pointer
-/// to the PREVIOUS job's ETC matrix; nothing dereferences it until the
-/// next solve rebinds every cell, but the arena must only be used through
-/// solve().
+/// (or test) drives it. Between jobs each arena's schedules keep a pointer
+/// to the last ETC matrix it ran; nothing dereferences it until the next
+/// solve on that arena rebinds every cell, but the arenas must only be
+/// used through solve().
 class WarmSolver {
  public:
   /// `base` supplies grid shape, operators, objective, and Min-min
   /// seeding; per-job termination and seeds override it. The grid is
   /// shrunk automatically for small instances (population <= ~4x tasks,
-  /// never below 4x4), one arena shape at a time.
+  /// never below 4x4), which makes the arena shape.
   explicit WarmSolver(cga::Config base);
   WarmSolver(const WarmSolver&) = delete;  // generation_probe_ holds `this`
   WarmSolver& operator=(const WarmSolver&) = delete;
@@ -85,10 +93,11 @@ class WarmSolver {
 
   const cga::Config& base() const noexcept { return base_; }
 
-  /// Cold arena (re)builds since construction — the shape-affinity figure
-  /// of merit. A worker fed an unbroken run of same-shape jobs builds once;
-  /// every extra build is a shape switch that threw the warm arena away.
-  std::uint64_t arena_builds() const noexcept { return engine_.builds(); }
+  /// Cold arena (re)builds since construction, summed over the arenas —
+  /// the shape-affinity figure of merit. A worker serving at most
+  /// kWarmArenas shapes builds once per shape; every extra build is an
+  /// eviction that threw a warm arena away.
+  std::uint64_t arena_builds() const noexcept;
 
  private:
   void solve_heuristic(const etc::EtcMatrix& etc, SolvePolicy policy,
@@ -101,10 +110,22 @@ class WarmSolver {
                       double budget_seconds, const std::atomic<bool>* cancel,
                       JobResult& out);
 
+  /// One warm arena; last_used 0 means never used.
+  struct Arena {
+    std::uint64_t last_used = 0;
+    cga::SequentialEngine engine;
+  };
+
+  /// The arena built for job_config_'s shape on `etc`, else the least
+  /// recently used one (its engine rebuilds on ensure()).
+  cga::SequentialEngine& arena_for(const etc::EtcMatrix& etc);
+
   cga::Config base_;
   cga::Config job_config_;  ///< base_ with the job's grid, seed and budget
-  cga::SequentialEngine engine_;  ///< the warm arena
-  /// engine_'s per-generation hook: the `generation` trace instants plus
+  /// Fixed in place: each engine's breeder points into it.
+  std::array<Arena, kWarmArenas> arenas_;
+  std::uint64_t arena_clock_ = 0;  ///< LRU stamp of the latest arena use
+  /// The arenas' per-generation hook: the `generation` trace instants plus
   /// the caller's observer, read from the job_* members of the job being
   /// solved. Built once, so no job constructs a std::function.
   cga::GenerationObserver generation_probe_;

@@ -1341,9 +1341,11 @@ TEST(WarmSolver, RepeatedSameShapeSolvesAllocateNothing) {
 }
 
 TEST(WarmSolver, BreedingPathAllocationFreeWithMinMinSeeding) {
-  // With the default Min-min seeding ON, per-job setup allocates (the
-  // heuristic does), but the breeding path — everything between the first
-  // and the last generation — must still be allocation-free.
+  // With the default Min-min seeding ON, the first solve of a matrix
+  // allocates (the heuristic does), but the breeding path — everything
+  // between the first and the last generation — must still be
+  // allocation-free. A second solve of the same matrix takes its Min-min
+  // seed from the arena's seed table, so the whole solve allocates nothing.
   cga::Config base;  // seed_min_min = true
   base.local_search.iterations = 10;
   WarmSolver solver(base);
@@ -1364,18 +1366,46 @@ TEST(WarmSolver, BreedingPathAllocationFreeWithMinMinSeeding) {
         if (e.generation == 1) at_first_generation = g_allocations.load();
         at_last_generation = g_allocations.load();
       };
+  const std::uint64_t before = g_allocations.load();
   solver.solve(*m, spec, 10.0, nullptr, out, observer);
   EXPECT_EQ(at_last_generation, at_first_generation)
       << "generations 2..n of a warm solve must not allocate";
+#ifdef NDEBUG  // debug builds recompute Min-min on every seed-table hit
+  EXPECT_EQ(g_allocations.load(), before)
+      << "a warm solve of a seen matrix must not touch the heap";
+#else
+  (void)before;
+#endif
+}
+
+TEST(WarmSolver, AlternatingShapesBuildEachArenaOnce) {
+  // Each arena shape keeps its own warm arena: jobs alternating between
+  // two shapes build two arenas in total, not one per switch.
+  WarmSolver solver(cga::Config{});
+  auto a = instance(64, 8, 5);
+  auto b = instance(128, 16, 6);
+  JobSpec spec;
+  spec.policy = SolvePolicy::kCga;
+  spec.max_generations = 2;
+  spec.use_cache = false;
+  JobResult out;
+  for (std::uint64_t job = 0; job < 8; ++job) {
+    spec.seed = job;
+    solver.solve(job % 2 == 0 ? *a : *b, spec, 10.0, nullptr, out);
+  }
+  EXPECT_EQ(solver.arena_builds(), 2u);
 }
 
 TEST(WarmSolver, CgaSolveEqualsRunSequential) {
-  // The warm arena and cga::run_sequential are one algorithm: over the
+  // The warm arenas and cga::run_sequential are one algorithm: over the
   // same arena config and seed, a generation-capped kCga solve returns
   // exactly run_sequential's result. Each WarmSolver serves every case of
-  // its seeding setting in turn, so all but its first solve run warm
-  // (shape switches included). The 32x16 base shrinks to 16x16 for 64
-  // tasks and stays 32x16 for 128 and 512.
+  // its seeding setting in turn, so all but its first solve of a shape run
+  // warm. A second pass interleaves the shapes job by job (64, 512, 128,
+  // 64, ...) on the same matrices, so every solve reuses an arena after a
+  // shape switch and, with Min-min seeding, takes its seed from the seed
+  // table. The 32x16 base shrinks to 16x16 for 64 tasks and stays 32x16
+  // for 128 and 512.
   struct Shape {
     std::size_t tasks, machines, width, height;
   };
@@ -1387,46 +1417,56 @@ TEST(WarmSolver, CgaSolveEqualsRunSequential) {
     base.height = 16;
     base.seed_min_min = min_min;
     WarmSolver solver(base);
-    for (const Shape& shape : shapes) {
+    const auto check = [&](const Shape& shape, bool warm, std::uint64_t seed,
+                           int pass) {
+      SCOPED_TRACE(testing::Message()
+                   << shape.tasks << "x" << shape.machines
+                   << " min_min=" << min_min << " warm=" << warm
+                   << " seed=" << seed << " pass=" << pass);
       auto m = instance(shape.tasks, shape.machines, shape.tasks);
+      JobSpec spec;
+      spec.policy = SolvePolicy::kCga;
+      spec.seed = seed;
+      spec.max_generations = kGenerations;
+      spec.use_cache = false;
+      if (warm) {
+        const sched::Schedule seed_schedule = heur::sufferage(*m);
+        const auto a = seed_schedule.assignment();
+        spec.warm_start.assign(a.begin(), a.end());
+      }
+      JobResult out;
+      solver.solve(*m, spec, 10.0, nullptr, out);
+
+      cga::Config config = base;
+      config.width = shape.width;
+      config.height = shape.height;
+      config.seed = seed;
+      config.termination = cga::Termination::after_seconds(10.0);
+      config.termination.max_generations = kGenerations;
+      config.warm_seed = spec.warm_start;
+      const cga::Result ref = cga::run_sequential(*m, config);
+
+      const auto a = ref.best.assignment();
+      EXPECT_EQ(out.assignment,
+                std::vector<sched::MachineId>(a.begin(), a.end()));
+      EXPECT_EQ(out.makespan, ref.best_fitness);
+      EXPECT_EQ(out.generations, ref.generations);
+      EXPECT_EQ(out.evaluations, ref.evaluations);
+      EXPECT_EQ(out.policy_used, SolvePolicy::kCga);
+    };
+    for (const Shape& shape : shapes) {
       for (const bool warm : {false, true}) {
         for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-          SCOPED_TRACE(testing::Message()
-                       << shape.tasks << "x" << shape.machines
-                       << " min_min=" << min_min << " warm=" << warm
-                       << " seed=" << seed);
-          JobSpec spec;
-          spec.policy = SolvePolicy::kCga;
-          spec.seed = seed;
-          spec.max_generations = kGenerations;
-          spec.use_cache = false;
-          if (warm) {
-            const sched::Schedule seed_schedule = heur::sufferage(*m);
-            const auto a = seed_schedule.assignment();
-            spec.warm_start.assign(a.begin(), a.end());
-          }
-          JobResult out;
-          solver.solve(*m, spec, 10.0, nullptr, out);
-
-          cga::Config config = base;
-          config.width = shape.width;
-          config.height = shape.height;
-          config.seed = seed;
-          config.termination = cga::Termination::after_seconds(10.0);
-          config.termination.max_generations = kGenerations;
-          config.warm_seed = spec.warm_start;
-          const cga::Result ref = cga::run_sequential(*m, config);
-
-          const auto a = ref.best.assignment();
-          EXPECT_EQ(out.assignment,
-                    std::vector<sched::MachineId>(a.begin(), a.end()));
-          EXPECT_EQ(out.makespan, ref.best_fitness);
-          EXPECT_EQ(out.generations, ref.generations);
-          EXPECT_EQ(out.evaluations, ref.evaluations);
-          EXPECT_EQ(out.policy_used, SolvePolicy::kCga);
+          check(shape, warm, seed, 1);
         }
       }
     }
+    for (const bool warm : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        for (const std::size_t s : {0, 2, 1}) check(shapes[s], warm, seed, 2);
+      }
+    }
+    EXPECT_EQ(solver.arena_builds(), std::size(shapes));
   }
 }
 
