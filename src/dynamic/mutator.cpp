@@ -19,27 +19,35 @@ void require_positive_finite(double v, const char* what) {
 }  // namespace
 
 EtcMutator::EtcMutator(const batch::WorkloadSpec& spec)
-    : inconsistency_(spec.inconsistency),
+    : EtcMutator(spec, batch::generate_workload(spec)) {}
+
+EtcMutator::EtcMutator(const batch::WorkloadSpec& spec,
+                       const batch::Workload& w)
+    : tasks_([&] {
+        std::vector<DynTask> tasks;
+        tasks.reserve(w.tasks.size());
+        for (std::size_t i = 0; i < w.tasks.size(); ++i) {
+          tasks.push_back({i, w.tasks[i].workload});
+        }
+        return tasks;
+      }()),
+      machines_([&] {
+        std::vector<DynMachine> machines;
+        machines.reserve(w.machines.size());
+        for (std::size_t m = 0; m < w.machines.size(); ++m) {
+          machines.push_back({m, w.machines[m].mips, 1.0});
+        }
+        return machines;
+      }()),
+      inconsistency_(spec.inconsistency),
       noise_seed_(spec.seed),
       next_task_uid_(spec.tasks),
       next_machine_uid_(spec.machines),
-      etc_([&] {
-        // Initial uids equal initial indices, so the starting matrix is
-        // bit-identical to batch::make_workload_etc(spec) — a dynamic
-        // session warm-starts from exactly the instance the static
-        // service path would have solved.
-        return batch::make_workload_etc(spec);
-      }()) {
-  const batch::Workload w = batch::generate_workload(spec);
-  tasks_.reserve(w.tasks.size());
-  for (std::size_t i = 0; i < w.tasks.size(); ++i) {
-    tasks_.push_back({i, w.tasks[i].workload});
-  }
-  machines_.reserve(w.machines.size());
-  for (std::size_t m = 0; m < w.machines.size(); ++m) {
-    machines_.push_back({m, w.machines[m].mips, 1.0});
-  }
-}
+      // Initial uids equal initial indices and every slowdown is 1.0, so
+      // the starting matrix is bit-identical to batch::make_workload_etc(
+      // spec) — a dynamic session warm-starts from exactly the instance
+      // the static service path would have solved.
+      etc_(materialize()) {}
 
 double EtcMutator::entry(const DynTask& t, const DynMachine& m) const {
   // The noise of batch::make_workload_etc, keyed on STABLE uids: a task's

@@ -154,6 +154,8 @@ class EtcMutator {
     double ready = 0.0;  ///< time until the machine can take new work
   };
 
+  EtcMutator(const batch::WorkloadSpec& spec, const batch::Workload& w);
+
   double entry(const DynTask& t, const DynMachine& m) const;
   etc::EtcMatrix materialize() const;
 
