@@ -1,8 +1,8 @@
 // bench_kernels — the SIMD kernel layer, measured at both ends.
 //
-// Kernel level: scalar vs dispatched max/argmax/fused-min scans at 64 /
-// 512 / 4096 machines (the acceptance bar is >= 3x at 4096 for the
-// dispatched path on AVX2 hardware).
+// Kernel level: scalar vs dispatched max/argmax/fused-min scans at 16 /
+// 64 / 512 / 4096 machines (16 is the paper's shape; the acceptance bar is
+// >= 3x at 4096 for the dispatched path on AVX2 hardware).
 //
 // End-to-end: the consumers rewired onto the kernels, each against its
 // pre-rewrite reference —
@@ -109,8 +109,8 @@ std::vector<KernelPoint> bench_kernel_level(std::uint64_t seed) {
     tiers.push_back(&kernels::detail::avx512_table());
   if (tiers.empty()) tiers.push_back(&scalar);
   support::Xoshiro256 rng(seed);
-  for (const std::size_t n : {std::size_t{64}, std::size_t{512},
-                              std::size_t{4096}}) {
+  for (const std::size_t n : {std::size_t{16}, std::size_t{64},
+                              std::size_t{512}, std::size_t{4096}}) {
     std::vector<double> ct(n), row(n);
     for (auto& v : ct) v = rng.uniform(0.0, 1e6);
     for (auto& v : row) v = rng.uniform(0.0, 1e3);

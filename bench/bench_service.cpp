@@ -16,6 +16,9 @@
 // the worker whose warm arena matches, so throughput should scale with
 // workers instead of flatlining on arena thrash; the JSON records jobs/sec
 // per sweep point, speedup vs 1 worker, arena builds, and steal counts.
+// Every worker keeps one warm arena per shape (service::kWarmArenas is at
+// least the tenant count), so the run FAILS (exit 1) when a sweep point
+// builds more than one arena per shape per worker.
 // The sweep deliberately does NOT clamp workers to the core count: on a
 // small box the extra workers oversubscribe and the speedup is flat —
 // read the scaling claim from a >= 4-core run (CI uploads the artifact).
@@ -368,6 +371,8 @@ struct TenantShape {
 
 constexpr TenantShape kTenantShapes[] = {
     {24, 6}, {32, 8}, {48, 12}, {80, 16}};
+static_assert(std::size(kTenantShapes) <= service::kWarmArenas,
+              "every worker must be able to keep every tenant shape warm");
 
 MixedResult run_mixed(const Options& opts, std::size_t workers) {
   service::ServiceOptions service_options;
@@ -738,5 +743,16 @@ int main(int argc, char** argv) {
   print_warm_reschedule(warm);
 
   write_json("BENCH_service.json", opts, arms, mixed, warm);
-  return 0;
+  // Each worker builds each tenant shape's arena at most once.
+  bool pass = true;
+  for (const MixedResult& m : mixed) {
+    if (m.arena_builds <= std::size(kTenantShapes) * m.workers) continue;
+    std::fprintf(stderr,
+                 "FAIL: mixed-shape %zu workers built %llu arenas, more than "
+                 "%zu shapes x %zu workers\n",
+                 m.workers, static_cast<unsigned long long>(m.arena_builds),
+                 std::size(kTenantShapes), m.workers);
+    pass = false;
+  }
+  return pass ? 0 : 1;
 }
