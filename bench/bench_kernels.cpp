@@ -2,7 +2,10 @@
 //
 // Kernel level: scalar vs dispatched max/argmax/fused-min scans at 16 /
 // 64 / 512 / 4096 machines (16 is the paper's shape; the acceptance bar is
-// >= 3x at 4096 for the dispatched path on AVX2 hardware).
+// >= 3x at 4096 for the dispatched path on AVX2 hardware), and the slots
+// of the paper's breeding step at the shapes it runs: a whole H2LL-10 call
+// at 512x16 (the register bodies), the gene masks at 512 genes (ne-mask
+// also at a 200-gene crossover segment) and lightest_mask at 16 machines.
 //
 // End-to-end: the consumers rewired onto the kernels, each against its
 // pre-rewrite reference —
@@ -79,7 +82,7 @@ etc::EtcMatrix random_matrix(std::size_t tasks, std::size_t machines,
 struct KernelPoint {
   const char* kernel;
   const char* dispatch;  ///< which SIMD table the dispatched arm ran
-  std::size_t machines;
+  std::size_t n;         ///< machines, or genes for the gene masks
   double scalar_ns;
   double dispatched_ns;
   double speedup;
@@ -96,18 +99,34 @@ double time_ns(Fn&& fn, std::size_t reps) {
   return timer.elapsed_seconds() * 1e9 / static_cast<double>(reps);
 }
 
-std::vector<KernelPoint> bench_kernel_level(std::uint64_t seed) {
-  std::vector<KernelPoint> points;
+/// One row: `call(table)` timed on the scalar table and on `tier`.
+template <typename Call>
+void add_point(std::vector<KernelPoint>& points, const char* name,
+               const kernels::Dispatch& tier, std::size_t n,
+               std::size_t reps, Call&& call) {
   const auto& scalar = kernels::detail::scalar_table();
-  // Every SIMD tier this host can run gets its own rows against the scalar
-  // reference — the 8-wide AVX-512 table shows up here as a third set of
-  // rows on capable hardware, not just as whatever active() resolved to.
+  const double s = time_ns([&] { return call(scalar); }, reps);
+  const double d = time_ns([&] { return call(tier); }, reps);
+  points.push_back({name, tier.name, n, s, d, s / d});
+  std::printf("  %-13s n=%5zu  scalar %8.1f ns  %-6s %8.1f ns  %5.2fx\n",
+              name, n, s, tier.name, d, s / d);
+}
+
+/// Every SIMD tier this host can run gets its own rows against the scalar
+/// reference — the 8-wide AVX-512 table shows up here as a third set of
+/// rows on capable hardware, not just as whatever active() resolved to.
+std::vector<const kernels::Dispatch*> host_tiers() {
   std::vector<const kernels::Dispatch*> tiers;
   if (kernels::detail::avx2_supported())
     tiers.push_back(&kernels::detail::avx2_table());
   if (kernels::detail::avx512_supported())
     tiers.push_back(&kernels::detail::avx512_table());
-  if (tiers.empty()) tiers.push_back(&scalar);
+  if (tiers.empty()) tiers.push_back(&kernels::detail::scalar_table());
+  return tiers;
+}
+
+std::vector<KernelPoint> bench_kernel_level(std::uint64_t seed) {
+  std::vector<KernelPoint> points;
   support::Xoshiro256 rng(seed);
   for (const std::size_t n : {std::size_t{16}, std::size_t{64},
                               std::size_t{512}, std::size_t{4096}}) {
@@ -115,31 +134,81 @@ std::vector<KernelPoint> bench_kernel_level(std::uint64_t seed) {
     for (auto& v : ct) v = rng.uniform(0.0, 1e6);
     for (auto& v : row) v = rng.uniform(0.0, 1e3);
     const std::size_t reps = std::max<std::size_t>(1, 40'000'000 / n);
-
-    for (const kernels::Dispatch* tier : tiers) {
-      const auto point = [&](const char* name, std::size_t point_reps,
-                             auto scalar_fn, auto tier_fn) {
-        const double s = time_ns(scalar_fn, point_reps);
-        const double d = time_ns(tier_fn, point_reps);
-        points.push_back({name, tier->name, n, s, d, s / d});
-        std::printf(
-            "  %-10s n=%5zu  scalar %8.1f ns  %-6s %8.1f ns  %5.2fx\n",
-            name, n, s, tier->name, d, s / d);
-      };
-      point(
-          "max", reps, [&] { return scalar.max_value(ct.data(), n); },
-          [&] { return tier->max_value(ct.data(), n); });
-      point(
-          "argmax", reps,
-          [&] { return static_cast<double>(scalar.argmax(ct.data(), n)); },
-          [&] { return static_cast<double>(tier->argmax(ct.data(), n)); });
-      point(
-          "fused-min", reps,
-          [&] { return scalar.min_plus(ct.data(), row.data(), n).value; },
-          [&] { return tier->min_plus(ct.data(), row.data(), n).value; });
+    for (const kernels::Dispatch* tier : host_tiers()) {
+      add_point(points, "max", *tier, n, reps,
+                [&](const kernels::Dispatch& t) {
+                  return t.max_value(ct.data(), n);
+                });
+      add_point(points, "argmax", *tier, n, reps,
+                [&](const kernels::Dispatch& t) {
+                  return static_cast<double>(t.argmax(ct.data(), n));
+                });
+      add_point(points, "fused-min", *tier, n, reps,
+                [&](const kernels::Dispatch& t) {
+                  return t.min_plus(ct.data(), row.data(), n).value;
+                });
     }
   }
   return points;
+}
+
+/// The slots of the paper's breeding step at 512x16. The h2ll row restores
+/// a converged schedule's completions and genes before each call, as the
+/// breeding step copies a schedule before its local search, so it times
+/// the copy plus the call.
+void bench_h2ll_slots(std::vector<KernelPoint>& points, std::uint64_t seed,
+                      bool quick) {
+  constexpr std::size_t kTasks = 512;
+  constexpr std::size_t kMachines = 16;
+  const std::size_t reps = quick ? 20'000 : 200'000;
+  support::Xoshiro256 rng(seed);
+  std::vector<double> rows(kTasks * kMachines);
+  for (auto& v : rows) v = rng.uniform(1.0, 1000.0);
+  std::vector<std::uint16_t> genes0(kTasks);
+  std::vector<double> ct0(kMachines, 0.0);
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    genes0[t] = static_cast<std::uint16_t>(rng.index(kMachines));
+    ct0[genes0[t]] += rows[t * kMachines + genes0[t]];
+  }
+  kernels::detail::scalar_table().h2ll(ct0.data(), genes0.data(), rows.data(),
+                                       kTasks, kMachines, kMachines / 2,
+                                       100'000, rng);
+  std::vector<std::uint16_t> other = genes0;
+  for (std::size_t t = 0; t < kTasks; t += 7) {
+    other[t] = static_cast<std::uint16_t>(rng.index(kMachines));
+  }
+  std::vector<std::uint64_t> words(kTasks / 64);
+  std::vector<double> ct(kMachines);
+  std::vector<std::uint16_t> genes(kTasks);
+  for (const kernels::Dispatch* tier : host_tiers()) {
+    add_point(points, "h2ll-10", *tier, kMachines, reps,
+              [&](const kernels::Dispatch& t) {
+                std::copy(ct0.begin(), ct0.end(), ct.begin());
+                std::copy(genes0.begin(), genes0.end(), genes.begin());
+                t.h2ll(ct.data(), genes.data(), rows.data(), kTasks,
+                       kMachines, kMachines / 2, 10, rng);
+                return ct[0];
+              });
+    add_point(points, "eq-mask", *tier, kTasks, 10 * reps,
+              [&](const kernels::Dispatch& t) {
+                return static_cast<double>(
+                    t.eq_mask_u16(genes0.data(), kTasks, 3, words.data()));
+              });
+    // Crossover's segments seldom end on a word boundary, so ne-mask also
+    // runs at a length whose last word is partial.
+    for (const std::size_t n : {kTasks, std::size_t{200}}) {
+      add_point(points, "ne-mask", *tier, n, 10 * reps,
+                [&](const kernels::Dispatch& t) {
+                  return static_cast<double>(t.ne_mask_u16(
+                      genes0.data(), other.data(), n, words.data()));
+                });
+    }
+    add_point(points, "lightest-mask", *tier, kMachines, 10 * reps,
+              [&](const kernels::Dispatch& t) {
+                return static_cast<double>(t.lightest_mask(
+                    ct0.data(), kMachines, kMachines / 2, words.data()));
+              });
+  }
 }
 
 // ---- end-to-end: heuristics ----------------------------------------------
@@ -313,10 +382,10 @@ void write_json(const char* path, const Options& opts,
     const auto& p = points[i];
     std::fprintf(out,
                  "    {\"kernel\": \"%s\", \"dispatch\": \"%s\", "
-                 "\"machines\": %zu, "
+                 "\"n\": %zu, "
                  "\"scalar_ns\": %.1f, \"dispatched_ns\": %.1f, "
                  "\"speedup\": %.2f}%s\n",
-                 p.kernel, p.dispatch, p.machines, p.scalar_ns,
+                 p.kernel, p.dispatch, p.n, p.scalar_ns,
                  p.dispatched_ns, p.speedup,
                  i + 1 < points.size() ? "," : "");
   }
@@ -370,7 +439,8 @@ int main(int argc, char** argv) {
               kernels::detail::avx512_supported() ? "available"
                                                   : "unavailable");
   std::printf("kernel-level (scalar vs dispatched):\n");
-  const auto points = bench_kernel_level(opts.seed);
+  auto points = bench_kernel_level(opts.seed);
+  bench_h2ll_slots(points, opts.seed, opts.quick);
 
   std::printf("end-to-end:\n");
   std::vector<EndToEnd> e2e;

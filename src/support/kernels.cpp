@@ -12,8 +12,10 @@
 
 #include "support/rng.hpp"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define PACGA_KERNELS_X86_AVX2 1
+// The vector tiers compile under `#pragma GCC target`, which clang does not
+// implement: a clang build, like a non-x86 one, runs the scalar tier.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define PACGA_KERNELS_X86 1
 #include <immintrin.h>
 #endif
 
@@ -24,15 +26,15 @@ namespace {
 // ---- portable scalar path ------------------------------------------------
 //
 // These loops ARE the semantic definition: in-order scans with strict
-// comparisons (lowest index wins ties). The AVX2 path reproduces them
-// bit-for-bit; test_kernels holds both to that contract.
+// comparisons (lowest index wins ties). The vector tiers reproduce them
+// bit-for-bit; test_kernels holds every tier to that contract.
 
 // max_value/min_value return the extreme VALUE canonicalized by `+ 0.0`:
 // the only doubles that compare equal with different bit patterns are
 // signed zeros (NaN is excluded by contract), and -0.0 + 0.0 == +0.0, so
 // the result is bit-identical across paths no matter WHICH of several
 // compare-equal extremes a reduction happens to select. That freedom is
-// what lets the AVX2 path use raw max_pd/min_pd reductions — the fastest
+// what lets the vector tiers use raw max_pd/min_pd reductions — the fastest
 // shape — instead of index-tracked blends.
 
 double scalar_max_value(const double* d, std::size_t n) {
@@ -315,243 +317,199 @@ constexpr Dispatch kScalar{scalar_max_value,     scalar_min_value,
                            scalar_ne_mask_u16,   scalar_h2ll,
                            "scalar"};
 
-// ---- AVX2 path -----------------------------------------------------------
+// ---- vector tiers ----------------------------------------------------------
+//
+// Each vector tier is a namespace of lane ops, always_inline wrappers over
+// one tier's intrinsics, followed by kernels_body.inc, the one source of
+// every vector algorithm. Both sit inside the tier's `#pragma GCC target`
+// region, so the body compiles once per tier: 4 lanes of AVX2 and 8 lanes
+// of AVX-512. Every header is included above, before the first region, so
+// that no template from a header is defined under a vector target.
 
-#if PACGA_KERNELS_X86_AVX2
+#if PACGA_KERNELS_X86
 
-// Folds a 4-lane (value, index) state down to the scalar-scan answer:
-// smallest index among the lanes holding the extreme value. Lane l of a
-// block starting at element i holds element i + l, so comparing the stored
-// indices directly reproduces the in-order scan's lowest-index tie-break.
-template <bool kMax>
-std::size_t fold_lanes(const double (&v)[4], const std::uint64_t (&idx)[4]) {
-  std::size_t best = 0;
-  for (std::size_t l = 1; l < 4; ++l) {
-    const bool better = kMax ? v[l] > v[best] : v[l] < v[best];
-    if (better || (v[l] == v[best] && idx[l] < idx[best])) best = l;
-  }
-  return best;
+#define PACGA_ALWAYS_INLINE __attribute__((always_inline)) inline
+
+#pragma GCC push_options
+#pragma GCC target("avx2,popcnt")
+
+namespace avx2 {
+
+constexpr std::size_t kLanes = 4;
+using Vd = __m256d;
+using Vi = __m256i;
+using Mask = __m256d;  // all-ones lanes
+
+PACGA_ALWAYS_INLINE Vd loadu(const double* p) { return _mm256_loadu_pd(p); }
+PACGA_ALWAYS_INLINE void storeu(double* p, Vd v) { _mm256_storeu_pd(p, v); }
+PACGA_ALWAYS_INLINE void store(double* p, Vd v) { _mm256_store_pd(p, v); }
+PACGA_ALWAYS_INLINE void store(std::uint64_t* p, Vi v) {
+  _mm256_store_si256(reinterpret_cast<__m256i*>(p), v);
+}
+PACGA_ALWAYS_INLINE Vd splat(double x) { return _mm256_set1_pd(x); }
+PACGA_ALWAYS_INLINE Vi splat_i(std::size_t x) {
+  return _mm256_set1_epi64x(static_cast<long long>(x));
+}
+PACGA_ALWAYS_INLINE Vi iota(std::size_t o) {
+  const auto b = static_cast<long long>(o);
+  return _mm256_setr_epi64x(b, b + 1, b + 2, b + 3);
+}
+PACGA_ALWAYS_INLINE Vi zero_i() { return _mm256_setzero_si256(); }
+PACGA_ALWAYS_INLINE Vd add(Vd a, Vd b) { return _mm256_add_pd(a, b); }
+PACGA_ALWAYS_INLINE Vi add(Vi a, Vi b) { return _mm256_add_epi64(a, b); }
+PACGA_ALWAYS_INLINE Vd mul(Vd a, Vd b) { return _mm256_mul_pd(a, b); }
+PACGA_ALWAYS_INLINE Vd max(Vd a, Vd b) { return _mm256_max_pd(a, b); }
+PACGA_ALWAYS_INLINE Vd min(Vd a, Vd b) { return _mm256_min_pd(a, b); }
+
+// Compares, plain and restricted to the lanes of m.
+template <int kPred>
+PACGA_ALWAYS_INLINE Mask cmp(Vd a, Vd b) {
+  return _mm256_cmp_pd(a, b, kPred);
+}
+template <int kPred>
+PACGA_ALWAYS_INLINE Mask cmp_in(Mask m, Vd a, Vd b) {
+  return _mm256_and_pd(_mm256_cmp_pd(a, b, kPred), m);
+}
+// a where m is clear, b where it is set.
+PACGA_ALWAYS_INLINE Vd blend(Mask m, Vd a, Vd b) {
+  return _mm256_blendv_pd(a, b, m);
+}
+PACGA_ALWAYS_INLINE Vi blend(Mask m, Vi a, Vi b) {
+  return _mm256_blendv_epi8(a, b, _mm256_castpd_si256(m));
+}
+// a - b and a + b in the lanes of m, a elsewhere.
+PACGA_ALWAYS_INLINE Vd sub_in(Mask m, Vd a, Vd b) {
+  return _mm256_blendv_pd(a, _mm256_sub_pd(a, b), m);
+}
+PACGA_ALWAYS_INLINE Vd add_in(Mask m, Vd a, Vd b) {
+  return _mm256_blendv_pd(a, _mm256_add_pd(a, b), m);
 }
 
-// Raw max_pd/min_pd reductions: which of several compare-equal extremes
-// wins differs from the scalar scan's first-occurrence pick, but the
-// `+ 0.0` canonicalization (see the scalar definitions) erases the only
-// representable difference (signed zeros), so bit-identity holds.
-
-__attribute__((target("avx2"))) double avx2_max_value(const double* d,
-                                                      std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  double best = d[0];
-  if (n >= 8) {
-    __m256d acc = _mm256_loadu_pd(d);
-    for (i = 4; i + 4 <= n; i += 4) {
-      acc = _mm256_max_pd(acc, _mm256_loadu_pd(d + i));
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    best = lanes[0];
-    for (std::size_t l = 1; l < 4; ++l) {
-      if (lanes[l] > best) best = lanes[l];
-    }
-  }
-  for (; i < n; ++i) {
-    if (d[i] > best) best = d[i];
-  }
-  return best + 0.0;
+// The lanes below `left`, and the lane of block b that holds entry m.
+PACGA_ALWAYS_INLINE Mask first_lanes(std::size_t left) {
+  return _mm256_castsi256_pd(_mm256_cmpgt_epi64(splat_i(left), iota(0)));
+}
+PACGA_ALWAYS_INLINE Mask lane_of(std::size_t b, std::size_t m) {
+  return _mm256_castsi256_pd(_mm256_cmpeq_epi64(iota(kLanes * b), splat_i(m)));
+}
+PACGA_ALWAYS_INLINE Mask no_lanes() { return _mm256_setzero_pd(); }
+PACGA_ALWAYS_INLINE Mask mask_or(Mask a, Mask b) { return _mm256_or_pd(a, b); }
+// b without the lanes of a.
+PACGA_ALWAYS_INLINE Mask mask_andnot(Mask a, Mask b) {
+  return _mm256_andnot_pd(a, b);
+}
+PACGA_ALWAYS_INLINE unsigned to_bits(Mask m) {
+  return static_cast<unsigned>(_mm256_movemask_pd(m));
 }
 
-__attribute__((target("avx2"))) double avx2_min_value(const double* d,
-                                                      std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  double best = d[0];
-  if (n >= 8) {
-    __m256d acc = _mm256_loadu_pd(d);
-    for (i = 4; i + 4 <= n; i += 4) {
-      acc = _mm256_min_pd(acc, _mm256_loadu_pd(d + i));
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    best = lanes[0];
-    for (std::size_t l = 1; l < 4; ++l) {
-      if (lanes[l] < best) best = lanes[l];
-    }
-  }
-  for (; i < n; ++i) {
-    if (d[i] < best) best = d[i];
-  }
-  return best + 0.0;
+// Masked loads read nothing outside m: load_z zeroes the other lanes,
+// load_or fills them from `fill`.
+PACGA_ALWAYS_INLINE Vd load_z(const double* p, Mask m) {
+  return _mm256_maskload_pd(p, _mm256_castpd_si256(m));
+}
+PACGA_ALWAYS_INLINE Vd load_or(const double* p, Mask m, Vd fill) {
+  return _mm256_blendv_pd(fill, load_z(p, m), m);
+}
+PACGA_ALWAYS_INLINE void store_in(double* p, Mask m, Vd v) {
+  _mm256_maskstore_pd(p, _mm256_castpd_si256(m), v);
 }
 
-// Shared shape of the indexed reductions: per 4-wide block, a strict
-// compare against the running per-lane best blends in the new values and
-// their indices; within a lane the strict compare keeps the EARLIEST
-// occurrence, and the cross-lane fold plus the scalar tail restore the
-// global lowest-index tie-break. Four independent accumulator streams
-// (16 elements per round) break the cmp->blend latency chain that would
-// otherwise bound throughput; each lane of each stream still keeps the
-// earliest index of ITS subsequence, so the 16-way fold remains exact.
-template <bool kMax>
-__attribute__((target("avx2"))) std::size_t avx2_argextreme(const double* d,
-                                                            std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  std::size_t arg = 0;
-  if (n >= 32) {
-    __m256d best[4];
-    __m256i best_idx[4];
-    __m256i idx[4];
-    const __m256i step = _mm256_set1_epi64x(16);
-    for (int s = 0; s < 4; ++s) {
-      best[s] = _mm256_loadu_pd(d + 4 * s);
-      best_idx[s] = _mm256_setr_epi64x(4 * s, 4 * s + 1, 4 * s + 2, 4 * s + 3);
-      idx[s] = _mm256_add_epi64(best_idx[s], step);
-    }
-    for (i = 16; i + 16 <= n; i += 16) {
-      for (int s = 0; s < 4; ++s) {
-        const __m256d v = _mm256_loadu_pd(d + i + 4 * s);
-        const __m256d better = kMax ? _mm256_cmp_pd(v, best[s], _CMP_GT_OQ)
-                                    : _mm256_cmp_pd(v, best[s], _CMP_LT_OQ);
-        best[s] = _mm256_blendv_pd(best[s], v, better);
-        best_idx[s] = _mm256_blendv_epi8(best_idx[s], idx[s],
-                                         _mm256_castpd_si256(better));
-        idx[s] = _mm256_add_epi64(idx[s], step);
-      }
-    }
-    alignas(32) double v[16];
-    alignas(32) std::uint64_t vi[16];
-    for (int s = 0; s < 4; ++s) {
-      _mm256_store_pd(v + 4 * s, best[s]);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(vi + 4 * s), best_idx[s]);
-    }
-    std::size_t lane = 0;
-    for (std::size_t l = 1; l < 16; ++l) {
-      const bool better = kMax ? v[l] > v[lane] : v[l] < v[lane];
-      if (better || (v[l] == v[lane] && vi[l] < vi[lane])) lane = l;
-    }
-    arg = static_cast<std::size_t>(vi[lane]);
-  } else if (n >= 8) {
-    __m256d best = _mm256_loadu_pd(d);
-    __m256i best_idx = _mm256_setr_epi64x(0, 1, 2, 3);
-    __m256i idx = _mm256_setr_epi64x(4, 5, 6, 7);
-    const __m256i step = _mm256_set1_epi64x(4);
-    for (i = 4; i + 4 <= n; i += 4) {
-      const __m256d v = _mm256_loadu_pd(d + i);
-      const __m256d better = kMax ? _mm256_cmp_pd(v, best, _CMP_GT_OQ)
-                                  : _mm256_cmp_pd(v, best, _CMP_LT_OQ);
-      best = _mm256_blendv_pd(best, v, better);
-      best_idx = _mm256_blendv_epi8(best_idx, idx,
-                                    _mm256_castpd_si256(better));
-      idx = _mm256_add_epi64(idx, step);
-    }
-    alignas(32) double v[4];
-    alignas(32) std::uint64_t vi[4];
-    _mm256_store_pd(v, best);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(vi), best_idx);
-    const std::size_t lane = fold_lanes<kMax>(v, vi);
-    arg = static_cast<std::size_t>(vi[lane]);
-  }
-  // Tail indices are all larger than any vector-phase index, so the strict
-  // compare alone preserves the tie-break.
-  for (; i < n; ++i) {
-    const bool better = kMax ? d[i] > d[arg] : d[i] < d[arg];
-    if (better) arg = i;
-  }
-  return arg;
+// The largest (smallest) lane, broadcast to every lane.
+PACGA_ALWAYS_INLINE Vd bcast_max(Vd v) {
+  v = _mm256_max_pd(v, _mm256_permute2f128_pd(v, v, 1));
+  return _mm256_max_pd(v, _mm256_permute_pd(v, 0b0101));
+}
+PACGA_ALWAYS_INLINE Vd bcast_min(Vd v) {
+  v = _mm256_min_pd(v, _mm256_permute2f128_pd(v, v, 1));
+  return _mm256_min_pd(v, _mm256_permute_pd(v, 0b0101));
+}
+// Lane l broadcast: 32-bit permute indices 2l and 2l + 1 in every lane.
+PACGA_ALWAYS_INLINE Vd bcast_lane(Vd v, std::size_t l) {
+  const __m256i pick = _mm256_set1_epi64x(
+      static_cast<long long>(((2 * l + 1) << 32) | (2 * l)));
+  return _mm256_castps_pd(
+      _mm256_permutevar8x32_ps(_mm256_castpd_ps(v), pick));
 }
 
-__attribute__((target("avx2"))) std::size_t avx2_argmax(const double* d,
-                                                        std::size_t n) {
-  return avx2_argextreme<true>(d, n);
+// The rank count: a counted lane is all-ones (-1), so subtracting the mask
+// adds one to that lane's rank.
+PACGA_ALWAYS_INLINE Vi tally(Vi rank, Mask counted) {
+  return _mm256_sub_epi64(rank, _mm256_castpd_si256(counted));
+}
+// The lanes of m where a < b.
+PACGA_ALWAYS_INLINE Mask lt_in(Mask m, Vi a, Vi b) {
+  return _mm256_castsi256_pd(
+      _mm256_and_si256(_mm256_cmpgt_epi64(b, a), _mm256_castpd_si256(m)));
+}
+// The rank count's own block against its lane l: the lanes after l count
+// ties (LE), the others do not (LT).
+PACGA_ALWAYS_INLINE Mask cmp_diag(Vd dj, Vd v, std::size_t l) {
+  const Mask after =
+      _mm256_castsi256_pd(_mm256_cmpgt_epi64(iota(0), splat_i(l)));
+  return _mm256_blendv_pd(cmp<_CMP_LT_OQ>(dj, v), cmp<_CMP_LE_OQ>(dj, v),
+                          after);
 }
 
-__attribute__((target("avx2"))) std::size_t avx2_argmin(const double* d,
-                                                        std::size_t n) {
-  return avx2_argextreme<false>(d, n);
+// One 64-gene mask word of the genes from p on, `left` of them real. A
+// whole word is four 16-lane compares, narrowed to bytes by packs (0xFFFF
+// saturates to 0xFF); packs interleaves the 128-bit halves of its
+// operands, so the 64-bit permute restores gene order before movemask
+// reads one bit per gene. AVX2 has no masked 16-bit loads, so a partial
+// last word takes the scalar body, which reads no gene past n.
+PACGA_ALWAYS_INLINE __m256i load_u16(const std::uint16_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
 }
-
-__attribute__((target("avx2"))) MinScan avx2_min_plus(const double* a,
-                                                      const double* b,
-                                                      std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  MinScan r{a[0] + b[0], 0};
-  if (n >= 32) {
-    // Same 4-stream unroll as the indexed reductions (see avx2_argextreme).
-    __m256d best[4];
-    __m256i best_idx[4];
-    __m256i idx[4];
-    const __m256i step = _mm256_set1_epi64x(16);
-    for (int s = 0; s < 4; ++s) {
-      best[s] = _mm256_add_pd(_mm256_loadu_pd(a + 4 * s),
-                              _mm256_loadu_pd(b + 4 * s));
-      best_idx[s] = _mm256_setr_epi64x(4 * s, 4 * s + 1, 4 * s + 2, 4 * s + 3);
-      idx[s] = _mm256_add_epi64(best_idx[s], step);
-    }
-    for (i = 16; i + 16 <= n; i += 16) {
-      for (int s = 0; s < 4; ++s) {
-        const __m256d c = _mm256_add_pd(_mm256_loadu_pd(a + i + 4 * s),
-                                        _mm256_loadu_pd(b + i + 4 * s));
-        const __m256d lt = _mm256_cmp_pd(c, best[s], _CMP_LT_OQ);
-        best[s] = _mm256_blendv_pd(best[s], c, lt);
-        best_idx[s] =
-            _mm256_blendv_epi8(best_idx[s], idx[s], _mm256_castpd_si256(lt));
-        idx[s] = _mm256_add_epi64(idx[s], step);
-      }
-    }
-    alignas(32) double v[16];
-    alignas(32) std::uint64_t vi[16];
-    for (int s = 0; s < 4; ++s) {
-      _mm256_store_pd(v + 4 * s, best[s]);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(vi + 4 * s), best_idx[s]);
-    }
-    std::size_t lane = 0;
-    for (std::size_t l = 1; l < 16; ++l) {
-      if (v[l] < v[lane] || (v[l] == v[lane] && vi[l] < vi[lane])) lane = l;
-    }
-    r = {v[lane], static_cast<std::size_t>(vi[lane])};
-  } else if (n >= 8) {
-    __m256d best = _mm256_add_pd(_mm256_loadu_pd(a), _mm256_loadu_pd(b));
-    __m256i best_idx = _mm256_setr_epi64x(0, 1, 2, 3);
-    __m256i idx = _mm256_setr_epi64x(4, 5, 6, 7);
-    const __m256i step = _mm256_set1_epi64x(4);
-    for (i = 4; i + 4 <= n; i += 4) {
-      const __m256d c =
-          _mm256_add_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-      const __m256d lt = _mm256_cmp_pd(c, best, _CMP_LT_OQ);
-      best = _mm256_blendv_pd(best, c, lt);
-      best_idx =
-          _mm256_blendv_epi8(best_idx, idx, _mm256_castpd_si256(lt));
-      idx = _mm256_add_epi64(idx, step);
-    }
-    alignas(32) double v[4];
-    alignas(32) std::uint64_t vi[4];
-    _mm256_store_pd(v, best);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(vi), best_idx);
-    const std::size_t lane = fold_lanes<false>(v, vi);
-    r = {v[lane], static_cast<std::size_t>(vi[lane])};
+PACGA_ALWAYS_INLINE std::uint64_t bits32(__m256i lo, __m256i hi) {
+  const __m256i bytes = _mm256_permute4x64_epi64(_mm256_packs_epi16(lo, hi),
+                                                 _MM_SHUFFLE(3, 1, 2, 0));
+  return static_cast<std::uint32_t>(_mm256_movemask_epi8(bytes));
+}
+PACGA_ALWAYS_INLINE std::uint64_t eq_word(const std::uint16_t* p,
+                                          std::size_t left,
+                                          std::uint16_t value) {
+  std::uint64_t bits = 0;
+  if (left < 64) {
+    scalar_eq_mask_u16(p, left, value, &bits);
+    return bits;
   }
-  for (; i < n; ++i) {
-    const double c = a[i] + b[i];
-    if (c < r.value) r = {c, i};
+  const __m256i v = _mm256_set1_epi16(static_cast<short>(value));
+  for (std::size_t half = 0; half < 2; ++half) {
+    const std::uint16_t* q = p + 32 * half;
+    bits |= bits32(_mm256_cmpeq_epi16(load_u16(q), v),
+                   _mm256_cmpeq_epi16(load_u16(q + 16), v))
+            << (32 * half);
   }
-  return r;
+  return bits;
+}
+PACGA_ALWAYS_INLINE std::uint64_t ne_word(const std::uint16_t* a,
+                                          const std::uint16_t* b,
+                                          std::size_t left) {
+  std::uint64_t bits = 0;
+  if (left < 64) {
+    scalar_ne_mask_u16(a, b, left, &bits);
+    return bits;
+  }
+  for (std::size_t half = 0; half < 2; ++half) {
+    const std::size_t i = 32 * half;
+    bits |= bits32(_mm256_cmpeq_epi16(load_u16(a + i), load_u16(b + i)),
+                   _mm256_cmpeq_epi16(load_u16(a + i + 16),
+                                      load_u16(b + i + 16)))
+            << (32 * half);
+  }
+  return ~bits;
 }
 
-__attribute__((target("avx2"))) void avx2_scale_inplace(double* d,
-                                                        std::size_t n,
-                                                        double factor) {
-  const __m256d f = _mm256_set1_pd(factor);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(d + i, _mm256_mul_pd(_mm256_loadu_pd(d + i), f));
-  }
-  for (; i < n; ++i) d[i] *= factor;
+// The clear-lowest-bit walk: some AVX2-only CPUs microcode pdep.
+PACGA_ALWAYS_INLINE std::size_t nth_set_bit(const std::uint64_t* words,
+                                            std::size_t k) {
+  return select_walk(words, k);
 }
 
-__attribute__((target("avx2"))) std::uint64_t avx2_hash_block(
-    const double* d, std::size_t n, std::uint64_t seed) {
+#include "support/kernels_body.inc"
+
+// hash_block is DEFINED as a 4-lane mix (see scalar_hash_block), so this is
+// its one vector body; the AVX-512 table uses it too.
+std::uint64_t hash_block(const double* d, std::size_t n, std::uint64_t seed) {
   alignas(32) std::uint64_t lane[4];
   for (std::size_t l = 0; l < 4; ++l) {
     lane[l] = seed + (l + 1) * 0x9e3779b97f4a7c15ULL;
@@ -579,836 +537,183 @@ __attribute__((target("avx2"))) std::uint64_t avx2_hash_block(
   return acc;
 }
 
-// 64 genes per mask word: two 16-lane compares per 32 genes, narrowed to
-// bytes by packs (0xFFFF saturates to 0xFF). packs interleaves the 128-bit
-// halves of its operands, so the 64-bit permute restores gene order before
-// movemask reads one bit per gene. A partial last word takes the scalar
-// body.
-__attribute__((target("avx2"))) inline std::uint64_t avx2_bits32(__m256i lo,
-                                                                 __m256i hi) {
-  const __m256i bytes = _mm256_permute4x64_epi64(_mm256_packs_epi16(lo, hi),
-                                                 _MM_SHUFFLE(3, 1, 2, 0));
-  return static_cast<std::uint32_t>(_mm256_movemask_epi8(bytes));
+}  // namespace avx2
+
+#pragma GCC pop_options
+
+// AVX-512: avx512f, plus avx512bw for the 32-lane 16-bit gene compares and
+// BMI2 for nth_set_bit's pdep. Compares produce mask registers, so every
+// masked op is one instruction.
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx512bw,popcnt,bmi2")
+
+namespace avx512 {
+
+constexpr std::size_t kLanes = 8;
+using Vd = __m512d;
+using Vi = __m512i;
+using Mask = __mmask8;
+
+PACGA_ALWAYS_INLINE Vd loadu(const double* p) { return _mm512_loadu_pd(p); }
+PACGA_ALWAYS_INLINE void storeu(double* p, Vd v) { _mm512_storeu_pd(p, v); }
+PACGA_ALWAYS_INLINE void store(double* p, Vd v) { _mm512_store_pd(p, v); }
+PACGA_ALWAYS_INLINE void store(std::uint64_t* p, Vi v) {
+  _mm512_store_si512(p, v);
+}
+PACGA_ALWAYS_INLINE Vd splat(double x) { return _mm512_set1_pd(x); }
+PACGA_ALWAYS_INLINE Vi splat_i(std::size_t x) {
+  return _mm512_set1_epi64(static_cast<long long>(x));
+}
+PACGA_ALWAYS_INLINE Vi iota(std::size_t o) {
+  const auto b = static_cast<long long>(o);
+  return _mm512_set_epi64(b + 7, b + 6, b + 5, b + 4, b + 3, b + 2, b + 1, b);
+}
+PACGA_ALWAYS_INLINE Vi zero_i() { return _mm512_setzero_si512(); }
+PACGA_ALWAYS_INLINE Vd add(Vd a, Vd b) { return _mm512_add_pd(a, b); }
+PACGA_ALWAYS_INLINE Vi add(Vi a, Vi b) { return _mm512_add_epi64(a, b); }
+PACGA_ALWAYS_INLINE Vd mul(Vd a, Vd b) { return _mm512_mul_pd(a, b); }
+PACGA_ALWAYS_INLINE Vd max(Vd a, Vd b) { return _mm512_max_pd(a, b); }
+PACGA_ALWAYS_INLINE Vd min(Vd a, Vd b) { return _mm512_min_pd(a, b); }
+
+template <int kPred>
+PACGA_ALWAYS_INLINE Mask cmp(Vd a, Vd b) {
+  return _mm512_cmp_pd_mask(a, b, kPred);
+}
+template <int kPred>
+PACGA_ALWAYS_INLINE Mask cmp_in(Mask m, Vd a, Vd b) {
+  return _mm512_mask_cmp_pd_mask(m, a, b, kPred);
+}
+PACGA_ALWAYS_INLINE Vd blend(Mask m, Vd a, Vd b) {
+  return _mm512_mask_blend_pd(m, a, b);
+}
+PACGA_ALWAYS_INLINE Vi blend(Mask m, Vi a, Vi b) {
+  return _mm512_mask_blend_epi64(m, a, b);
+}
+PACGA_ALWAYS_INLINE Vd sub_in(Mask m, Vd a, Vd b) {
+  return _mm512_mask_sub_pd(a, m, a, b);
+}
+PACGA_ALWAYS_INLINE Vd add_in(Mask m, Vd a, Vd b) {
+  return _mm512_mask_add_pd(a, m, a, b);
 }
 
-__attribute__((target("avx2"))) inline __m256i avx2_load_u16(
-    const std::uint16_t* p) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+PACGA_ALWAYS_INLINE Mask first_lanes(std::size_t left) {
+  return static_cast<Mask>((1u << std::min(kLanes, left)) - 1);
+}
+// Requires m < 32 (the register bodies hold at most 16 entries).
+PACGA_ALWAYS_INLINE Mask lane_of(std::size_t b, std::size_t m) {
+  return static_cast<Mask>((std::uint32_t{1} << m) >> (kLanes * b));
+}
+PACGA_ALWAYS_INLINE Mask no_lanes() { return 0; }
+PACGA_ALWAYS_INLINE Mask mask_or(Mask a, Mask b) {
+  return static_cast<Mask>(a | b);
+}
+PACGA_ALWAYS_INLINE Mask mask_andnot(Mask a, Mask b) {
+  return static_cast<Mask>(~a & b);
+}
+PACGA_ALWAYS_INLINE unsigned to_bits(Mask m) { return m; }
+
+PACGA_ALWAYS_INLINE Vd load_z(const double* p, Mask m) {
+  return _mm512_maskz_loadu_pd(m, p);
+}
+PACGA_ALWAYS_INLINE Vd load_or(const double* p, Mask m, Vd fill) {
+  return _mm512_mask_loadu_pd(fill, m, p);
+}
+PACGA_ALWAYS_INLINE void store_in(double* p, Mask m, Vd v) {
+  _mm512_mask_storeu_pd(p, m, v);
 }
 
-__attribute__((target("avx2,popcnt"))) std::size_t avx2_eq_mask_u16(
-    const std::uint16_t* d, std::size_t n, std::uint16_t value,
-    std::uint64_t* words) {
-  const __m256i v = _mm256_set1_epi16(static_cast<short>(value));
-  std::size_t count = 0;
-  std::size_t w = 0;
-  for (; 64 * w + 64 <= n; ++w) {
-    std::uint64_t bits = 0;
-    for (std::size_t half = 0; half < 2; ++half) {
-      const std::uint16_t* p = d + 64 * w + 32 * half;
-      bits |= avx2_bits32(_mm256_cmpeq_epi16(avx2_load_u16(p), v),
-                          _mm256_cmpeq_epi16(avx2_load_u16(p + 16), v))
-              << (32 * half);
-    }
-    words[w] = bits;
-    count += static_cast<std::size_t>(std::popcount(bits));
-  }
-  return count + scalar_eq_mask_u16(d + 64 * w, n - 64 * w, value, words + w);
+PACGA_ALWAYS_INLINE Vd bcast_max(Vd v) {
+  return _mm512_set1_pd(_mm512_reduce_max_pd(v));
+}
+PACGA_ALWAYS_INLINE Vd bcast_min(Vd v) {
+  return _mm512_set1_pd(_mm512_reduce_min_pd(v));
+}
+PACGA_ALWAYS_INLINE Vd bcast_lane(Vd v, std::size_t l) {
+  return _mm512_permutexvar_pd(splat_i(l), v);
 }
 
-// The match mask's word loop over two arrays, inverted: a word's equal
-// genes are its clear bits.
-__attribute__((target("avx2,popcnt"))) std::size_t avx2_ne_mask_u16(
-    const std::uint16_t* a, const std::uint16_t* b, std::size_t n,
-    std::uint64_t* words) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  for (; 64 * w + 64 <= n; ++w) {
-    std::uint64_t same = 0;
-    for (std::size_t half = 0; half < 2; ++half) {
-      const std::size_t i = 64 * w + 32 * half;
-      const __m256i lo =
-          _mm256_cmpeq_epi16(avx2_load_u16(a + i), avx2_load_u16(b + i));
-      const __m256i hi = _mm256_cmpeq_epi16(avx2_load_u16(a + i + 16),
-                                            avx2_load_u16(b + i + 16));
-      same |= avx2_bits32(lo, hi) << (32 * half);
-    }
-    words[w] = ~same;
-    count += static_cast<std::size_t>(std::popcount(~same));
-  }
-  return count +
-         scalar_ne_mask_u16(a + 64 * w, b + 64 * w, n - 64 * w, words + w);
+PACGA_ALWAYS_INLINE Vi tally(Vi rank, Mask counted) {
+  return _mm512_mask_add_epi64(rank, counted, rank, _mm512_set1_epi64(1));
+}
+PACGA_ALWAYS_INLINE Mask lt_in(Mask m, Vi a, Vi b) {
+  return _mm512_mask_cmplt_epi64_mask(m, a, b);
+}
+PACGA_ALWAYS_INLINE Mask cmp_diag(Vd dj, Vd v, std::size_t l) {
+  const auto after = static_cast<Mask>(0xFEu << l);
+  return _mm512_mask_cmp_pd_mask(after, dj, v, _CMP_LE_OQ) |
+         _mm512_mask_cmp_pd_mask(static_cast<Mask>(~after), dj, v,
+                                 _CMP_LT_OQ);
 }
 
-// Rank counting, 4 entries m per block: lane m counts j when
-// (d[j], j) < (d[m], m). Entries before the block precede every lane, so
-// ties count (d[j] <= d[m]); entries after it follow every lane, so ties
-// do not (d[j] < d[m]); the block's own entries pick LE or LT per lane,
-// which also keeps m from counting itself. A compare is all-ones per
-// counted lane, so subtracting it increments the rank. Lanes past n are
-// cleared from the result; j only reads real entries.
-// Counting costs O(n^2 / lanes) against the selection's O(n), so the
-// vector bodies stop at one mask word (n <= 64) and hand larger n to the
-// scalar body.
-//
-// The argmax comes from the same blocks: a max_pd pass finds the largest
-// value, and the lowest index comparing equal to it is the scalar scan's
-// answer (-0.0 == +0.0, so signed zeros cannot split the tie). Lanes past n
-// load -inf, which cannot exceed a real entry, and are masked off.
-__attribute__((target("avx2"))) inline __m256d avx2_load_block(
-    const double* d, std::size_t n, std::size_t b) {
-  const __m256i valid =
-      _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(n - b)),
-                         _mm256_setr_epi64x(0, 1, 2, 3));
-  return _mm256_blendv_pd(
-      _mm256_set1_pd(-std::numeric_limits<double>::infinity()),
-      _mm256_maskload_pd(d + b, valid), _mm256_castsi256_pd(valid));
+// One 64-gene mask word as two 32-lane compares. The loads of a partial
+// last word are masked to the genes below n, so no gene past n is read.
+PACGA_ALWAYS_INLINE std::uint64_t live_genes(std::size_t left) {
+  return left >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << left) - 1;
 }
-
-__attribute__((target("avx2"))) std::size_t avx2_lightest_mask(
-    const double* d, std::size_t n, std::size_t k, std::uint64_t* words) {
-  if (n > 64) return scalar_lightest_mask(d, n, k, words);
-  if (n == 0) return 0;
-  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
-  __m256d top = avx2_load_block(d, n, 0);
-  for (std::size_t b = 4; b < n; b += 4) {
-    top = _mm256_max_pd(top, avx2_load_block(d, n, b));
-  }
-  top = _mm256_max_pd(top, _mm256_permute2f128_pd(top, top, 1));
-  top = _mm256_max_pd(top, _mm256_permute_pd(top, 0b0101));
-  const __m256i kv =
-      _mm256_set1_epi64x(static_cast<long long>(std::min(k, n)));
+PACGA_ALWAYS_INLINE std::uint64_t eq_word(const std::uint16_t* p,
+                                          std::size_t left,
+                                          std::uint16_t value) {
+  const __m512i v = _mm512_set1_epi16(static_cast<short>(value));
+  const std::uint64_t live = live_genes(left);
   std::uint64_t bits = 0;
-  std::uint64_t at_top = 0;
-  for (std::size_t b = 0; b < n; b += 4) {
-    const std::size_t lanes = std::min<std::size_t>(4, n - b);
-    const std::uint64_t valid = (std::uint64_t{1} << lanes) - 1;
-    const __m256d vm = avx2_load_block(d, n, b);
-    at_top |= (static_cast<std::uint64_t>(_mm256_movemask_pd(
-                   _mm256_cmp_pd(vm, top, _CMP_EQ_OQ))) &
-               valid)
-              << b;
-    __m256i rank = _mm256_setzero_si256();
-    for (std::size_t j = 0; j < b; ++j) {
-      const __m256d le = _mm256_cmp_pd(_mm256_set1_pd(d[j]), vm, _CMP_LE_OQ);
-      rank = _mm256_sub_epi64(rank, _mm256_castpd_si256(le));
-    }
-    for (std::size_t j = b; j < b + lanes; ++j) {
-      const __m256d dj = _mm256_set1_pd(d[j]);
-      const __m256i after = _mm256_cmpgt_epi64(
-          lane, _mm256_set1_epi64x(static_cast<long long>(j - b)));
-      const __m256d counted =
-          _mm256_blendv_pd(_mm256_cmp_pd(dj, vm, _CMP_LT_OQ),
-                           _mm256_cmp_pd(dj, vm, _CMP_LE_OQ),
-                           _mm256_castsi256_pd(after));
-      rank = _mm256_sub_epi64(rank, _mm256_castpd_si256(counted));
-    }
-    for (std::size_t j = b + lanes; j < n; ++j) {
-      const __m256d lt = _mm256_cmp_pd(_mm256_set1_pd(d[j]), vm, _CMP_LT_OQ);
-      rank = _mm256_sub_epi64(rank, _mm256_castpd_si256(lt));
-    }
-    const auto lighter = static_cast<std::uint64_t>(_mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_cmpgt_epi64(kv, rank))));
-    bits |= (lighter & valid) << b;
+  for (std::size_t half = 0; half < 2; ++half) {
+    const auto k = static_cast<__mmask32>(live >> (32 * half));
+    bits |= std::uint64_t{_mm512_mask_cmpeq_epi16_mask(
+                k, _mm512_maskz_loadu_epi16(k, p + 32 * half), v)}
+            << (32 * half);
   }
-  words[0] = bits;
-  return static_cast<std::size_t>(std::countr_zero(at_top));
+  return bits;
 }
-
-__attribute__((target("popcnt"))) std::size_t avx2_select_bit(
-    const std::uint64_t* words, std::size_t k) {
-  return select_walk(words, k);
-}
-
-// avx2_lightest_mask on the register blocks of avx2_h2ll_regs: the argmax
-// (returned, with the makespan broadcast into `top`) and the rank count as
-// candidate lane masks, each d[j] broadcast from its block by a lane
-// permute instead of a load. Block b against entry j of block jb: every
-// lane of a later block follows j (ties count), every lane of an earlier
-// block precedes it (ties do not), and j's own block picks per lane.
-template <std::size_t NB>
-__attribute__((target("avx2"), always_inline)) inline std::size_t
-avx2_lightest_regs(const __m256d (&ct)[NB], const __m256i (&valid)[NB],
-                   std::size_t machines, std::size_t k, __m256d (&cand)[NB],
-                   __m256d& top) {
-  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
-  const __m256d neg_inf =
-      _mm256_set1_pd(-std::numeric_limits<double>::infinity());
-  __m256d high = neg_inf;
-  for (std::size_t b = 0; b < NB; ++b) {
-    high = _mm256_max_pd(high, _mm256_blendv_pd(neg_inf, ct[b],
-                                                _mm256_castsi256_pd(valid[b])));
-  }
-  high = _mm256_max_pd(high, _mm256_permute2f128_pd(high, high, 1));
-  top = _mm256_max_pd(high, _mm256_permute_pd(high, 0b0101));
-  std::uint32_t at_top = 0;
-  for (std::size_t b = 0; b < NB; ++b) {
-    const __m256d eq = _mm256_and_pd(_mm256_cmp_pd(ct[b], top, _CMP_EQ_OQ),
-                                     _mm256_castsi256_pd(valid[b]));
-    at_top |= static_cast<std::uint32_t>(_mm256_movemask_pd(eq)) << (4 * b);
-  }
-  __m256i rank[NB];
-  for (std::size_t b = 0; b < NB; ++b) rank[b] = _mm256_setzero_si256();
-  for (std::size_t jb = 0; jb < NB; ++jb) {
-    const std::size_t lanes = std::min<std::size_t>(4, machines - 4 * jb);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      // 32-bit permute indices 2l and 2l + 1 in every 64-bit lane.
-      const __m256i pick = _mm256_set1_epi64x(
-          static_cast<long long>(((2 * l + 1) << 32) | (2 * l)));
-      const __m256d dj = _mm256_castps_pd(
-          _mm256_permutevar8x32_ps(_mm256_castpd_ps(ct[jb]), pick));
-      for (std::size_t b = 0; b < NB; ++b) {
-        __m256d counted;
-        if (b < jb) {
-          counted = _mm256_cmp_pd(dj, ct[b], _CMP_LT_OQ);
-        } else if (b > jb) {
-          counted = _mm256_cmp_pd(dj, ct[b], _CMP_LE_OQ);
-        } else {
-          const __m256i after = _mm256_cmpgt_epi64(
-              lane, _mm256_set1_epi64x(static_cast<long long>(l)));
-          counted = _mm256_blendv_pd(_mm256_cmp_pd(dj, ct[b], _CMP_LT_OQ),
-                                     _mm256_cmp_pd(dj, ct[b], _CMP_LE_OQ),
-                                     _mm256_castsi256_pd(after));
-        }
-        rank[b] = _mm256_sub_epi64(rank[b], _mm256_castpd_si256(counted));
-      }
-    }
-  }
-  const __m256i kv =
-      _mm256_set1_epi64x(static_cast<long long>(std::min(k, machines)));
-  for (std::size_t b = 0; b < NB; ++b) {
-    cand[b] = _mm256_castsi256_pd(
-        _mm256_and_si256(_mm256_cmpgt_epi64(kv, rank[b]), valid[b]));
-  }
-  return static_cast<std::size_t>(std::countr_zero(at_top));
-}
-
-// H2LL with the completions in NB 4-lane registers (machines <= 4 * NB).
-// Block b holds machines 4b..4b+3; lanes past `machines` hold 0 and are
-// neither candidates nor move targets. The pass state comes from the
-// blocks themselves (avx2_lightest_regs) and the tier's match mask. Per
-// pass: one masked row load, add and compare per block against the
-// makespan, and, only when a candidate undercuts it, a min over the
-// winning lanes and the lowest lane equal to it; a move blends ct - row
-// into the loaded lane and ct + row into the target lane.
-template <std::size_t NB>
-__attribute__((target("avx2,popcnt"))) void avx2_h2ll_regs(
-    double* completions, std::uint16_t* genes, const double* rows,
-    std::size_t tasks, std::size_t machines, std::size_t k,
-    std::size_t passes, Xoshiro256& rng) {
-  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
-  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  __m256i valid[NB];
-  __m256d ct[NB];
-  for (std::size_t b = 0; b < NB; ++b) {
-    valid[b] = _mm256_cmpgt_epi64(
-        _mm256_set1_epi64x(static_cast<long long>(machines - 4 * b)), lane);
-    ct[b] = _mm256_maskload_pd(completions + 4 * b, valid[b]);
-  }
-  std::uint64_t* task_words = h2ll_task_words(tasks);
-  __m256d cand[NB];
-  __m256d top = inf;  // the makespan, broadcast
-  std::size_t most_loaded = machines;  // sentinel: no state yet
-  std::size_t count = 0;
-  std::size_t moved = tasks;
-  bool stale = true;
-  for (std::size_t pass = 0; pass < passes; ++pass) {
-    if (stale) {
-      const std::size_t loaded =
-          avx2_lightest_regs<NB>(ct, valid, machines, k, cand, top);
-      const __m256i at = _mm256_set1_epi64x(static_cast<long long>(loaded));
-      for (std::size_t b = 0; b < NB; ++b) {
-        const __m256i idx = _mm256_add_epi64(
-            lane, _mm256_set1_epi64x(static_cast<long long>(4 * b)));
-        cand[b] = _mm256_andnot_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(idx, at)), cand[b]);
-      }
-      count = refresh_task_mask(avx2_eq_mask_u16, genes, tasks, loaded,
-                                most_loaded, moved, count, task_words);
-      if (count == 0) break;
-      stale = false;
-    }
-    const std::size_t task = select_walk(task_words, rng.index(count));
-    const double* row = rows + task * machines;
-    __m256d r[NB];
-    __m256d score[NB];
-    __m256d win[NB];
-    __m256d any = _mm256_setzero_pd();
-    for (std::size_t b = 0; b < NB; ++b) {
-      r[b] = _mm256_maskload_pd(row + 4 * b, valid[b]);
-      score[b] = _mm256_add_pd(ct[b], r[b]);
-      win[b] =
-          _mm256_and_pd(_mm256_cmp_pd(score[b], top, _CMP_LT_OQ), cand[b]);
-      any = _mm256_or_pd(any, win[b]);
-    }
-    if (_mm256_movemask_pd(any) == 0) continue;
-    __m256d low = inf;
-    for (std::size_t b = 0; b < NB; ++b) {
-      low = _mm256_min_pd(low, _mm256_blendv_pd(inf, score[b], win[b]));
-    }
-    low = _mm256_min_pd(low, _mm256_permute2f128_pd(low, low, 1));
-    low = _mm256_min_pd(low, _mm256_permute_pd(low, 0b0101));
-    std::uint32_t at_low = 0;
-    for (std::size_t b = 0; b < NB; ++b) {
-      const __m256d eq =
-          _mm256_and_pd(_mm256_cmp_pd(score[b], low, _CMP_EQ_OQ), win[b]);
-      at_low |= static_cast<std::uint32_t>(_mm256_movemask_pd(eq)) << (4 * b);
-    }
-    const auto best = static_cast<std::size_t>(std::countr_zero(at_low));
-    const __m256i from =
-        _mm256_set1_epi64x(static_cast<long long>(most_loaded));
-    const __m256i to = _mm256_set1_epi64x(static_cast<long long>(best));
-    for (std::size_t b = 0; b < NB; ++b) {
-      const __m256i idx = _mm256_add_epi64(
-          lane, _mm256_set1_epi64x(static_cast<long long>(4 * b)));
-      const __m256d is_from =
-          _mm256_castsi256_pd(_mm256_cmpeq_epi64(idx, from));
-      const __m256d is_to = _mm256_castsi256_pd(_mm256_cmpeq_epi64(idx, to));
-      ct[b] = _mm256_blendv_pd(ct[b], _mm256_sub_pd(ct[b], r[b]), is_from);
-      ct[b] = _mm256_blendv_pd(ct[b], _mm256_add_pd(ct[b], r[b]), is_to);
-    }
-    genes[task] = static_cast<std::uint16_t>(best);
-    moved = task;
-    stale = true;
-  }
-  for (std::size_t b = 0; b < NB; ++b) {
-    _mm256_maskstore_pd(completions + 4 * b, valid[b], ct[b]);
-  }
-}
-
-__attribute__((target("avx2,popcnt"))) void avx2_h2ll(
-    double* ct, std::uint16_t* genes, const double* rows, std::size_t tasks,
-    std::size_t machines, std::size_t k, std::size_t passes, Xoshiro256& rng) {
-  if (machines <= 4) {
-    return avx2_h2ll_regs<1>(ct, genes, rows, tasks, machines, k, passes, rng);
-  }
-  if (machines <= 8) {
-    return avx2_h2ll_regs<2>(ct, genes, rows, tasks, machines, k, passes, rng);
-  }
-  if (machines <= 12) {
-    return avx2_h2ll_regs<3>(ct, genes, rows, tasks, machines, k, passes, rng);
-  }
-  if (machines <= 16) {
-    return avx2_h2ll_regs<4>(ct, genes, rows, tasks, machines, k, passes, rng);
-  }
-  h2ll_pass_loop(avx2_lightest_mask, avx2_eq_mask_u16, avx2_select_bit, ct,
-                 genes, rows, tasks, machines, k, passes, rng);
-}
-
-constexpr Dispatch kAvx2{avx2_max_value,     avx2_min_value,
-                         avx2_argmax,        avx2_argmin,
-                         avx2_min_plus,      avx2_scale_inplace,
-                         avx2_hash_block,    avx2_eq_mask_u16,
-                         avx2_lightest_mask, avx2_select_bit,
-                         avx2_ne_mask_u16,   avx2_h2ll,
-                         "avx2"};
-
-// ---- AVX-512 path --------------------------------------------------------
-//
-// Same contract, 8-wide. The structure mirrors the AVX2 tier — raw
-// max_pd/min_pd value reductions under `+ 0.0` canonicalization, strict
-// per-lane compares that keep each lane's EARLIEST extreme, a cross-lane
-// fold by (value, then lowest stored index), and a scalar tail — with two
-// AVX-512 specifics: comparisons produce __mmask8 registers consumed by
-// mask blends (no bit-pattern casts between double and integer vectors),
-// and the 4-stream unroll advances 32 elements per round. Of AVX-512,
-// avx512f is required, and avx512bw for the gene masks' 32-lane 16-bit
-// compares. hash_block stays on the AVX2 path: its semantics are DEFINED
-// as a 4-lane interleaved mix, so an 8-wide register buys nothing — the
-// table reuses avx2_hash_block verbatim (avx512_supported() therefore also
-// requires the AVX2 tier's features, a subset of every real AVX-512 CPU).
-// select_bit adds BMI2's pdep to the AVX2 tier's popcnt, so bmi2 is
-// required as well.
-
-__attribute__((target("avx512f"))) double avx512_max_value(const double* d,
-                                                           std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  double best = d[0];
-  if (n >= 16) {
-    __m512d acc = _mm512_loadu_pd(d);
-    for (i = 8; i + 8 <= n; i += 8) {
-      acc = _mm512_max_pd(acc, _mm512_loadu_pd(d + i));
-    }
-    alignas(64) double lanes[8];
-    _mm512_store_pd(lanes, acc);
-    best = lanes[0];
-    for (std::size_t l = 1; l < 8; ++l) {
-      if (lanes[l] > best) best = lanes[l];
-    }
-  }
-  for (; i < n; ++i) {
-    if (d[i] > best) best = d[i];
-  }
-  return best + 0.0;
-}
-
-__attribute__((target("avx512f"))) double avx512_min_value(const double* d,
-                                                           std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  double best = d[0];
-  if (n >= 16) {
-    __m512d acc = _mm512_loadu_pd(d);
-    for (i = 8; i + 8 <= n; i += 8) {
-      acc = _mm512_min_pd(acc, _mm512_loadu_pd(d + i));
-    }
-    alignas(64) double lanes[8];
-    _mm512_store_pd(lanes, acc);
-    best = lanes[0];
-    for (std::size_t l = 1; l < 8; ++l) {
-      if (lanes[l] < best) best = lanes[l];
-    }
-  }
-  for (; i < n; ++i) {
-    if (d[i] < best) best = d[i];
-  }
-  return best + 0.0;
-}
-
-__attribute__((target("avx512f"))) inline __m512i avx512_iota(long long o) {
-  return _mm512_set_epi64(o + 7, o + 6, o + 5, o + 4, o + 3, o + 2, o + 1, o);
-}
-
-template <bool kMax>
-__attribute__((target("avx512f"))) std::size_t avx512_argextreme(
-    const double* d, std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  std::size_t arg = 0;
-  if (n >= 64) {
-    __m512d best[4];
-    __m512i best_idx[4];
-    __m512i idx[4];
-    const __m512i step = _mm512_set1_epi64(32);
-    for (int s = 0; s < 4; ++s) {
-      best[s] = _mm512_loadu_pd(d + 8 * s);
-      best_idx[s] = avx512_iota(8 * s);
-      idx[s] = _mm512_add_epi64(best_idx[s], step);
-    }
-    for (i = 32; i + 32 <= n; i += 32) {
-      for (int s = 0; s < 4; ++s) {
-        const __m512d v = _mm512_loadu_pd(d + i + 8 * s);
-        const __mmask8 better =
-            kMax ? _mm512_cmp_pd_mask(v, best[s], _CMP_GT_OQ)
-                 : _mm512_cmp_pd_mask(v, best[s], _CMP_LT_OQ);
-        best[s] = _mm512_mask_blend_pd(better, best[s], v);
-        best_idx[s] = _mm512_mask_blend_epi64(better, best_idx[s], idx[s]);
-        idx[s] = _mm512_add_epi64(idx[s], step);
-      }
-    }
-    alignas(64) double v[32];
-    alignas(64) std::uint64_t vi[32];
-    for (int s = 0; s < 4; ++s) {
-      _mm512_store_pd(v + 8 * s, best[s]);
-      _mm512_store_si512(vi + 8 * s, best_idx[s]);
-    }
-    std::size_t lane = 0;
-    for (std::size_t l = 1; l < 32; ++l) {
-      const bool better = kMax ? v[l] > v[lane] : v[l] < v[lane];
-      if (better || (v[l] == v[lane] && vi[l] < vi[lane])) lane = l;
-    }
-    arg = static_cast<std::size_t>(vi[lane]);
-  } else if (n >= 16) {
-    __m512d best = _mm512_loadu_pd(d);
-    __m512i best_idx = avx512_iota(0);
-    __m512i idx = avx512_iota(8);
-    const __m512i step = _mm512_set1_epi64(8);
-    for (i = 8; i + 8 <= n; i += 8) {
-      const __m512d v = _mm512_loadu_pd(d + i);
-      const __mmask8 better = kMax ? _mm512_cmp_pd_mask(v, best, _CMP_GT_OQ)
-                                   : _mm512_cmp_pd_mask(v, best, _CMP_LT_OQ);
-      best = _mm512_mask_blend_pd(better, best, v);
-      best_idx = _mm512_mask_blend_epi64(better, best_idx, idx);
-      idx = _mm512_add_epi64(idx, step);
-    }
-    alignas(64) double v[8];
-    alignas(64) std::uint64_t vi[8];
-    _mm512_store_pd(v, best);
-    _mm512_store_si512(vi, best_idx);
-    std::size_t lane = 0;
-    for (std::size_t l = 1; l < 8; ++l) {
-      const bool better = kMax ? v[l] > v[lane] : v[l] < v[lane];
-      if (better || (v[l] == v[lane] && vi[l] < vi[lane])) lane = l;
-    }
-    arg = static_cast<std::size_t>(vi[lane]);
-  }
-  // Tail indices are all larger than any vector-phase index, so the strict
-  // compare alone preserves the tie-break.
-  for (; i < n; ++i) {
-    const bool better = kMax ? d[i] > d[arg] : d[i] < d[arg];
-    if (better) arg = i;
-  }
-  return arg;
-}
-
-__attribute__((target("avx512f"))) std::size_t avx512_argmax(const double* d,
-                                                             std::size_t n) {
-  return avx512_argextreme<true>(d, n);
-}
-
-__attribute__((target("avx512f"))) std::size_t avx512_argmin(const double* d,
-                                                             std::size_t n) {
-  return avx512_argextreme<false>(d, n);
-}
-
-__attribute__((target("avx512f"))) MinScan avx512_min_plus(const double* a,
-                                                           const double* b,
-                                                           std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  MinScan r{a[0] + b[0], 0};
-  if (n >= 64) {
-    __m512d best[4];
-    __m512i best_idx[4];
-    __m512i idx[4];
-    const __m512i step = _mm512_set1_epi64(32);
-    for (int s = 0; s < 4; ++s) {
-      best[s] = _mm512_add_pd(_mm512_loadu_pd(a + 8 * s),
-                              _mm512_loadu_pd(b + 8 * s));
-      best_idx[s] = avx512_iota(8 * s);
-      idx[s] = _mm512_add_epi64(best_idx[s], step);
-    }
-    for (i = 32; i + 32 <= n; i += 32) {
-      for (int s = 0; s < 4; ++s) {
-        const __m512d c = _mm512_add_pd(_mm512_loadu_pd(a + i + 8 * s),
-                                        _mm512_loadu_pd(b + i + 8 * s));
-        const __mmask8 lt = _mm512_cmp_pd_mask(c, best[s], _CMP_LT_OQ);
-        best[s] = _mm512_mask_blend_pd(lt, best[s], c);
-        best_idx[s] = _mm512_mask_blend_epi64(lt, best_idx[s], idx[s]);
-        idx[s] = _mm512_add_epi64(idx[s], step);
-      }
-    }
-    alignas(64) double v[32];
-    alignas(64) std::uint64_t vi[32];
-    for (int s = 0; s < 4; ++s) {
-      _mm512_store_pd(v + 8 * s, best[s]);
-      _mm512_store_si512(vi + 8 * s, best_idx[s]);
-    }
-    std::size_t lane = 0;
-    for (std::size_t l = 1; l < 32; ++l) {
-      if (v[l] < v[lane] || (v[l] == v[lane] && vi[l] < vi[lane])) lane = l;
-    }
-    r = {v[lane], static_cast<std::size_t>(vi[lane])};
-  } else if (n >= 16) {
-    __m512d best = _mm512_add_pd(_mm512_loadu_pd(a), _mm512_loadu_pd(b));
-    __m512i best_idx = avx512_iota(0);
-    __m512i idx = avx512_iota(8);
-    const __m512i step = _mm512_set1_epi64(8);
-    for (i = 8; i + 8 <= n; i += 8) {
-      const __m512d c =
-          _mm512_add_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i));
-      const __mmask8 lt = _mm512_cmp_pd_mask(c, best, _CMP_LT_OQ);
-      best = _mm512_mask_blend_pd(lt, best, c);
-      best_idx = _mm512_mask_blend_epi64(lt, best_idx, idx);
-      idx = _mm512_add_epi64(idx, step);
-    }
-    alignas(64) double v[8];
-    alignas(64) std::uint64_t vi[8];
-    _mm512_store_pd(v, best);
-    _mm512_store_si512(vi, best_idx);
-    std::size_t lane = 0;
-    for (std::size_t l = 1; l < 8; ++l) {
-      if (v[l] < v[lane] || (v[l] == v[lane] && vi[l] < vi[lane])) lane = l;
-    }
-    r = {v[lane], static_cast<std::size_t>(vi[lane])};
-  }
-  for (; i < n; ++i) {
-    const double c = a[i] + b[i];
-    if (c < r.value) r = {c, i};
-  }
-  return r;
-}
-
-__attribute__((target("avx512f"))) void avx512_scale_inplace(double* d,
-                                                             std::size_t n,
-                                                             double factor) {
-  const __m512d f = _mm512_set1_pd(factor);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(d + i, _mm512_mul_pd(_mm512_loadu_pd(d + i), f));
-  }
-  for (; i < n; ++i) d[i] *= factor;
-}
-
-// The AVX2 rank count and argmax, 8 entries per block. On the block's own
-// entries a compare mask picks LE under the lanes after j and LT under the
-// rest; a masked add bumps the counted lanes' ranks.
-__attribute__((target("avx512f"))) std::size_t avx512_lightest_mask(
-    const double* d, std::size_t n, std::size_t k, std::uint64_t* words) {
-  if (n > 64) return scalar_lightest_mask(d, n, k, words);
-  if (n == 0) return 0;
-  const __m512d neg_inf =
-      _mm512_set1_pd(-std::numeric_limits<double>::infinity());
-  __m512d top = neg_inf;
-  for (std::size_t b = 0; b < n; b += 8) {
-    const auto valid =
-        static_cast<__mmask8>((1u << std::min<std::size_t>(8, n - b)) - 1);
-    top = _mm512_max_pd(top, _mm512_mask_loadu_pd(neg_inf, valid, d + b));
-  }
-  top = _mm512_set1_pd(_mm512_reduce_max_pd(top));
-  const __m512i kv = _mm512_set1_epi64(static_cast<long long>(std::min(k, n)));
-  const __m512i one = _mm512_set1_epi64(1);
+PACGA_ALWAYS_INLINE std::uint64_t ne_word(const std::uint16_t* a,
+                                          const std::uint16_t* b,
+                                          std::size_t left) {
+  const std::uint64_t live = live_genes(left);
   std::uint64_t bits = 0;
-  std::uint64_t at_top = 0;
-  for (std::size_t b = 0; b < n; b += 8) {
-    const std::size_t lanes = std::min<std::size_t>(8, n - b);
-    const auto valid = static_cast<__mmask8>((1u << lanes) - 1);
-    const __m512d vm = _mm512_mask_loadu_pd(neg_inf, valid, d + b);
-    at_top |= std::uint64_t{static_cast<std::uint8_t>(
-                  _mm512_mask_cmp_pd_mask(valid, vm, top, _CMP_EQ_OQ))}
-              << b;
-    __m512i rank = _mm512_setzero_si512();
-    for (std::size_t j = 0; j < b; ++j) {
-      const __mmask8 le =
-          _mm512_cmp_pd_mask(_mm512_set1_pd(d[j]), vm, _CMP_LE_OQ);
-      rank = _mm512_mask_add_epi64(rank, le, rank, one);
-    }
-    for (std::size_t j = b; j < b + lanes; ++j) {
-      const __m512d dj = _mm512_set1_pd(d[j]);
-      const auto after = static_cast<__mmask8>(0xFEu << (j - b));
-      const __mmask8 counted =
-          _mm512_mask_cmp_pd_mask(after, dj, vm, _CMP_LE_OQ) |
-          _mm512_mask_cmp_pd_mask(static_cast<__mmask8>(~after), dj, vm,
-                                  _CMP_LT_OQ);
-      rank = _mm512_mask_add_epi64(rank, counted, rank, one);
-    }
-    for (std::size_t j = b + lanes; j < n; ++j) {
-      const __mmask8 lt =
-          _mm512_cmp_pd_mask(_mm512_set1_pd(d[j]), vm, _CMP_LT_OQ);
-      rank = _mm512_mask_add_epi64(rank, lt, rank, one);
-    }
-    bits |= std::uint64_t{static_cast<std::uint8_t>(
-                _mm512_cmplt_epi64_mask(rank, kv) & valid)}
-            << b;
+  for (std::size_t half = 0; half < 2; ++half) {
+    const auto k = static_cast<__mmask32>(live >> (32 * half));
+    const std::size_t i = 32 * half;
+    bits |= std::uint64_t{_mm512_mask_cmpneq_epi16_mask(
+                k, _mm512_maskz_loadu_epi16(k, a + i),
+                _mm512_maskz_loadu_epi16(k, b + i))}
+            << (32 * half);
   }
-  words[0] = bits;
-  return static_cast<std::size_t>(std::countr_zero(at_top));
+  return bits;
 }
 
-// In-word select by BMI2: pdep deposits the single bit 1 << k onto the k-th
-// set bit of the word. AVX-512 CPUs run pdep in one uop; some AVX2-only
-// CPUs microcode it, so the AVX2 tier keeps the clear-lowest loop.
-__attribute__((target("popcnt,bmi2"), always_inline)) inline std::size_t
-pdep_select(const std::uint64_t* words, std::size_t k) {
+// In-word select by BMI2: pdep deposits the single bit 1 << k onto the
+// k-th set bit of the word.
+PACGA_ALWAYS_INLINE std::size_t nth_set_bit(const std::uint64_t* words,
+                                            std::size_t k) {
   const std::size_t w = select_word(words, k);
   return 64 * w + static_cast<std::size_t>(std::countr_zero(
                       _pdep_u64(std::uint64_t{1} << k, words[w])));
 }
 
-__attribute__((target("popcnt,bmi2"))) std::size_t avx512_select_bit(
-    const std::uint64_t* words, std::size_t k) {
-  return pdep_select(words, k);
-}
+#include "support/kernels_body.inc"
 
-// The gene masks, 64 genes per word as two 32-lane compares. The loads of
-// a partial last word are masked to the genes below n, so no element past
-// n is read.
-inline std::uint64_t live_genes(std::size_t left) {
-  return left >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << left) - 1;
-}
+}  // namespace avx512
 
-__attribute__((target("avx512f,avx512bw,popcnt"))) std::size_t
-avx512_eq_mask_u16(const std::uint16_t* d, std::size_t n, std::uint16_t value,
-                   std::uint64_t* words) {
-  const __m512i v = _mm512_set1_epi16(static_cast<short>(value));
-  std::size_t count = 0;
-  for (std::size_t w = 0; 64 * w < n; ++w) {
-    const std::uint64_t live = live_genes(n - 64 * w);
-    std::uint64_t bits = 0;
-    for (std::size_t half = 0; half < 2; ++half) {
-      const auto k = static_cast<__mmask32>(live >> (32 * half));
-      const std::uint16_t* p = d + 64 * w + 32 * half;
-      bits |= std::uint64_t{_mm512_mask_cmpeq_epi16_mask(
-                  k, _mm512_maskz_loadu_epi16(k, p), v)}
-              << (32 * half);
-    }
-    words[w] = bits;
-    count += static_cast<std::size_t>(std::popcount(bits));
-  }
-  return count;
-}
+#pragma GCC pop_options
 
-__attribute__((target("avx512f,avx512bw,popcnt"))) std::size_t
-avx512_ne_mask_u16(const std::uint16_t* a, const std::uint16_t* b,
-                   std::size_t n, std::uint64_t* words) {
-  std::size_t count = 0;
-  for (std::size_t w = 0; 64 * w < n; ++w) {
-    const std::uint64_t live = live_genes(n - 64 * w);
-    std::uint64_t bits = 0;
-    for (std::size_t half = 0; half < 2; ++half) {
-      const auto k = static_cast<__mmask32>(live >> (32 * half));
-      const std::size_t i = 64 * w + 32 * half;
-      bits |= std::uint64_t{_mm512_mask_cmpneq_epi16_mask(
-                  k, _mm512_maskz_loadu_epi16(k, a + i),
-                  _mm512_maskz_loadu_epi16(k, b + i))}
-              << (32 * half);
-    }
-    words[w] = bits;
-    count += static_cast<std::size_t>(std::popcount(bits));
-  }
-  return count;
-}
+#undef PACGA_ALWAYS_INLINE
 
-// avx512_lightest_mask on the register blocks of avx512_h2ll_regs: the
-// argmax (returned, with the makespan broadcast into `top`) and the rank
-// count, each d[j] broadcast from its block by a lane permute instead of a
-// load. Block b against entry j of block jb: every lane of a later block
-// follows j (ties count), every lane of an earlier block precedes it (ties
-// do not), and j's own block picks per lane.
-template <std::size_t NB>
-__attribute__((target("avx512f"), always_inline)) inline std::size_t
-avx512_lightest_regs(const __m512d (&ct)[NB], const __mmask8 (&valid)[NB],
-                     std::size_t machines, std::size_t k, __mmask8 (&cand)[NB],
-                     __m512d& top) {
-  const __m512d neg_inf =
-      _mm512_set1_pd(-std::numeric_limits<double>::infinity());
-  __m512d high = neg_inf;
-  for (std::size_t b = 0; b < NB; ++b) {
-    high = _mm512_max_pd(high, _mm512_mask_blend_pd(valid[b], neg_inf, ct[b]));
-  }
-  top = _mm512_set1_pd(_mm512_reduce_max_pd(high));
-  std::uint32_t at_top = 0;
-  for (std::size_t b = 0; b < NB; ++b) {
-    at_top |= std::uint32_t{_mm512_mask_cmp_pd_mask(valid[b], ct[b], top,
-                                                    _CMP_EQ_OQ)}
-              << (8 * b);
-  }
-  const __m512i one = _mm512_set1_epi64(1);
-  __m512i rank[NB];
-  for (std::size_t b = 0; b < NB; ++b) rank[b] = _mm512_setzero_si512();
-  for (std::size_t jb = 0; jb < NB; ++jb) {
-    const std::size_t lanes = std::min<std::size_t>(8, machines - 8 * jb);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const __m512d dj = _mm512_permutexvar_pd(
-          _mm512_set1_epi64(static_cast<long long>(l)), ct[jb]);
-      for (std::size_t b = 0; b < NB; ++b) {
-        __mmask8 counted;
-        if (b < jb) {
-          counted = _mm512_cmp_pd_mask(dj, ct[b], _CMP_LT_OQ);
-        } else if (b > jb) {
-          counted = _mm512_cmp_pd_mask(dj, ct[b], _CMP_LE_OQ);
-        } else {
-          const auto after = static_cast<__mmask8>(0xFEu << l);
-          counted = _mm512_mask_cmp_pd_mask(after, dj, ct[b], _CMP_LE_OQ) |
-                    _mm512_mask_cmp_pd_mask(static_cast<__mmask8>(~after), dj,
-                                            ct[b], _CMP_LT_OQ);
-        }
-        rank[b] = _mm512_mask_add_epi64(rank[b], counted, rank[b], one);
-      }
-    }
-  }
-  const __m512i kv =
-      _mm512_set1_epi64(static_cast<long long>(std::min(k, machines)));
-  for (std::size_t b = 0; b < NB; ++b) {
-    cand[b] = _mm512_mask_cmplt_epi64_mask(valid[b], rank[b], kv);
-  }
-  return static_cast<std::size_t>(std::countr_zero(at_top));
-}
+constexpr Dispatch kAvx2{avx2::max_value,     avx2::min_value,
+                         avx2::argmax,        avx2::argmin,
+                         avx2::min_plus,      avx2::scale_inplace,
+                         avx2::hash_block,    avx2::eq_mask_u16,
+                         avx2::lightest_mask, avx2::select_bit,
+                         avx2::ne_mask_u16,   avx2::h2ll,
+                         "avx2"};
 
-// avx2_h2ll_regs with 8 lanes per block, so two blocks cover 16 machines.
-// The lane masks are mask registers: the row load, the candidate compare
-// and the winning-lane min are masked, and a move is one masked subtract
-// and one masked add.
-template <std::size_t NB>
-__attribute__((target("avx512f,avx512bw,popcnt,bmi2"))) void
-avx512_h2ll_regs(double* completions, std::uint16_t* genes, const double* rows,
-                 std::size_t tasks, std::size_t machines, std::size_t k,
-                 std::size_t passes, Xoshiro256& rng) {
-  const __m512d inf = _mm512_set1_pd(std::numeric_limits<double>::infinity());
-  __mmask8 valid[NB];
-  __m512d ct[NB];
-  for (std::size_t b = 0; b < NB; ++b) {
-    valid[b] = static_cast<__mmask8>(
-        (1u << std::min<std::size_t>(8, machines - 8 * b)) - 1);
-    ct[b] = _mm512_maskz_loadu_pd(valid[b], completions + 8 * b);
-  }
-  std::uint64_t* task_words = h2ll_task_words(tasks);
-  __mmask8 cand[NB];
-  __m512d top = inf;  // the makespan, broadcast
-  std::size_t most_loaded = machines;  // sentinel: no state yet
-  std::size_t count = 0;
-  std::size_t moved = tasks;
-  bool stale = true;
-  for (std::size_t pass = 0; pass < passes; ++pass) {
-    if (stale) {
-      const std::size_t loaded =
-          avx512_lightest_regs<NB>(ct, valid, machines, k, cand, top);
-      const std::uint32_t loaded_bit = std::uint32_t{1} << loaded;
-      for (std::size_t b = 0; b < NB; ++b) {
-        cand[b] = static_cast<__mmask8>(cand[b] & ~(loaded_bit >> (8 * b)));
-      }
-      count = refresh_task_mask(avx512_eq_mask_u16, genes, tasks, loaded,
-                                most_loaded, moved, count, task_words);
-      if (count == 0) break;
-      stale = false;
-    }
-    const std::size_t task = pdep_select(task_words, rng.index(count));
-    const double* row = rows + task * machines;
-    __m512d r[NB];
-    __m512d score[NB];
-    __mmask8 win[NB];
-    unsigned any = 0;
-    for (std::size_t b = 0; b < NB; ++b) {
-      r[b] = _mm512_maskz_loadu_pd(valid[b], row + 8 * b);
-      score[b] = _mm512_add_pd(ct[b], r[b]);
-      win[b] = _mm512_mask_cmp_pd_mask(cand[b], score[b], top, _CMP_LT_OQ);
-      any |= win[b];
-    }
-    if (any == 0) continue;
-    __m512d low = inf;
-    for (std::size_t b = 0; b < NB; ++b) {
-      low = _mm512_min_pd(low, _mm512_mask_blend_pd(win[b], inf, score[b]));
-    }
-    low = _mm512_set1_pd(_mm512_reduce_min_pd(low));
-    std::uint32_t at_low = 0;
-    for (std::size_t b = 0; b < NB; ++b) {
-      at_low |= std::uint32_t{_mm512_mask_cmp_pd_mask(win[b], score[b], low,
-                                                      _CMP_EQ_OQ)}
-                << (8 * b);
-    }
-    const auto best = static_cast<std::size_t>(std::countr_zero(at_low));
-    const std::uint32_t from = std::uint32_t{1} << most_loaded;
-    const std::uint32_t to = std::uint32_t{1} << best;
-    for (std::size_t b = 0; b < NB; ++b) {
-      ct[b] = _mm512_mask_sub_pd(ct[b], static_cast<__mmask8>(from >> (8 * b)),
-                                 ct[b], r[b]);
-      ct[b] = _mm512_mask_add_pd(ct[b], static_cast<__mmask8>(to >> (8 * b)),
-                                 ct[b], r[b]);
-    }
-    genes[task] = static_cast<std::uint16_t>(best);
-    moved = task;
-    stale = true;
-  }
-  for (std::size_t b = 0; b < NB; ++b) {
-    _mm512_mask_storeu_pd(completions + 8 * b, valid[b], ct[b]);
-  }
-}
-
-__attribute__((target("avx512f,avx512bw,popcnt,bmi2"))) void avx512_h2ll(
-    double* ct, std::uint16_t* genes, const double* rows, std::size_t tasks,
-    std::size_t machines, std::size_t k, std::size_t passes, Xoshiro256& rng) {
-  if (machines <= 8) {
-    return avx512_h2ll_regs<1>(ct, genes, rows, tasks, machines, k, passes,
-                               rng);
-  }
-  if (machines <= 16) {
-    return avx512_h2ll_regs<2>(ct, genes, rows, tasks, machines, k, passes,
-                               rng);
-  }
-  h2ll_pass_loop(avx512_lightest_mask, avx512_eq_mask_u16, avx512_select_bit,
-                 ct, genes, rows, tasks, machines, k, passes, rng);
-}
-
-constexpr Dispatch kAvx512{avx512_max_value,     avx512_min_value,
-                           avx512_argmax,        avx512_argmin,
-                           avx512_min_plus,      avx512_scale_inplace,
-                           avx2_hash_block,      avx512_eq_mask_u16,
-                           avx512_lightest_mask, avx512_select_bit,
-                           avx512_ne_mask_u16,   avx512_h2ll,
+constexpr Dispatch kAvx512{avx512::max_value,     avx512::min_value,
+                           avx512::argmax,        avx512::argmin,
+                           avx512::min_plus,      avx512::scale_inplace,
+                           avx2::hash_block,      avx512::eq_mask_u16,
+                           avx512::lightest_mask, avx512::select_bit,
+                           avx512::ne_mask_u16,   avx512::h2ll,
                            "avx512"};
 
-#endif  // PACGA_KERNELS_X86_AVX2
+#endif  // PACGA_KERNELS_X86
 
 const Dispatch* resolve() {
   const char* error = nullptr;
@@ -1438,7 +743,7 @@ const char* active_dispatch() noexcept { return active().name; }
 namespace detail {
 
 bool avx2_supported() noexcept {
-#if PACGA_KERNELS_X86_AVX2
+#if PACGA_KERNELS_X86
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt");
 #else
   return false;
@@ -1446,7 +751,7 @@ bool avx2_supported() noexcept {
 }
 
 bool avx512_supported() noexcept {
-#if PACGA_KERNELS_X86_AVX2
+#if PACGA_KERNELS_X86
   // The AVX2 table's features are required too: the 512-bit table reuses
   // its hash_block. The gene masks add avx512bw and select_bit adds bmi2
   // (every AVX-512 server CPU since Skylake-SP has both; the check guards
@@ -1462,7 +767,7 @@ bool avx512_supported() noexcept {
 const Dispatch& scalar_table() noexcept { return kScalar; }
 
 const Dispatch& avx2_table() noexcept {
-#if PACGA_KERNELS_X86_AVX2
+#if PACGA_KERNELS_X86
   return kAvx2;
 #else
   return kScalar;
@@ -1470,7 +775,7 @@ const Dispatch& avx2_table() noexcept {
 }
 
 const Dispatch& avx512_table() noexcept {
-#if PACGA_KERNELS_X86_AVX2
+#if PACGA_KERNELS_X86
   return kAvx512;
 #else
   return kScalar;

@@ -11,7 +11,10 @@
 // Three tiers — AVX-512 (8-wide doubles), AVX2 (4-wide), and a portable
 // scalar path — are resolved ONCE at startup from CPU features;
 // `PACGA_FORCE_KERNELS=scalar|avx2|avx512` pins a specific tier for testing
-// (refusing tiers the CPU cannot run).
+// (refusing tiers the CPU cannot run). The two vector tiers are one source,
+// kernels_body.inc, compiled once per tier over that tier's lane ops (see
+// kernels.cpp); they are built by GCC only, so a clang or non-x86 build
+// runs the scalar tier.
 //
 // Semantics are PINNED and dispatch-independent:
 //   * argmax/argmin and the fused min scans break ties toward the LOWEST
@@ -85,8 +88,10 @@ struct Dispatch {
   /// tier walks whole words by popcount. The scalar tier's popcount is
   /// libgcc's software routine on a baseline x86-64 build, and it clears
   /// the k lowest bits of the last word; the vector tiers count with the
-  /// popcnt instruction, and the AVX-512 tier selects in-word with BMI2
-  /// pdep.
+  /// popcnt instruction. In-word, the AVX2 tier keeps the scalar tier's
+  /// clear-lowest-bit loop (some AVX2-only CPUs microcode pdep) and the
+  /// AVX-512 tier selects with BMI2 pdep; that choice is the tiers' one
+  /// select op, which their h2ll bodies use too.
   std::size_t (*select_bit)(const std::uint64_t* words, std::size_t k);
   /// Difference mask over two 16-bit gene arrays: writes ceil(n/64) words,
   /// bit i of word w set iff a[64w + i] != b[64w + i], bits past n zero.

@@ -586,15 +586,15 @@ H2llInput make_h2ll_input(std::size_t tasks, std::size_t machines, int kind,
 
 TEST(Kernels, H2llBitIdenticalAcrossTiers) {
   // Every tier's h2ll leaves the same completion bits, genes and RNG state
-  // as the scalar table's reference loop. Machine counts cover one vector
-  // block, partial and full blocks up to the 16-machine register bodies,
-  // and 17, where every tier runs the reference loop; task counts are not
-  // multiples of 64.
+  // as the scalar table's reference loop. Machine counts reach every
+  // register body of both vector tiers (1 to 4 blocks of 4 lanes, 1 and 2
+  // of 8) at its smallest, a partial and its full size, and 17, where every
+  // tier runs the reference loop; task counts are not multiples of 64.
   std::size_t moved_calls = 0;
   std::size_t early_exits = 0;
   Xoshiro256 rng(47);
   for (const std::size_t machines :
-       {1ul, 2ul, 3ul, 5ul, 8ul, 9ul, 12ul, 15ul, 16ul, 17ul}) {
+       {1ul, 2ul, 3ul, 4ul, 5ul, 8ul, 9ul, 12ul, 13ul, 15ul, 16ul, 17ul}) {
     for (const std::size_t tasks : {1ul, 7ul, 63ul, 65ul, 200ul, 513ul}) {
       for (int kind = 0; kind < 4; ++kind) {
         if (kind == 3 && machines < 2) continue;
