@@ -15,14 +15,6 @@ const char* to_string(SweepPolicy p) noexcept {
   return "?";
 }
 
-const char* to_string(UpdatePolicy p) noexcept {
-  switch (p) {
-    case UpdatePolicy::kAsynchronous: return "async";
-    case UpdatePolicy::kSynchronous: return "sync";
-  }
-  return "?";
-}
-
 void Config::validate() const {
   if (width == 0 || height == 0)
     throw std::invalid_argument("Config: empty grid");

@@ -28,7 +28,6 @@ enum class SweepPolicy {
 enum class UpdatePolicy { kAsynchronous, kSynchronous };
 
 const char* to_string(SweepPolicy p) noexcept;
-const char* to_string(UpdatePolicy p) noexcept;
 
 /// Stop conditions; whichever triggers first ends the run. Defaults are
 /// "never" so callers enable exactly the criteria they need.

@@ -4,14 +4,6 @@
 
 namespace pacga::cga {
 
-const char* to_string(CrossoverKind k) noexcept {
-  switch (k) {
-    case CrossoverKind::kOnePoint: return "opx";
-    case CrossoverKind::kTwoPoint: return "tpx";
-  }
-  return "?";
-}
-
 namespace {
 
 // The in-place kernels assume `child` already equals parent a.

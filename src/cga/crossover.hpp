@@ -16,8 +16,6 @@ enum class CrossoverKind {
   kTwoPoint,  ///< tpx — middle segment from parent b
 };
 
-const char* to_string(CrossoverKind k) noexcept;
-
 /// Recombines in place, into a preallocated offspring buffer: `child` must
 /// already hold a copy of parent a (assign_from); the call applies `b`'s
 /// contribution with incremental cache updates and no allocation.

@@ -21,12 +21,6 @@ Cell Grid::wrap(Cell c, std::ptrdiff_t dx, std::ptrdiff_t dy) const noexcept {
   return {static_cast<std::size_t>(x), static_cast<std::size_t>(y)};
 }
 
-std::size_t Grid::manhattan(Cell a, Cell b) const noexcept {
-  const std::size_t dx = a.x > b.x ? a.x - b.x : b.x - a.x;
-  const std::size_t dy = a.y > b.y ? a.y - b.y : b.y - a.y;
-  return std::min(dx, width_ - dx) + std::min(dy, height_ - dy);
-}
-
 std::vector<Block> partition_blocks(std::size_t population_size,
                                     std::size_t threads) {
   if (threads == 0) throw std::invalid_argument("partition_blocks: 0 threads");

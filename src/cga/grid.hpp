@@ -35,9 +35,6 @@ class Grid {
   /// Toroidal displacement: moves (dx, dy) from `c` with wrap-around.
   Cell wrap(Cell c, std::ptrdiff_t dx, std::ptrdiff_t dy) const noexcept;
 
-  /// Manhattan distance on the torus (shortest way around).
-  std::size_t manhattan(Cell a, Cell b) const noexcept;
-
  private:
   std::size_t width_;
   std::size_t height_;

@@ -88,10 +88,4 @@ std::size_t Population::best_index() const noexcept {
   return best;
 }
 
-double Population::mean_fitness() const noexcept {
-  double sum = 0.0;
-  for (const auto& c : cells_) sum += c.fitness;
-  return cells_.empty() ? 0.0 : sum / static_cast<double>(cells_.size());
-}
-
 }  // namespace pacga::cga

@@ -111,9 +111,6 @@ class Population {
   /// call only when no writer is active (end of run, or from tests).
   std::size_t best_index() const noexcept;
 
-  /// Mean fitness across all cells. Unsynchronized scan.
-  double mean_fitness() const noexcept;
-
  private:
   Grid grid_;
   std::vector<Neighborhood> neighbors_;

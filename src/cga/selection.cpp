@@ -4,14 +4,6 @@
 
 namespace pacga::cga {
 
-const char* to_string(SelectionKind k) noexcept {
-  switch (k) {
-    case SelectionKind::kBestTwo: return "best2";
-    case SelectionKind::kTournament: return "tournament";
-  }
-  return "?";
-}
-
 namespace {
 
 std::pair<std::size_t, std::size_t> best_two(std::span<const double> fitness) {

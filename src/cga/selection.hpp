@@ -17,8 +17,6 @@ enum class SelectionKind {
   kTournament,  ///< two independent binary tournaments (distinct winners)
 };
 
-const char* to_string(SelectionKind k) noexcept;
-
 /// Selects two parent positions out of a neighborhood.
 ///
 /// `neighborhood` holds cell indices (self first) and `fitness[i]` is the

@@ -19,14 +19,6 @@ void require(bool ok, const char* what) {
 
 }  // namespace
 
-const char* to_string(RepairPolicy p) noexcept {
-  switch (p) {
-    case RepairPolicy::kMinMin: return "minmin";
-    case RepairPolicy::kSufferage: return "sufferage";
-  }
-  return "?";
-}
-
 RepairStats ScheduleRepairer::repair(const EtcMutator::Outcome& outcome,
                                      const etc::EtcMatrix& etc,
                                      sched::Schedule& schedule) {

@@ -42,8 +42,6 @@ enum class RepairPolicy {
   kSufferage,  ///< largest best-vs-second-best penalty first
 };
 
-const char* to_string(RepairPolicy p) noexcept;
-
 struct RepairStats {
   EventKind kind = EventKind::kTaskArrival;
   std::size_t orphaned = 0;    ///< tasks that lost (or never had) a machine

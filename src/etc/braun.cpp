@@ -15,30 +15,6 @@ double machine_range(Heterogeneity h) noexcept {
   return h == Heterogeneity::kHigh ? 1000.0 : 10.0;
 }
 
-const char* to_string(Consistency c) noexcept {
-  switch (c) {
-    case Consistency::kConsistent: return "c";
-    case Consistency::kSemiConsistent: return "s";
-    case Consistency::kInconsistent: return "i";
-  }
-  return "?";
-}
-
-const char* to_string(Heterogeneity h) noexcept {
-  return h == Heterogeneity::kHigh ? "hi" : "lo";
-}
-
-std::string GenSpec::name(unsigned index) const {
-  std::string n = "u_";
-  n += to_string(consistency);
-  n += '_';
-  n += to_string(task_het);
-  n += to_string(machine_het);
-  n += '.';
-  n += std::to_string(index);
-  return n;
-}
-
 std::optional<GenSpec> parse_instance_name(const std::string& name) {
   // Format: u_<c|s|i>_<hi|lo><hi|lo>.<k>
   if (name.size() < 10 || name.rfind("u_", 0) != 0) return std::nullopt;

@@ -53,10 +53,6 @@ struct GenSpec {
   /// load) — the paper's §2.1 "ready_m" for grids with committed work.
   /// The Braun suite uses 0 (idle machines).
   double ready_fraction = 0.0;
-
-  /// Canonical Braun-style name, e.g. "u_c_hihi.0". The trailing index is
-  /// not stored in the spec; pass it explicitly.
-  std::string name(unsigned index = 0) const;
 };
 
 /// Parses a Braun instance name ("u_c_hihi.0") into a spec (512x16 shape,
@@ -72,8 +68,5 @@ std::optional<GenSpec> parse_instance_name(const std::string& name);
 ///                     are sorted ascending (consistent sub-matrix);
 ///   inconsistent    — raw draws.
 EtcMatrix generate(const GenSpec& spec);
-
-const char* to_string(Consistency c) noexcept;
-const char* to_string(Heterogeneity h) noexcept;
 
 }  // namespace pacga::etc

@@ -104,64 +104,4 @@ void EtcMatrix::scale_machine(std::size_t m, double factor) {
   combine_summary();
 }
 
-bool EtcMatrix::machine_dominates(std::size_t a, std::size_t b) const noexcept {
-  const auto ra = on_machine(a);
-  const auto rb = on_machine(b);
-  for (std::size_t t = 0; t < tasks_; ++t) {
-    if (ra[t] > rb[t]) return false;
-  }
-  return true;
-}
-
-bool EtcMatrix::is_consistent() const noexcept {
-  // Consistency <=> machines are totally ordered by domination. Sorting by
-  // mean ETC gives the only candidate order; verify adjacent domination.
-  std::vector<std::pair<double, std::size_t>> by_mean(machines_);
-  for (std::size_t m = 0; m < machines_; ++m) {
-    double sum = 0.0;
-    for (double v : on_machine(m)) sum += v;
-    by_mean[m] = {sum, m};
-  }
-  std::sort(by_mean.begin(), by_mean.end());
-  for (std::size_t i = 0; i + 1 < machines_; ++i) {
-    if (!machine_dominates(by_mean[i].second, by_mean[i + 1].second))
-      return false;
-  }
-  return true;
-}
-
-namespace {
-double coefficient_of_variation(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  double mean = 0.0;
-  for (double x : xs) mean += x;
-  mean /= static_cast<double>(xs.size());
-  if (mean == 0.0) return 0.0;
-  double var = 0.0;
-  for (double x : xs) var += (x - mean) * (x - mean);
-  var /= static_cast<double>(xs.size() - 1);
-  return std::sqrt(var) / mean;
-}
-}  // namespace
-
-double EtcMatrix::task_heterogeneity() const {
-  std::vector<double> row_means(tasks_);
-  for (std::size_t t = 0; t < tasks_; ++t) {
-    double sum = 0.0;
-    for (double v : of_task(t)) sum += v;
-    row_means[t] = sum / static_cast<double>(machines_);
-  }
-  return coefficient_of_variation(row_means);
-}
-
-double EtcMatrix::machine_heterogeneity() const {
-  std::vector<double> col_means(machines_);
-  for (std::size_t m = 0; m < machines_; ++m) {
-    double sum = 0.0;
-    for (double v : on_machine(m)) sum += v;
-    col_means[m] = sum / static_cast<double>(tasks_);
-  }
-  return coefficient_of_variation(col_means);
-}
-
 }  // namespace pacga::etc

@@ -5,9 +5,8 @@
 // kernel streams a task's row over every machine, and every element read
 // (operator(), so each move_task of crossover and mutation, the completion
 // recompute, the seeds, repair and list scheduling) lands in that same
-// row. Machine-major columns serve the column consumers: domination and
-// consistency, the per-machine summaries and fingerprint, scale_machine and
-// machine_heterogeneity.
+// row. Machine-major columns serve the per-machine summaries behind
+// fingerprint, min_etc and max_etc, and scale_machine.
 //
 // The paper stores the transposed (machine-major) matrix for a reported
 // 5-10 % gain, on the argument that successive tasks on one machine sit in
@@ -67,18 +66,6 @@ class EtcMatrix {
   double ready(std::size_t m) const noexcept { return ready_[m]; }
   std::span<const double> ready_times() const noexcept { return ready_; }
 
-  /// True if machine `a` dominates (is at least as fast as) machine `b` on
-  /// every task.
-  bool machine_dominates(std::size_t a, std::size_t b) const noexcept;
-
-  /// True when machines can be totally ordered by domination — Braun's
-  /// "consistent" property.
-  bool is_consistent() const noexcept;
-
-  /// True when some pair of machines is incomparable (each faster on some
-  /// task) — Braun's "inconsistent" property.
-  bool is_inconsistent() const noexcept { return !is_consistent(); }
-
   /// Smallest / largest ETC entry (the paper reports these as the Blazewicz
   /// p_j bounds per instance).
   double min_etc() const noexcept { return min_etc_; }
@@ -90,11 +77,6 @@ class EtcMatrix {
   /// purpose; the service's solution cache keys on it, and the dynamic
   /// tests use it to check an in-place mutation against a rebuild.
   std::uint64_t fingerprint() const noexcept { return fingerprint_; }
-
-  /// Coefficient of variation of row/column means — crude heterogeneity
-  /// summaries the generator tests check the hi/lo classes with.
-  double task_heterogeneity() const;
-  double machine_heterogeneity() const;
 
   /// Multiplies every ETC of machine `m` by `factor` IN PLACE (both
   /// layouts; no reallocation) and refreshes min/max and the fingerprint —

@@ -6,23 +6,6 @@
 
 namespace pacga::etc {
 
-void write_braun(std::ostream& out, const EtcMatrix& m) {
-  out << m.tasks() << ' ' << m.machines() << '\n';
-  out.precision(17);
-  for (std::size_t t = 0; t < m.tasks(); ++t) {
-    for (std::size_t mm = 0; mm < m.machines(); ++mm) {
-      out << m(t, mm) << '\n';
-    }
-  }
-  if (!out) throw std::runtime_error("write_braun: stream failure");
-}
-
-void write_braun_file(const std::string& path, const EtcMatrix& m) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_braun_file: cannot open " + path);
-  write_braun(out, m);
-}
-
 EtcMatrix read_braun(std::istream& in) {
   std::size_t tasks = 0, machines = 0;
   if (!(in >> tasks >> machines))

@@ -2,9 +2,9 @@
 //
 // The de-facto file format of the Braun et al. distribution is one ETC
 // value per line, task-major (all machines of task 0, then task 1, ...),
-// optionally preceded by a header line "<tasks> <machines>". We write the
-// header always and accept files with or without it (headerless files must
-// be loaded with explicit dimensions).
+// optionally preceded by a header line "<tasks> <machines>". Files with or
+// without it are accepted (headerless files must be loaded with explicit
+// dimensions).
 #pragma once
 
 #include <iosfwd>
@@ -13,10 +13,6 @@
 #include "etc/etc_matrix.hpp"
 
 namespace pacga::etc {
-
-/// Writes `<tasks> <machines>` header then one value per line, task-major.
-void write_braun(std::ostream& out, const EtcMatrix& m);
-void write_braun_file(const std::string& path, const EtcMatrix& m);
 
 /// Reads a file with the `<tasks> <machines>` header.
 EtcMatrix read_braun(std::istream& in);

@@ -47,9 +47,4 @@ sched::Schedule olb(const etc::EtcMatrix& etc) {
   return sched::Schedule(etc, std::move(assignment));
 }
 
-sched::Schedule random_schedule(const etc::EtcMatrix& etc,
-                                support::Xoshiro256& rng) {
-  return sched::Schedule::random(etc, rng);
-}
-
 }  // namespace pacga::heur

@@ -1,10 +1,8 @@
-// Single-pass list-scheduling heuristics from Braun et al. 2001, plus a
-// uniformly random baseline. Tasks are processed in index order (arrival
-// order in the batch model).
+// Single-pass list-scheduling heuristics from Braun et al. 2001. Tasks are
+// processed in index order (arrival order in the batch model).
 #pragma once
 
 #include "sched/schedule.hpp"
-#include "support/rng.hpp"
 
 namespace pacga::heur {
 
@@ -20,9 +18,5 @@ sched::Schedule met(const etc::EtcMatrix& etc);
 /// OLB — Opportunistic Load Balancing: each task goes to the machine that
 /// becomes ready soonest, ignoring ETC.
 sched::Schedule olb(const etc::EtcMatrix& etc);
-
-/// Uniformly random assignment (the GA population initializer).
-sched::Schedule random_schedule(const etc::EtcMatrix& etc,
-                                support::Xoshiro256& rng);
 
 }  // namespace pacga::heur

@@ -113,12 +113,6 @@ Server::~Server() {
   if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
 }
 
-std::size_t Server::unreaped_jobs() const noexcept {
-  std::size_t n = 0;
-  for (const auto& [fd, conn] : conns_) n += conn->unreaped.size();
-  return n;
-}
-
 void Server::stop() noexcept {
   stop_.store(true, std::memory_order_release);
   mailbox_->wake();

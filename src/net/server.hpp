@@ -101,12 +101,11 @@ class Server {
   /// Connections currently open (loop thread's view; for tests/metrics).
   std::size_t connections() const noexcept { return conns_.size(); }
 
-  /// Result handles the open connections still track for reaping on
-  /// disconnect (loop thread's view; for tests). A job whose result was
-  /// delivered is no longer counted.
-  std::size_t unreaped_jobs() const noexcept;
-
  private:
+  /// Test access to the connections' unreaped jobs (defined with the
+  /// tests).
+  friend struct ServerTestPeer;
+
   /// Cross-thread completion mailbox. Shared with the service completion
   /// callback closure so a callback racing teardown still writes into
   /// live storage and a live fd (the mailbox owns the pipe's write end).

@@ -15,13 +15,4 @@ Fitness evaluate(const Schedule& s, Objective objective, double lambda) {
   return s.makespan();
 }
 
-const char* to_string(Objective o) noexcept {
-  switch (o) {
-    case Objective::kMakespan: return "makespan";
-    case Objective::kFlowtime: return "flowtime";
-    case Objective::kWeightedMakespanFlowtime: return "weighted";
-  }
-  return "?";
-}
-
 }  // namespace pacga::sched

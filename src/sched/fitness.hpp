@@ -25,6 +25,4 @@ Fitness evaluate(const Schedule& s, Objective objective, double lambda = 0.75);
 /// True when fitness `a` is strictly better (smaller) than `b`.
 inline bool better(Fitness a, Fitness b) noexcept { return a < b; }
 
-const char* to_string(Objective o) noexcept;
-
 }  // namespace pacga::sched

@@ -192,10 +192,6 @@ std::size_t Schedule::argmax_machine() const noexcept {
   return kernels::argmax(completion_.data(), completion_.size());
 }
 
-std::size_t Schedule::argmin_machine() const noexcept {
-  return kernels::argmin(completion_.data(), completion_.size());
-}
-
 double Schedule::flowtime() const {
   // Per machine: sort assigned ETCs ascending; finishing times are the
   // prefix sums starting at the machine's ready time. Grouping is a

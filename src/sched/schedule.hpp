@@ -121,9 +121,6 @@ class Schedule {
   /// dispatch-independent).
   std::size_t argmax_machine() const noexcept;
 
-  /// Index of the least loaded machine (lowest index on ties).
-  std::size_t argmin_machine() const noexcept;
-
   /// Flowtime: sum of task finishing times assuming each machine runs its
   /// tasks shortest-first (the order minimizing flowtime; the convention of
   /// Xhafa et al.). O(tasks log tasks); allocation-free in the steady

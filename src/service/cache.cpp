@@ -26,10 +26,7 @@ bool SolutionCache::lookup(std::size_t stripe, std::uint64_t key,
   Stripe& s = *stripes_[stripe % stripes_.size()];
   std::lock_guard<std::mutex> lock(s.mutex);
   const auto it = s.index.find(key);
-  if (it == s.index.end()) {
-    ++s.misses;
-    return false;
-  }
+  if (it == s.index.end()) return false;
   s.lru.splice(s.lru.begin(), s.lru, it->second);  // bump to most recent
   out.assignment.assign(it->second->second.assignment.begin(),
                         it->second->second.assignment.end());
@@ -37,10 +34,6 @@ bool SolutionCache::lookup(std::size_t stripe, std::uint64_t key,
   out.policy = it->second->second.policy;
   ++s.hits;
   return true;
-}
-
-bool SolutionCache::lookup(std::uint64_t key, Entry& out) {
-  return lookup(static_cast<std::size_t>(key), key, out);
 }
 
 void SolutionCache::insert(std::size_t stripe, std::uint64_t key,
@@ -68,54 +61,6 @@ void SolutionCache::insert(std::size_t stripe, std::uint64_t key,
   s.lru.emplace_front(key, Entry{{assignment.begin(), assignment.end()},
                                  fitness, policy});
   s.index[key] = s.lru.begin();
-}
-
-void SolutionCache::insert(std::uint64_t key,
-                           std::span<const sched::MachineId> assignment,
-                           double fitness, SolvePolicy policy) {
-  insert(static_cast<std::size_t>(key), key, assignment, fitness, policy);
-}
-
-void SolutionCache::clear() {
-  for (auto& sp : stripes_) {
-    Stripe& s = *sp;
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.lru.clear();
-    s.index.clear();
-    s.hits = 0;
-    s.misses = 0;
-  }
-}
-
-std::size_t SolutionCache::size() const {
-  std::size_t total = 0;
-  for (const auto& sp : stripes_) {
-    std::lock_guard<std::mutex> lock(sp->mutex);
-    total += sp->lru.size();
-  }
-  return total;
-}
-
-std::size_t SolutionCache::capacity() const noexcept {
-  return stripe_capacity_ * stripes_.size();
-}
-
-std::uint64_t SolutionCache::hits() const {
-  std::uint64_t total = 0;
-  for (const auto& sp : stripes_) {
-    std::lock_guard<std::mutex> lock(sp->mutex);
-    total += sp->hits;
-  }
-  return total;
-}
-
-std::uint64_t SolutionCache::misses() const {
-  std::uint64_t total = 0;
-  for (const auto& sp : stripes_) {
-    std::lock_guard<std::mutex> lock(sp->mutex);
-    total += sp->misses;
-  }
-  return total;
 }
 
 std::vector<std::uint64_t> SolutionCache::stripe_hits() const {

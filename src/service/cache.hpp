@@ -3,11 +3,10 @@
 // The service's answer to repeated instances — sweep campaigns submit the
 // same matrix dozens of times, a broker retries a failed batch verbatim —
 // is to not re-solve them: a hit replays the stored assignment in O(tasks)
-// instead of burning a solve budget. Keys are EtcMatrix::fingerprint()
-// values with the objective mixed in by the caller (service.cpp), so two
-// tenants optimizing different objectives on the same matrix never share
-// an entry. insert() keeps the better of old and new fitness, so anytime
-// results only ever improve a cached answer.
+// instead of burning a solve budget. Keys are SolverPool::cache_key()
+// values: the matrix fingerprint mixed with the service's objective and
+// the job's solve policy. insert() keeps the better of old and new
+// fitness, so anytime results only ever improve a cached answer.
 //
 // The cache is striped: N independent (mutex, list+hashmap LRU) stripes,
 // and the service selects the stripe by the job's QUEUE SHARD — the same
@@ -56,9 +55,6 @@ class SolutionCache {
   /// key deterministically — the service uses the job's queue shard, so a
   /// key always lands in the same stripe.
   bool lookup(std::size_t stripe, std::uint64_t key, Entry& out);
-  /// Key-routed convenience (stripe = key % stripes()): the single-tenant
-  /// call sites and tests that have no shard in hand.
-  bool lookup(std::uint64_t key, Entry& out);
 
   /// Stores (or refreshes) `key` in `stripe`. An existing entry is only
   /// overwritten when `fitness` improves on it; either way the entry
@@ -67,18 +63,8 @@ class SolutionCache {
   void insert(std::size_t stripe, std::uint64_t key,
               std::span<const sched::MachineId> assignment, double fitness,
               SolvePolicy policy);
-  void insert(std::uint64_t key, std::span<const sched::MachineId> assignment,
-              double fitness, SolvePolicy policy);
 
-  void clear();
-
-  std::size_t size() const;
-  /// Total capacity across stripes (stripes() * stripe capacity — at least
-  /// the constructor argument, rounded up by the >= 1-per-stripe floor).
-  std::size_t capacity() const noexcept;
   std::size_t stripes() const noexcept { return stripes_.size(); }
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
   /// Per-stripe hit counts (the daemon's STATS shard_hits field).
   std::vector<std::uint64_t> stripe_hits() const;
 
@@ -90,7 +76,6 @@ class SolutionCache {
     LruList lru;  ///< front = most recently used
     std::unordered_map<std::uint64_t, LruList::iterator> index;
     std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
   };
 
   std::vector<std::unique_ptr<Stripe>> stripes_;

@@ -206,12 +206,6 @@ bool ShardedJobQueue::closed() const {
   return shards_.front()->closed;
 }
 
-std::size_t ShardedJobQueue::size() const {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) total += depth(i);
-  return total;
-}
-
 std::vector<std::size_t> ShardedJobQueue::depths() const {
   std::vector<std::size_t> d;
   d.reserve(shards_.size());
@@ -227,12 +221,6 @@ std::size_t ShardedJobQueue::depth(std::size_t i) const {
 
 std::size_t ShardedJobQueue::shard_capacity(std::size_t i) const noexcept {
   return shard(i).capacity;
-}
-
-std::size_t ShardedJobQueue::capacity() const noexcept {
-  std::size_t total = 0;
-  for (const auto& s : shards_) total += s->capacity;
-  return total;
 }
 
 }  // namespace pacga::service

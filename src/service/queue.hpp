@@ -102,7 +102,6 @@ class ShardedJobQueue {
   void close();
 
   bool closed() const;
-  std::size_t size() const;  ///< total queued across shards
   /// Queued depth per shard (the daemon's STATS shard_depth field).
   std::vector<std::size_t> depths() const;
   /// Queued depth of one shard (indexed modulo the shard count) — the
@@ -113,9 +112,6 @@ class ShardedJobQueue {
   /// Queued-job capacity of one shard (see the class comment for the
   /// split). Indexed modulo the shard count.
   std::size_t shard_capacity(std::size_t shard) const noexcept;
-  /// Total queued-job capacity across shards: exactly the constructor's
-  /// `capacity`, or `shards` when capacity < shards (1-per-shard floor).
-  std::size_t capacity() const noexcept;
   /// Jobs served off a non-home shard since construction.
   std::uint64_t steals() const noexcept {
     return steals_.load(std::memory_order_relaxed);

@@ -292,15 +292,4 @@ void SchedulerService::on_terminal(const JobState& job) {
   if (cb) cb(job.result.id);
 }
 
-JobSpec make_workload_job(const batch::WorkloadSpec& workload, int priority,
-                          double deadline_ms, std::uint64_t seed) {
-  JobSpec spec;
-  spec.etc =
-      std::make_shared<const etc::EtcMatrix>(batch::make_workload_etc(workload));
-  spec.priority = priority;
-  spec.deadline_ms = deadline_ms;
-  spec.seed = seed;
-  return spec;
-}
-
 }  // namespace pacga::service

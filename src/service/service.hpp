@@ -34,7 +34,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "batch/workload.hpp"
 #include "obs/trace.hpp"
 #include "service/cache.hpp"
 #include "service/job.hpp"
@@ -199,12 +198,5 @@ class SchedulerService {
 
   std::optional<SolverPool> pool_;  ///< last member: joins before the rest dies
 };
-
-/// Workload-reference job: generates `workload`'s full-batch ETC (see
-/// batch::make_workload_etc) and wraps it as a JobSpec. The service treats
-/// it like any other job; the matrix is owned by the returned spec.
-JobSpec make_workload_job(const batch::WorkloadSpec& workload,
-                          int priority = 0, double deadline_ms = 100.0,
-                          std::uint64_t seed = 1);
 
 }  // namespace pacga::service

@@ -84,19 +84,6 @@ Cli& Cli::option(const std::string& name, int* target, const std::string& help) 
   return *this;
 }
 
-Cli& Cli::option(const std::string& name, std::int64_t* target,
-                 const std::string& help) {
-  Opt o;
-  o.help = help;
-  o.default_repr = std::to_string(*target);
-  o.apply = [name, target](const std::string& v) {
-    *target = parse_number<std::int64_t>(name, v);
-  };
-  order_.push_back(name);
-  opts_[name] = std::move(o);
-  return *this;
-}
-
 Cli& Cli::option(const std::string& name, std::size_t* target,
                  const std::string& help) {
   Opt o;

@@ -24,8 +24,6 @@ class Cli {
 
   Cli& flag(const std::string& name, bool* target, const std::string& help);
   Cli& option(const std::string& name, int* target, const std::string& help);
-  Cli& option(const std::string& name, std::int64_t* target,
-              const std::string& help);
   Cli& option(const std::string& name, std::size_t* target,
               const std::string& help);
   Cli& option(const std::string& name, double* target, const std::string& help);

@@ -39,10 +39,6 @@ std::string CsvWriter::field(double v) {
   return buf;
 }
 
-std::string CsvWriter::field(std::size_t v) { return std::to_string(v); }
-std::string CsvWriter::field(long v) { return std::to_string(v); }
-std::string CsvWriter::field(int v) { return std::to_string(v); }
-
 ConsoleTable::ConsoleTable(std::vector<std::string> header)
     : header_(std::move(header)) {}
 

@@ -18,9 +18,6 @@ class CsvWriter {
 
   /// Convenience: formats doubles with full round-trip precision.
   static std::string field(double v);
-  static std::string field(std::size_t v);
-  static std::string field(long v);
-  static std::string field(int v);
 
  private:
   std::ostream& out_;

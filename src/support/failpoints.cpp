@@ -142,11 +142,6 @@ void Failpoint::configure(const std::string& spec) {
   cv_.notify_all();
 }
 
-std::size_t Failpoint::wedged() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return wedged_;
-}
-
 void Failpoint::notify() {
   // Empty lock/unlock before notifying: the wedge predicate reads
   // g_wedge_suspend, an atomic flipped OUTSIDE mutex_ (by
@@ -190,36 +185,6 @@ void FailpointRegistry::configure_from_string(const std::string& entries) {
                                "' (want name=spec)");
     configure(entry.substr(0, eq), entry.substr(eq + 1));
   }
-}
-
-void FailpointRegistry::reset_all() {
-  std::vector<Failpoint*> points;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    points.reserve(points_.size());
-    for (auto& [name, fp] : points_) points.push_back(fp.get());
-  }
-  for (Failpoint* fp : points) fp->configure("off");
-}
-
-std::size_t FailpointRegistry::wedged() const {
-  std::vector<Failpoint*> points;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    points.reserve(points_.size());
-    for (auto& [name, fp] : points_) points.push_back(fp.get());
-  }
-  std::size_t total = 0;
-  for (Failpoint* fp : points) total += fp->wedged();
-  return total;
-}
-
-std::vector<std::string> FailpointRegistry::names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(points_.size());
-  for (const auto& [name, fp] : points_) out.push_back(name);
-  return out;
 }
 
 void FailpointRegistry::notify_all() {

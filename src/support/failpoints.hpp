@@ -75,14 +75,14 @@ class Failpoint {
 
   const std::string& name() const noexcept { return name_; }
 
-  /// Threads currently parked in a `wedge` action at this site.
-  std::size_t wedged() const;
-
   /// Wakes wedge waiters without changing the spec (used by the global
   /// wedge suspension, see ScopedWedgeSuspend).
   void notify();
 
  private:
+  /// Test access to the wedge count (defined with the tests).
+  friend struct FailpointTestPeer;
+
   enum class Trigger { kOff, kOnce, kEvery, kAfter, kTimes };
   enum class Action { kThrow, kDelay, kWedge };
 
@@ -117,16 +117,6 @@ class FailpointRegistry {
   /// Applies a comma-separated `name=spec,name=spec` list (the
   /// PACGA_FAILPOINTS env format). Throws on the first bad entry.
   void configure_from_string(const std::string& entries);
-
-  /// Disarms every site and releases all wedged threads.
-  void reset_all();
-
-  /// Total threads currently parked in wedge actions.
-  std::size_t wedged() const;
-
-  /// Names of every registered site (sorted; registration order is
-  /// map order).
-  std::vector<std::string> names() const;
 
  private:
   friend class ScopedWedgeSuspend;

@@ -57,14 +57,6 @@ bool parse_log_level(const std::string& name, LogLevel& out) noexcept {
   return true;
 }
 
-void set_log_level(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel log_level() noexcept {
-  return static_cast<LogLevel>(resolve_level());
-}
-
 void log_line(LogLevel level, const std::string& message) {
   if (static_cast<int>(level) < resolve_level()) return;
   std::lock_guard<std::mutex> lk(g_mutex);

@@ -5,7 +5,6 @@
 // (debug|info|warn|error|off, case-insensitive), resolved lazily on the
 // first log call; unset or unparseable means OFF — a daemon driven over a
 // pipe must not mix diagnostics into anyone's stderr unless asked.
-// set_log_level() overrides the environment (tests, CLI flags).
 #pragma once
 
 #include <sstream>
@@ -15,16 +14,12 @@ namespace pacga::support {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Global threshold; messages below it are dropped. Thread-safe.
-void set_log_level(LogLevel level);
-LogLevel log_level() noexcept;
-
 /// Parses the PACGA_LOG_LEVEL spelling (debug|info|warn|error|off,
 /// case-insensitive). False (and `out` untouched) on anything else.
 bool parse_log_level(const std::string& name, LogLevel& out) noexcept;
 
-/// Emits one line `[LEVEL] message` to stderr (atomic w.r.t. other log
-/// calls through an internal mutex).
+/// Emits one line `[LEVEL] message` to stderr when `level` reaches the
+/// threshold (atomic w.r.t. other log calls through an internal mutex).
 void log_line(LogLevel level, const std::string& message);
 
 namespace detail {

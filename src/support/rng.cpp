@@ -41,28 +41,6 @@ double Xoshiro256::gamma(double shape, double scale) noexcept {
   }
 }
 
-void Xoshiro256::long_jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {
-      0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL, 0x77710069854ee241ULL,
-      0x39109bb02acbe635ULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::uint64_t jump : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump & (1ULL << b)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      operator()();
-    }
-  }
-  s_[0] = s0;
-  s_[1] = s1;
-  s_[2] = s2;
-  s_[3] = s3;
-}
-
 std::vector<Xoshiro256> make_streams(std::uint64_t master_seed, std::size_t n) {
   std::vector<Xoshiro256> streams;
   streams.reserve(n);

@@ -74,10 +74,6 @@ class Xoshiro256 {
     return result;
   }
 
-  /// Long-jump: advances the state by 2^192 steps. Used to derive widely
-  /// separated streams from a common seed (alternative to SplitMix splitting).
-  void long_jump() noexcept;
-
   /// Uniform integer in [0, bound). `bound` must be > 0.
   /// Lemire's multiply-shift method with rejection for exact uniformity.
   std::uint64_t bounded(std::uint64_t bound) noexcept {

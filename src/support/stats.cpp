@@ -73,12 +73,6 @@ double quantile(std::vector<double> sample, double q) {
   return sample[lo] + frac * (sample[lo + 1] - sample[lo]);
 }
 
-double median(std::vector<double> sample) { return quantile(std::move(sample), 0.5); }
-
-bool BoxStats::median_differs(const BoxStats& other) const noexcept {
-  return notch_hi < other.notch_lo || other.notch_hi < notch_lo;
-}
-
 BoxStats box_stats(std::vector<double> sample) {
   if (sample.empty()) throw std::invalid_argument("box_stats: empty sample");
   std::sort(sample.begin(), sample.end());
@@ -287,20 +281,6 @@ WilcoxonResult wilcoxon_signed_rank(const std::vector<double>& a,
 double ci95_halfwidth(const RunningStats& s) noexcept {
   if (s.count() < 2) return 0.0;
   return 1.96 * s.stddev() / std::sqrt(static_cast<double>(s.count()));
-}
-
-std::optional<double> pearson(const std::vector<double>& x,
-                              const std::vector<double>& y) {
-  if (x.size() != y.size() || x.size() < 2) return std::nullopt;
-  RunningStats sx, sy;
-  for (double v : x) sx.add(v);
-  for (double v : y) sy.add(v);
-  if (sx.stddev() == 0.0 || sy.stddev() == 0.0) return std::nullopt;
-  double cov = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i)
-    cov += (x[i] - sx.mean()) * (y[i] - sy.mean());
-  cov /= static_cast<double>(x.size() - 1);
-  return cov / (sx.stddev() * sy.stddev());
 }
 
 }  // namespace pacga::support

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 namespace pacga::support {
@@ -57,9 +56,6 @@ class RunningStats {
 /// `q` in [0,1]. The sample is copied and sorted internally.
 double quantile(std::vector<double> sample, double q);
 
-/// Median convenience wrapper.
-double median(std::vector<double> sample);
-
 /// Five-number summary + notch bounds, the exact quantities behind the
 /// paper's Figure 5 box plots. Notches follow the McGill/Chambers/Larsen
 /// rule used by MATLAB/R: median +/- 1.57*IQR/sqrt(n); non-overlapping
@@ -74,11 +70,6 @@ struct BoxStats {
   double notch_lo = 0.0;
   double notch_hi = 0.0;
   double mean = 0.0;
-
-  /// True when the 95 % median notches of *this and `other` do not overlap,
-  /// i.e. the medians differ with ~95 % confidence (the test the paper uses
-  /// to claim tpx/10 beats opx/5).
-  bool median_differs(const BoxStats& other) const noexcept;
 };
 
 BoxStats box_stats(std::vector<double> sample);
@@ -130,9 +121,5 @@ struct WilcoxonResult {
 
 WilcoxonResult wilcoxon_signed_rank(const std::vector<double>& a,
                                     const std::vector<double>& b);
-
-/// Pearson correlation of two equally-sized samples; nullopt if degenerate.
-std::optional<double> pearson(const std::vector<double>& x,
-                              const std::vector<double>& y);
 
 }  // namespace pacga::support

@@ -7,6 +7,8 @@
 #include <limits>
 #include <string>
 
+#include "reference_checks.hpp"
+
 namespace pacga::batch {
 namespace {
 
@@ -147,7 +149,7 @@ TEST(BatchEtc, MatchesWorkloadOverMips) {
 TEST(BatchEtc, ZeroNoiseGivesConsistentMatrix) {
   auto spec = small_spec();
   spec.inconsistency = 0.0;
-  EXPECT_TRUE(make_workload_etc(spec).is_consistent());
+  EXPECT_TRUE(test_support::is_consistent(make_workload_etc(spec)));
 }
 
 }  // namespace

@@ -3,16 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "etc/suite.hpp"
+#include "reference_checks.hpp"
 
 namespace pacga::etc {
 namespace {
 
-TEST(GenSpecName, RoundTripsThroughParser) {
-  GenSpec spec;
-  spec.consistency = Consistency::kSemiConsistent;
-  spec.task_het = Heterogeneity::kLow;
-  spec.machine_het = Heterogeneity::kHigh;
-  EXPECT_EQ(spec.name(3), "u_s_lohi.3");
+TEST(ParseInstanceName, ReadsClassAndShape) {
   const auto parsed = parse_instance_name("u_s_lohi.3");
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->consistency, Consistency::kSemiConsistent);
@@ -80,7 +76,7 @@ TEST(Generate, ConsistentMatrixIsConsistent) {
   spec.consistency = Consistency::kConsistent;
   spec.seed = 11;
   const auto m = generate(spec);
-  EXPECT_TRUE(m.is_consistent());
+  EXPECT_TRUE(test_support::is_consistent(m));
   // Rows individually sorted: machine 0 fastest for every task.
   for (std::size_t t = 0; t < spec.tasks; ++t) {
     for (std::size_t k = 0; k + 1 < spec.machines; ++k) {
@@ -95,7 +91,7 @@ TEST(Generate, InconsistentMatrixIsInconsistent) {
   spec.machines = 8;
   spec.consistency = Consistency::kInconsistent;
   spec.seed = 13;
-  EXPECT_FALSE(generate(spec).is_consistent());
+  EXPECT_FALSE(test_support::is_consistent(generate(spec)));
 }
 
 TEST(Generate, SemiConsistentHasConsistentSubmatrix) {
@@ -112,7 +108,7 @@ TEST(Generate, SemiConsistentHasConsistentSubmatrix) {
     }
   }
   // The full matrix should still be inconsistent overall.
-  EXPECT_FALSE(m.is_consistent());
+  EXPECT_FALSE(test_support::is_consistent(m));
 }
 
 TEST(Generate, RangesMatchHeterogeneityClass) {
@@ -145,8 +141,8 @@ TEST(Generate, HeterogeneityStatisticOrdersClasses) {
   hi.seed = 23;
   GenSpec lo = hi;
   lo.task_het = Heterogeneity::kLow;
-  EXPECT_GT(generate(hi).task_heterogeneity(),
-            generate(lo).task_heterogeneity());
+  EXPECT_GT(test_support::task_heterogeneity(generate(hi)),
+            test_support::task_heterogeneity(generate(lo)));
 }
 
 TEST(GenerateCvb, MeanAndHeterogeneityControlled) {
@@ -169,8 +165,10 @@ TEST(GenerateCvb, MeanAndHeterogeneityControlled) {
   spec.task_het = Heterogeneity::kLow;
   spec.machine_het = Heterogeneity::kLow;
   const auto lo = generate(spec);
-  EXPECT_GT(hi.task_heterogeneity(), lo.task_heterogeneity());
-  EXPECT_GT(hi.machine_heterogeneity(), lo.machine_heterogeneity());
+  EXPECT_GT(test_support::task_heterogeneity(hi),
+            test_support::task_heterogeneity(lo));
+  EXPECT_GT(test_support::machine_heterogeneity(hi),
+            test_support::machine_heterogeneity(lo));
 }
 
 TEST(GenerateCvb, ConsistencyPostProcessingApplies) {
@@ -180,9 +178,9 @@ TEST(GenerateCvb, ConsistencyPostProcessingApplies) {
   spec.machines = 8;
   spec.consistency = Consistency::kConsistent;
   spec.seed = 31;
-  EXPECT_TRUE(generate(spec).is_consistent());
+  EXPECT_TRUE(test_support::is_consistent(generate(spec)));
   spec.consistency = Consistency::kInconsistent;
-  EXPECT_FALSE(generate(spec).is_consistent());
+  EXPECT_FALSE(test_support::is_consistent(generate(spec)));
 }
 
 TEST(GenerateCvb, Deterministic) {
@@ -241,7 +239,7 @@ TEST(BraunSuite, GenerateByNameMatchesSpec) {
   const auto m = generate_by_name("u_c_lolo.0");
   EXPECT_EQ(m.tasks(), 512u);
   EXPECT_EQ(m.machines(), 16u);
-  EXPECT_TRUE(m.is_consistent());
+  EXPECT_TRUE(test_support::is_consistent(m));
   EXPECT_THROW(generate_by_name("bogus"), std::invalid_argument);
 }
 
@@ -257,9 +255,9 @@ TEST_P(SuitePropertyTest, ClassPropertiesHold) {
   EXPECT_EQ(m.machines(), 16u);
   EXPECT_GT(m.min_etc(), 0.0);
   if (spec->consistency == Consistency::kConsistent) {
-    EXPECT_TRUE(m.is_consistent()) << name;
+    EXPECT_TRUE(test_support::is_consistent(m)) << name;
   } else {
-    EXPECT_FALSE(m.is_consistent()) << name;
+    EXPECT_FALSE(test_support::is_consistent(m)) << name;
   }
   const double bound = task_range(spec->task_het) * machine_range(spec->machine_het);
   EXPECT_LT(m.max_etc(), bound);

@@ -78,8 +78,6 @@ TEST(Termination, FactoryHelpers) {
 TEST(EnumNames, RoundTripStrings) {
   EXPECT_STREQ(to_string(SweepPolicy::kLineSweep), "line");
   EXPECT_STREQ(to_string(SweepPolicy::kUniformChoice), "uniform");
-  EXPECT_STREQ(to_string(UpdatePolicy::kAsynchronous), "async");
-  EXPECT_STREQ(to_string(UpdatePolicy::kSynchronous), "sync");
 }
 
 }  // namespace

@@ -102,7 +102,8 @@ TEST(Crossover, IdenticalParentsYieldClone) {
   for (auto kind : {CrossoverKind::kOnePoint, CrossoverKind::kTwoPoint}) {
     support::Xoshiro256 r2(9);
     const auto child = crossed(kind, a, a, r2);
-    EXPECT_EQ(child.hamming_distance(a), 0u) << to_string(kind);
+    EXPECT_EQ(child.hamming_distance(a), 0u)
+        << "kind " << static_cast<int>(kind);
   }
 }
 
@@ -113,7 +114,8 @@ TEST(Crossover, CompletionCacheCoherentAfterEveryKind) {
       const auto p = make_parents(m, seed);
       support::Xoshiro256 rng(seed * 101);
       const auto child = crossed(kind, p.a, p.b, rng);
-      EXPECT_TRUE(child.validate(1e-9)) << to_string(kind) << " seed " << seed;
+      EXPECT_TRUE(child.validate(1e-9))
+          << "kind " << static_cast<int>(kind) << " seed " << seed;
     }
   }
 }
@@ -125,7 +127,7 @@ TEST(Crossover, TwoTaskEdgeCase) {
   support::Xoshiro256 rng(14);
   for (auto kind : {CrossoverKind::kOnePoint, CrossoverKind::kTwoPoint}) {
     const auto child = crossed(kind, a, b, rng);
-    EXPECT_TRUE(child.validate()) << to_string(kind);
+    EXPECT_TRUE(child.validate()) << "kind " << static_cast<int>(kind);
   }
 }
 

@@ -26,11 +26,6 @@ TEST(CsvWriter, DoubleFieldRoundTrips) {
   EXPECT_DOUBLE_EQ(std::stod(f), 0.1);
 }
 
-TEST(CsvWriter, IntegerFields) {
-  EXPECT_EQ(CsvWriter::field(std::size_t{42}), "42");
-  EXPECT_EQ(CsvWriter::field(-7), "-7");
-}
-
 TEST(ConsoleTable, AlignsColumns) {
   ConsoleTable t({"name", "value"});
   t.add_row({"x", "1"});

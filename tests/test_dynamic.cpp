@@ -25,6 +25,7 @@
 #include "cga/population.hpp"
 #include "heuristics/minmin.hpp"
 #include "sched/fitness.hpp"
+#include "reference_checks.hpp"
 
 namespace pacga::dynamic {
 namespace {
@@ -563,7 +564,8 @@ TEST(ScheduleRepairer, CachedReassignmentMatchesNaiveReference) {
       ASSERT_EQ(session.schedule().assignment().size(), expect.size());
       for (std::size_t t = 0; t < expect.size(); ++t) {
         ASSERT_EQ(session.schedule().machine_of(t), expect[t])
-            << to_string(policy) << " seed " << seed << " task " << t;
+            << "policy " << static_cast<int>(policy) << " seed " << seed
+            << " task " << t;
       }
 
       // Task arrival: the single-orphan case on the already-churned grid.
@@ -578,7 +580,8 @@ TEST(ScheduleRepairer, CachedReassignmentMatchesNaiveReference) {
                      {arrived.size() - 1});
       for (std::size_t t = 0; t < arrived.size(); ++t) {
         ASSERT_EQ(session.schedule().machine_of(t), arrived[t])
-            << to_string(policy) << " seed " << seed << " arrival task " << t;
+            << "policy " << static_cast<int>(policy) << " seed " << seed
+            << " arrival task " << t;
       }
     }
   }
@@ -817,7 +820,8 @@ TEST(RescheduleSession, AdoptRejectsStaleOrWorseResults) {
   // argmax machine to the argmin machine if that helps.
   sched::Schedule trial = session.schedule();
   const auto loaded = static_cast<sched::MachineId>(trial.argmax_machine());
-  const auto idle = static_cast<sched::MachineId>(trial.argmin_machine());
+  const auto idle =
+      static_cast<sched::MachineId>(test_support::argmin_machine(trial));
   for (std::size_t t = 0; t < trial.tasks(); ++t) {
     if (trial.machine_of(t) != loaded) continue;
     sched::Schedule probe = trial;

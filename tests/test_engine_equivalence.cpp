@@ -174,7 +174,10 @@ INSTANTIATE_TEST_SUITE_P(BothPolicies, UpdatePolicyEquivalence,
                          ::testing::Values(cga::UpdatePolicy::kAsynchronous,
                                            cga::UpdatePolicy::kSynchronous),
                          [](const auto& info) {
-                           return std::string(to_string(info.param));
+                           return std::string(
+                               info.param == cga::UpdatePolicy::kAsynchronous
+                                   ? "async"
+                                   : "sync");
                          });
 
 TEST(EngineEquivalence, SweepPoliciesMatchLegacyLoop) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "etc/braun.hpp"
+#include "reference_checks.hpp"
 #include "support/rng.hpp"
 
 namespace pacga::etc {
@@ -104,25 +105,30 @@ TEST(EtcMatrix, RejectsBadInput) {
   EXPECT_THROW(EtcMatrix(2, 2, {1, 2, 3, 4}, {1.0}), std::invalid_argument);
 }
 
-TEST(EtcMatrix, DominationAndConsistency) {
+// The column summaries of reference_checks.hpp, which the generator tests
+// classify instances with, on hand-made matrices.
+TEST(EtcReference, DominationAndConsistency) {
+  using test_support::is_consistent;
+  using test_support::machine_dominates;
   // Machine 0 dominates machine 1 row-wise.
   EtcMatrix consistent(3, 2, {1, 2, 3, 4, 5, 6});
-  EXPECT_TRUE(consistent.machine_dominates(0, 1));
-  EXPECT_FALSE(consistent.machine_dominates(1, 0));
-  EXPECT_TRUE(consistent.is_consistent());
+  EXPECT_TRUE(machine_dominates(consistent, 0, 1));
+  EXPECT_FALSE(machine_dominates(consistent, 1, 0));
+  EXPECT_TRUE(is_consistent(consistent));
 
   // Machine 0 faster for task 0, machine 1 faster for task 1.
   EtcMatrix inconsistent(2, 2, {1, 5, 5, 1});
-  EXPECT_FALSE(inconsistent.machine_dominates(0, 1));
-  EXPECT_FALSE(inconsistent.machine_dominates(1, 0));
-  EXPECT_FALSE(inconsistent.is_consistent());
+  EXPECT_FALSE(machine_dominates(inconsistent, 0, 1));
+  EXPECT_FALSE(machine_dominates(inconsistent, 1, 0));
+  EXPECT_FALSE(is_consistent(inconsistent));
 }
 
-TEST(EtcMatrix, HeterogeneityOrdering) {
+TEST(EtcReference, HeterogeneityOrdering) {
   // Wildly different task weights -> high task heterogeneity.
   EtcMatrix hetero(3, 2, {1, 1.1, 100, 110, 10000, 11000});
   EtcMatrix homo(3, 2, {1, 1.1, 1.01, 1.1, 0.99, 1.05});
-  EXPECT_GT(hetero.task_heterogeneity(), homo.task_heterogeneity());
+  EXPECT_GT(test_support::task_heterogeneity(hetero),
+            test_support::task_heterogeneity(homo));
 }
 
 TEST(EtcMatrix, RejectsOverflowingDimensions) {

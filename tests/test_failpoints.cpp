@@ -3,34 +3,34 @@
 // semantics (hit counters reset, wedges release).
 //
 // The registry is process-global, so every test uses its own site names
-// ("test.<case>.*") and disarms what it armed; reset_all() in a final
-// test keeps leakage from mattering even on failure.
+// ("test.<case>.*") and disarms what it armed.
 #include "support/failpoints.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
 #include "support/timer.hpp"
 
 namespace pacga::support {
+
+/// Reads the threads parked in a `wedge` action at one site.
+struct FailpointTestPeer {
+  static std::size_t wedged(const Failpoint& fp) {
+    std::lock_guard<std::mutex> lock(fp.mutex_);
+    return fp.wedged_;
+  }
+};
+
 namespace {
 
-/// Counts how many of `hits` macro hits fire (throw) at `site`.
-int fired_of(const char* site, int hits) {
-  int fired = 0;
-  for (int i = 0; i < hits; ++i) {
-    try {
-      failpoints().site(site).fire();
-    } catch (const FailpointError&) {
-      ++fired;
-      continue;
-    }
-  }
-  return fired;
+std::size_t wedged(const char* site) {
+  return FailpointTestPeer::wedged(failpoints().site(site));
 }
 
 /// fire() only runs when armed() — mirror the macro's gate.
@@ -105,16 +105,16 @@ TEST(Failpoints, WedgeParksUntilReconfigured) {
   });
   // The thread must park (not return) while the spec stands.
   support::WallTimer t;
-  while (failpoints().site("test.wedge").wedged() == 0) {
+  while (wedged("test.wedge") == 0) {
     ASSERT_LT(t.elapsed_seconds(), 5.0) << "thread never reached the wedge";
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_FALSE(released.load());
-  EXPECT_EQ(failpoints().wedged(), 1u);
+  EXPECT_EQ(wedged("test.wedge"), 1u);
   failpoints().configure("test.wedge", "off");  // releases the parked thread
   parked.join();
   EXPECT_TRUE(released.load());
-  EXPECT_EQ(failpoints().wedged(), 0u);
+  EXPECT_EQ(wedged("test.wedge"), 0u);
 }
 
 TEST(Failpoints, ScopedWedgeSuspendReleasesAndNeutralizesWedges) {
@@ -125,7 +125,7 @@ TEST(Failpoints, ScopedWedgeSuspendReleasesAndNeutralizesWedges) {
     released.store(true);
   });
   support::WallTimer t;
-  while (failpoints().site("test.suspend").wedged() == 0) {
+  while (wedged("test.suspend") == 0) {
     ASSERT_LT(t.elapsed_seconds(), 5.0);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -201,31 +201,6 @@ TEST(Failpoints, MacroCompilesAndFires) {
   }
   PACGA_FAILPOINT("test.macro");  // shot spent: must pass through
   EXPECT_EQ(fired, 1);
-}
-
-TEST(Failpoints, NamesListsRegisteredSitesSorted) {
-  failpoints().site("test.names.b");
-  failpoints().site("test.names.a");
-  const auto names = failpoints().names();
-  // std::map order: a before b, both present.
-  auto find = [&](const char* n) {
-    for (std::size_t i = 0; i < names.size(); ++i)
-      if (names[i] == n) return static_cast<long>(i);
-    return -1L;
-  };
-  const long a = find("test.names.a"), b = find("test.names.b");
-  ASSERT_GE(a, 0);
-  ASSERT_GE(b, 0);
-  EXPECT_LT(a, b);
-}
-
-// Keep last: leaves the global registry clean for any test added below.
-TEST(Failpoints, ResetAllDisarmsEverything) {
-  failpoints().configure("test.resetall", "every=1");
-  failpoints().reset_all();
-  for (const auto& name : failpoints().names())
-    EXPECT_FALSE(failpoints().site(name).armed()) << name;
-  (void)fired_of;  // silence unused when the helper set shrinks
 }
 
 }  // namespace

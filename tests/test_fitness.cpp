@@ -47,11 +47,5 @@ TEST(Fitness, BetterIsStrictLess) {
   EXPECT_FALSE(better(1.0, 1.0));
 }
 
-TEST(Fitness, ObjectiveNames) {
-  EXPECT_STREQ(to_string(Objective::kMakespan), "makespan");
-  EXPECT_STREQ(to_string(Objective::kFlowtime), "flowtime");
-  EXPECT_STREQ(to_string(Objective::kWeightedMakespanFlowtime), "weighted");
-}
-
 }  // namespace
 }  // namespace pacga::sched

@@ -37,14 +37,6 @@ TEST(Grid, WrapLargeDisplacements) {
   EXPECT_EQ(g.wrap({0, 0}, -8, 8), (Cell{0, 0}));
 }
 
-TEST(Grid, ToroidalManhattanTakesShortWay) {
-  const Grid g(10, 10);
-  EXPECT_EQ(g.manhattan({0, 0}, {9, 0}), 1u);  // wraps
-  EXPECT_EQ(g.manhattan({0, 0}, {5, 0}), 5u);
-  EXPECT_EQ(g.manhattan({0, 0}, {9, 9}), 2u);
-  EXPECT_EQ(g.manhattan({3, 3}, {3, 3}), 0u);
-}
-
 TEST(Grid, RejectsEmpty) {
   EXPECT_THROW(Grid(0, 4), std::invalid_argument);
   EXPECT_THROW(Grid(4, 0), std::invalid_argument);

@@ -72,8 +72,8 @@ TEST(Olb, BalancesByReadiness) {
 TEST(RandomSchedule, ValidAndSeedDependent) {
   const auto m = etc::generate_by_name("u_i_lolo.0");
   support::Xoshiro256 a(1), b(2);
-  const auto sa = random_schedule(m, a);
-  const auto sb = random_schedule(m, b);
+  const auto sa = sched::Schedule::random(m, a);
+  const auto sb = sched::Schedule::random(m, b);
   EXPECT_TRUE(sa.validate());
   EXPECT_GT(sa.hamming_distance(sb), 0u);
 }

@@ -14,6 +14,9 @@
 #include "pacga/parallel_engine.hpp"
 
 #include <filesystem>
+#include <fstream>
+
+#include "reference_checks.hpp"
 
 namespace pacga {
 namespace {
@@ -91,7 +94,7 @@ TEST(Integration, InstanceFileRoundTripPreservesAlgorithmBehaviour) {
   const auto m = etc::generate_by_name("u_c_lolo.0");
   const auto path =
       (std::filesystem::temp_directory_path() / "pacga_integ.etc").string();
-  etc::write_braun_file(path, m);
+  std::ofstream(path) << test_support::braun_text(m, /*header=*/true);
   const auto loaded = etc::read_braun_file(path);
   std::filesystem::remove(path);
 

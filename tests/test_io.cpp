@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "etc/braun.hpp"
+#include "reference_checks.hpp"
 
 namespace pacga::etc {
 namespace {
@@ -22,8 +23,7 @@ EtcMatrix sample_matrix() {
 
 TEST(BraunIo, StreamRoundTrip) {
   const auto m = sample_matrix();
-  std::stringstream buf;
-  write_braun(buf, m);
+  std::stringstream buf(test_support::braun_text(m, /*header=*/true));
   const auto back = read_braun(buf);
   ASSERT_EQ(back.tasks(), m.tasks());
   ASSERT_EQ(back.machines(), m.machines());
@@ -36,14 +36,7 @@ TEST(BraunIo, StreamRoundTrip) {
 
 TEST(BraunIo, HeaderlessReadWithExplicitDims) {
   const auto m = sample_matrix();
-  std::stringstream buf;
-  // Headerless: just the values.
-  buf.precision(17);
-  for (std::size_t t = 0; t < m.tasks(); ++t) {
-    for (std::size_t mm = 0; mm < m.machines(); ++mm) {
-      buf << m(t, mm) << '\n';
-    }
-  }
+  std::stringstream buf(test_support::braun_text(m, /*header=*/false));
   const auto back = read_braun(buf, m.tasks(), m.machines());
   EXPECT_DOUBLE_EQ(back(3, 1), m(3, 1));
 }
@@ -52,7 +45,7 @@ TEST(BraunIo, FileRoundTrip) {
   const auto m = sample_matrix();
   const auto path =
       (std::filesystem::temp_directory_path() / "pacga_io_test.etc").string();
-  write_braun_file(path, m);
+  std::ofstream(path) << test_support::braun_text(m, /*header=*/true);
   const auto back = read_braun_file(path);
   EXPECT_DOUBLE_EQ(back(7, 2), m(7, 2));
   std::remove(path.c_str());

@@ -35,11 +35,18 @@ TEST(Neighborhood, WrapsAtEdges) {
   EXPECT_EQ(got, want);
 }
 
+/// Manhattan distance on the torus (shortest way around).
+std::size_t torus_manhattan(const Grid& g, Cell a, Cell b) {
+  const std::size_t dx = a.x > b.x ? a.x - b.x : b.x - a.x;
+  const std::size_t dy = a.y > b.y ? a.y - b.y : b.y - a.y;
+  return std::min(dx, g.width() - dx) + std::min(dy, g.height() - dy);
+}
+
 TEST(Neighborhood, AllCellsWithinManhattanRadius) {
   const Grid g(16, 16);
   const std::size_t center = g.index_of({7, 9});
   for (std::size_t cell : neighborhood_of(g, center)) {
-    EXPECT_LE(g.manhattan(g.cell_of(center), g.cell_of(cell)), 1u);
+    EXPECT_LE(torus_manhattan(g, g.cell_of(center), g.cell_of(cell)), 1u);
   }
 }
 

@@ -125,15 +125,6 @@ TEST(Xoshiro256, ShuffleActuallyMoves) {
   EXPECT_NE(v, orig);  // probability of identity permutation ~ 1/100!
 }
 
-TEST(Xoshiro256, LongJumpDecorrelates) {
-  Xoshiro256 a(7);
-  Xoshiro256 b(7);
-  b.long_jump();
-  int equal = 0;
-  for (int i = 0; i < 1000; ++i) equal += (a() == b());
-  EXPECT_LT(equal, 5);
-}
-
 TEST(MakeStreams, StableUnderCountChanges) {
   auto two = make_streams(99, 2);
   auto eight = make_streams(99, 8);

@@ -65,10 +65,5 @@ TEST(Tournament, PrefersFitter) {
   EXPECT_NEAR(static_cast<double>(best_first) / n, 0.36, 0.05);
 }
 
-TEST(SelectionNames, AllDistinct) {
-  EXPECT_STREQ(to_string(SelectionKind::kBestTwo), "best2");
-  EXPECT_STREQ(to_string(SelectionKind::kTournament), "tournament");
-}
-
 }  // namespace
 }  // namespace pacga::cga

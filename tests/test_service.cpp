@@ -3,7 +3,7 @@
 //  * ShardedJobQueue: priority + FIFO ordering, backpressure (try_submit
 //    fails fast when full), remove-for-cancel, close-and-drain semantics,
 //    shape routing, and the event-driven stealing rules;
-//  * SolutionCache: LRU eviction, better-fitness refresh, hit/miss counts;
+//  * SolutionCache: LRU eviction, better-fitness refresh, hit counts;
 //  * SchedulerService: concurrent submit/wait from many threads, cancel
 //    before and while running, deadline-bounded anytime results, cache
 //    hits returning the identical schedule, per-job seed determinism,
@@ -22,11 +22,13 @@
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "batch/workload.hpp"
 #include "etc/braun.hpp"
 #include "heuristics/minmin.hpp"
 #include "heuristics/sufferage.hpp"
@@ -81,6 +83,19 @@ JobTicket ticket_with_priority(int priority) {
   return t;
 }
 
+/// Jobs queued across every shard.
+std::size_t queued(const ShardedJobQueue& q) {
+  const auto d = q.depths();
+  return std::accumulate(d.begin(), d.end(), std::size_t{0});
+}
+
+/// Queued-job capacity summed over the shards.
+std::size_t total_capacity(const ShardedJobQueue& q) {
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < q.shards(); ++s) total += q.shard_capacity(s);
+  return total;
+}
+
 // --- ShardedJobQueue, one shard: the bounded priority queue ---------------
 
 TEST(ShardedJobQueue, PriorityThenFifoOrder) {
@@ -101,7 +116,7 @@ TEST(ShardedJobQueue, TrySubmitFailsFastWhenFull) {
   EXPECT_TRUE(q.try_submit(ticket_with_priority(0)));
   EXPECT_TRUE(q.try_submit(ticket_with_priority(0)));
   EXPECT_FALSE(q.try_submit(ticket_with_priority(0)));
-  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(queued(q), 2u);
   (void)q.pop(0);
   EXPECT_TRUE(q.try_submit(ticket_with_priority(0)));  // slot freed
 }
@@ -231,16 +246,16 @@ TEST(ShardedJobQueue, CapacitySplitsExactlyAcrossShards) {
   // The split must hand out the remainder so shard capacities sum to
   // max(capacity, shards).
   const ShardedJobQueue q10(10, 4);
-  EXPECT_EQ(q10.capacity(), 10u);
+  EXPECT_EQ(total_capacity(q10), 10u);
   EXPECT_EQ(q10.shard_capacity(0), 3u);  // 10 = 3 + 3 + 2 + 2
   EXPECT_EQ(q10.shard_capacity(1), 3u);
   EXPECT_EQ(q10.shard_capacity(2), 2u);
   EXPECT_EQ(q10.shard_capacity(3), 2u);
   const ShardedJobQueue q3(3, 4);  // under-provisioned: 1-per-shard floor
-  EXPECT_EQ(q3.capacity(), 4u);
+  EXPECT_EQ(total_capacity(q3), 4u);
   for (std::size_t s = 0; s < 4; ++s) EXPECT_EQ(q3.shard_capacity(s), 1u);
   const ShardedJobQueue q8(8, 4);  // exact division unchanged
-  EXPECT_EQ(q8.capacity(), 8u);
+  EXPECT_EQ(total_capacity(q8), 8u);
   for (std::size_t s = 0; s < 4; ++s) EXPECT_EQ(q8.shard_capacity(s), 2u);
 }
 
@@ -254,7 +269,7 @@ TEST(ShardedJobQueue, TotalAdmittedBacklogEqualsRequestedCapacity) {
     while (q.try_submit(ticket_for_shard(s))) ++admitted;
   }
   EXPECT_EQ(admitted, 10u);
-  EXPECT_EQ(q.size(), 10u);
+  EXPECT_EQ(queued(q), 10u);
 }
 
 TEST(ShardedJobQueue, BlockedSubmitWakesWhenAThiefDrainsTheShard) {
@@ -348,40 +363,41 @@ TEST(ShardedJobQueue, BacklogBehindAServingOwnerWakesAParkedPeer) {
 TEST(SolutionCache, LruEvictionAndCounts) {
   SolutionCache cache(2);
   const std::vector<sched::MachineId> a{0, 1}, b{1, 0}, c{1, 1};
-  cache.insert(1, a, 10.0, SolvePolicy::kCga);
-  cache.insert(2, b, 20.0, SolvePolicy::kCga);
+  cache.insert(0, 1, a, 10.0, SolvePolicy::kCga);
+  cache.insert(0, 2, b, 20.0, SolvePolicy::kCga);
   SolutionCache::Entry e;
-  EXPECT_TRUE(cache.lookup(1, e));  // bumps key 1 to most-recent
-  cache.insert(3, c, 30.0, SolvePolicy::kCga);  // evicts key 2 (LRU)
-  EXPECT_FALSE(cache.lookup(2, e));
-  EXPECT_TRUE(cache.lookup(3, e));
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_TRUE(cache.lookup(0, 1, e));  // bumps key 1 to most-recent
+  cache.insert(0, 3, c, 30.0, SolvePolicy::kCga);  // evicts key 2 (LRU)
+  EXPECT_FALSE(cache.lookup(0, 2, e));
+  EXPECT_TRUE(cache.lookup(0, 3, e));
+  EXPECT_EQ(cache.stripe_hits(), std::vector<std::uint64_t>{2});
+  // Both survivors are still held.
+  EXPECT_TRUE(cache.lookup(0, 1, e));
+  EXPECT_TRUE(cache.lookup(0, 3, e));
 }
 
 TEST(SolutionCache, KeepsBetterFitnessOnReinsertWithItsProvenance) {
   SolutionCache cache(4);
   const std::vector<sched::MachineId> good{0, 1}, bad{1, 0};
-  cache.insert(1, bad, 50.0, SolvePolicy::kMinMin);
-  cache.insert(1, good, 40.0, SolvePolicy::kCga);  // improves: replaces
+  cache.insert(0, 1, bad, 50.0, SolvePolicy::kMinMin);
+  cache.insert(0, 1, good, 40.0, SolvePolicy::kCga);  // improves: replaces
   SolutionCache::Entry e;
-  ASSERT_TRUE(cache.lookup(1, e));
+  ASSERT_TRUE(cache.lookup(0, 1, e));
   EXPECT_EQ(e.fitness, 40.0);
   EXPECT_EQ(e.assignment, good);
   EXPECT_EQ(e.policy, SolvePolicy::kCga);
-  cache.insert(1, bad, 60.0, SolvePolicy::kSufferage);  // worse: kept out
-  ASSERT_TRUE(cache.lookup(1, e));
+  cache.insert(0, 1, bad, 60.0, SolvePolicy::kSufferage);  // worse: kept out
+  ASSERT_TRUE(cache.lookup(0, 1, e));
   EXPECT_EQ(e.fitness, 40.0);
   EXPECT_EQ(e.policy, SolvePolicy::kCga);
 }
 
 TEST(SolutionCache, ZeroCapacityDisables) {
   SolutionCache cache(0);
-  cache.insert(1, std::vector<sched::MachineId>{0}, 1.0, SolvePolicy::kCga);
+  cache.insert(0, 1, std::vector<sched::MachineId>{0}, 1.0,
+               SolvePolicy::kCga);
   SolutionCache::Entry e;
-  EXPECT_FALSE(cache.lookup(1, e));
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.lookup(0, 1, e));
 }
 
 TEST(SolutionCache, StripesAreIndependent) {
@@ -400,12 +416,10 @@ TEST(SolutionCache, StripesAreIndependent) {
   ASSERT_TRUE(cache.lookup(1, 7, e));
   EXPECT_EQ(e.assignment, b);
   EXPECT_EQ(e.fitness, 20.0);
-  EXPECT_EQ(cache.size(), 2u);
   const auto per_stripe = cache.stripe_hits();
   ASSERT_EQ(per_stripe.size(), 2u);
   EXPECT_EQ(per_stripe[0], 1u);
   EXPECT_EQ(per_stripe[1], 1u);
-  EXPECT_EQ(cache.hits(), 2u);
 }
 
 TEST(SolutionCache, EvictionPressureIsPerStripe) {
@@ -427,7 +441,14 @@ TEST(SolutionCache, EvictionPressureIsPerStripe) {
 TEST(SolutionCache, SingleStripeDefaultKeepsTotalCapacity) {
   SolutionCache cache(8);
   EXPECT_EQ(cache.stripes(), 1u);
-  EXPECT_EQ(cache.capacity(), 8u);
+  // Eight entries fit; the ninth evicts the oldest.
+  const std::vector<sched::MachineId> v{0};
+  for (std::uint64_t key = 0; key <= 8; ++key)
+    cache.insert(0, key, v, 1.0, SolvePolicy::kCga);
+  SolutionCache::Entry e;
+  EXPECT_FALSE(cache.lookup(0, 0, e));
+  for (std::uint64_t key = 1; key <= 8; ++key)
+    EXPECT_TRUE(cache.lookup(0, key, e)) << key;
 }
 
 // --- ServiceMetrics (sharded merge equivalence) ----------------------------
@@ -911,13 +932,26 @@ TEST(SchedulerService, PerJobSeedDeterminism) {
   EXPECT_EQ(first.evaluations, second.evaluations);
 }
 
+/// A job over `workload`'s full-batch ETC (batch::make_workload_etc); the
+/// service treats it like any other job.
+JobSpec workload_job(const batch::WorkloadSpec& workload, int priority,
+                     double deadline_ms, std::uint64_t seed) {
+  JobSpec spec;
+  spec.etc = std::make_shared<const etc::EtcMatrix>(
+      batch::make_workload_etc(workload));
+  spec.priority = priority;
+  spec.deadline_ms = deadline_ms;
+  spec.seed = seed;
+  return spec;
+}
+
 TEST(SchedulerService, WorkloadJobAdapter) {
   batch::WorkloadSpec w;
   w.tasks = 24;
   w.machines = 6;
   w.seed = 5;
-  JobSpec spec = make_workload_job(w, /*priority=*/1, /*deadline_ms=*/50.0,
-                                   /*seed=*/9);
+  JobSpec spec = workload_job(w, /*priority=*/1, /*deadline_ms=*/50.0,
+                              /*seed=*/9);
   ASSERT_NE(spec.etc, nullptr);
   EXPECT_EQ(spec.etc->tasks(), 24u);
   EXPECT_EQ(spec.etc->machines(), 6u);

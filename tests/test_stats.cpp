@@ -109,8 +109,8 @@ TEST(RunningStats, MergeWithEmpty) {
 }
 
 TEST(Quantile, MedianOddEven) {
-  EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
-  EXPECT_DOUBLE_EQ(median({4.0, 1.0, 2.0, 3.0}), 2.5);
+  EXPECT_DOUBLE_EQ(quantile({3.0, 1.0, 2.0}, 0.5), 2.0);
+  EXPECT_DOUBLE_EQ(quantile({4.0, 1.0, 2.0, 3.0}, 0.5), 2.5);
 }
 
 TEST(Quantile, Extremes) {
@@ -144,6 +144,11 @@ TEST(BoxStats, SummariesAreOrdered) {
   EXPECT_GE(b.notch_hi, b.median);
 }
 
+// Non-overlapping notches mean the medians differ at ~95 % confidence.
+bool notches_separate(const BoxStats& a, const BoxStats& b) {
+  return a.notch_hi < b.notch_lo || b.notch_hi < a.notch_lo;
+}
+
 TEST(BoxStats, NotchOverlapDetectsSameDistribution) {
   Xoshiro256 rng(3);
   std::vector<double> a, b;
@@ -151,7 +156,7 @@ TEST(BoxStats, NotchOverlapDetectsSameDistribution) {
     a.push_back(rng.uniform(0, 1));
     b.push_back(rng.uniform(0, 1));
   }
-  EXPECT_FALSE(box_stats(a).median_differs(box_stats(b)));
+  EXPECT_FALSE(notches_separate(box_stats(a), box_stats(b)));
 }
 
 TEST(BoxStats, NotchSeparationDetectsShift) {
@@ -161,7 +166,7 @@ TEST(BoxStats, NotchSeparationDetectsShift) {
     a.push_back(rng.uniform(0, 1));
     b.push_back(rng.uniform(5, 6));
   }
-  EXPECT_TRUE(box_stats(a).median_differs(box_stats(b)));
+  EXPECT_TRUE(notches_separate(box_stats(a), box_stats(b)));
 }
 
 TEST(MannWhitney, IdenticalSamplesNotSignificant) {
@@ -210,21 +215,6 @@ TEST(Ci95, ShrinksWithSampleSize) {
   for (int i = 0; i < 20; ++i) small.add(rng.uniform(0, 1));
   for (int i = 0; i < 2000; ++i) large.add(rng.uniform(0, 1));
   EXPECT_GT(ci95_halfwidth(small), ci95_halfwidth(large));
-}
-
-TEST(Pearson, PerfectCorrelation) {
-  std::vector<double> x{1, 2, 3, 4, 5};
-  std::vector<double> y{2, 4, 6, 8, 10};
-  const auto r = pearson(x, y);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_NEAR(*r, 1.0, 1e-12);
-}
-
-TEST(Pearson, DegenerateReturnsNullopt) {
-  std::vector<double> x{1, 1, 1};
-  std::vector<double> y{2, 4, 6};
-  EXPECT_FALSE(pearson(x, y).has_value());
-  EXPECT_FALSE(pearson({1.0}, {2.0}).has_value());
 }
 
 }  // namespace
