@@ -31,10 +31,12 @@
 //
 // --obs-overhead switches to the observability overhead gate: the cached
 // arm (the hottest path — cache hits make instrumentation the largest
-// relative cost) runs interleaved with observability on and off,
-// best-of-N per arm, and the run FAILS (exit 1) if the instrumented
-// throughput is more than --obs-overhead-max-pct (default 2%) below the
-// uninstrumented one. Writes BENCH_obs_overhead.json.
+// relative cost) runs interleaved with span tracing on (the default
+// trace capacity) and off (trace capacity 0), best-of-N per arm, and the
+// run FAILS (exit 1) if the traced throughput is more than
+// --obs-overhead-max-pct (default 2%) below the untraced one. The latency
+// histograms run in both arms: they are the service's only latency
+// record. Writes BENCH_obs_overhead.json.
 //
 // --failpoint-overhead is the same gate for the fault-injection layer:
 // the cached arm runs with the hot-path failpoint sites (queue.submit,
@@ -104,8 +106,8 @@ struct ArmResult {
   double mean_queue_wait_ms = 0.0;
   double mean_solve_ms = 0.0;
   double mean_makespan = 0.0;
-  /// Service-side histogram percentiles (obs layer; 0 when the build or
-  /// run has observability off — the mean_* Welford figures still report).
+  /// Service-side histogram percentiles (0 when no job completed, like
+  /// the mean_* figures read from the same histograms).
   double wait_p50_ms = 0.0;
   double wait_p99_ms = 0.0;
   double solve_p50_ms = 0.0;
@@ -131,13 +133,11 @@ std::vector<std::shared_ptr<const etc::EtcMatrix>> make_pool(
   return pool;
 }
 
-ArmResult run_arm(const Options& opts, bool use_cache, const char* name,
-                  bool observability = true) {
+ArmResult run_arm(const Options& opts, bool use_cache, const char* name) {
   service::ServiceOptions service_options;
   service_options.workers = support::clamp_threads(opts.workers);
   service_options.queue_capacity = opts.queue_capacity;
   service_options.cache_capacity = use_cache ? 4096 : 0;
-  service_options.observability = observability;
   service::SchedulerService svc(service_options);
 
   const auto pool = make_pool(opts);
@@ -187,8 +187,8 @@ ArmResult run_arm(const Options& opts, bool use_cache, const char* name,
   a.mean_ms = lat_stats.mean();
   a.deadline_miss_rate = snap.deadline_miss_rate();
   a.cache_hit_rate = snap.cache_hit_rate();
-  a.mean_queue_wait_ms = snap.queue_wait_seconds.mean() * 1e3;
-  a.mean_solve_ms = snap.solve_seconds.mean() * 1e3;
+  a.mean_queue_wait_ms = snap.queue_wait_hist.mean_ms();
+  a.mean_solve_ms = snap.solve_hist.mean_ms();
   a.mean_makespan = mk.mean();
   a.wait_p50_ms = finite_or_zero(snap.queue_wait_hist.quantile_ms(0.50));
   a.wait_p99_ms = finite_or_zero(snap.queue_wait_hist.quantile_ms(0.99));
@@ -232,12 +232,12 @@ void finish_overhead(OverheadResult& r, double max_pct) {
 /// a context-switch lottery with +-20% run-to-run swings, which no
 /// best-of-N can average down to a 2% resolution. One submit lane and one
 /// serve lane give the steadiest per-job cost the box can produce.
-double cached_hit_throughput(const Options& opts, bool observability) {
+double cached_hit_throughput(const Options& opts, bool traced) {
   service::ServiceOptions service_options;
   service_options.workers = 1;
   service_options.queue_capacity = opts.queue_capacity;
   service_options.cache_capacity = 4096;
-  service_options.observability = observability;
+  if (!traced) service_options.trace_capacity = 0;
   service::SchedulerService svc(service_options);
 
   const auto pool = make_pool(opts);
@@ -266,7 +266,7 @@ double cached_hit_throughput(const Options& opts, bool observability) {
   return wall_s > 0.0 ? static_cast<double>(opts.jobs) / wall_s : 0.0;
 }
 
-/// Interleaved best-of-N pure-hit throughput comparison with the obs layer
+/// Interleaved best-of-N pure-hit throughput comparison with span tracing
 /// on vs off. Interleaving (on, off, on, off, ...) spreads any
 /// thermal/noisy-neighbor drift evenly across both arms; best-of-N drops
 /// the cold-start and outlier trials that dominate smoke-scale variance.
@@ -290,8 +290,8 @@ void arm_hot_sites(const char* spec) {
 
 /// Interleaved best-of-N pure-hit throughput with the hot-path failpoint
 /// sites armed-but-never-firing (`after=1e9:throw` — every hit pays the
-/// slow path, none triggers) vs disarmed. Observability stays ON in both
-/// arms: the question is the marginal cost of the failpoint layer, not a
+/// slow path, none triggers) vs disarmed. Tracing stays ON in both arms:
+/// the question is the marginal cost of the failpoint layer, not a
 /// re-measure of the obs layer.
 OverheadResult run_failpoint_overhead(const Options& opts) {
   OverheadResult r;
@@ -306,8 +306,9 @@ OverheadResult run_failpoint_overhead(const Options& opts) {
   return r;
 }
 
-/// `arm_a` / `arm_b` name the two arms in the JSON keys ("obs"/"noobs",
-/// "armed"/"off") so the two gates' artifacts stay self-describing.
+/// `arm_a` / `arm_b` name the two arms in the JSON keys
+/// ("traced"/"untraced", "armed"/"off") so the two gates' artifacts stay
+/// self-describing.
 void write_overhead_json(const char* path, const Options& opts,
                          const OverheadResult& r, const char* arm_a,
                          const char* arm_b, double max_pct) {
@@ -693,12 +694,12 @@ int main(int argc, char** argv) {
   if (opts.obs_overhead) {
     const OverheadResult r = run_obs_overhead(opts);
     std::printf(
-        "obs overhead: best obs %8.1f jobs/s vs best no-obs %8.1f jobs/s "
-        "-> %+.2f %% (max %.2f %%) %s\n",
+        "obs overhead: best traced %8.1f jobs/s vs best untraced %8.1f "
+        "jobs/s -> %+.2f %% (max %.2f %%) %s\n",
         r.best_a, r.best_b, r.overhead_pct, opts.obs_overhead_max_pct,
         r.pass ? "PASS" : "FAIL");
-    write_overhead_json("BENCH_obs_overhead.json", opts, r, "obs", "noobs",
-                        opts.obs_overhead_max_pct);
+    write_overhead_json("BENCH_obs_overhead.json", opts, r, "traced",
+                        "untraced", opts.obs_overhead_max_pct);
     return r.pass ? 0 : 1;
   }
   if (opts.failpoint_overhead) {

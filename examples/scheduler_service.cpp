@@ -82,9 +82,9 @@
 // byte-identical output across runs.
 //
 // Diagnostics go through support/log (stderr), OFF unless PACGA_LOG_LEVEL
-// is set — stdout carries only protocol responses either way. --no-obs
-// disables the observability layer at runtime (TRACE returns empty,
-// latency percentiles print `-`).
+// is set — stdout carries only protocol responses either way.
+// --trace-capacity 0 disables span tracing (TRACE returns empty); the
+// latency histograms behind STATS and METRICS always run.
 #include <csignal>
 #include <iostream>
 #include <string>
@@ -105,8 +105,6 @@ struct DaemonOptions {
   std::size_t queue_capacity = 256;
   std::size_t cache_capacity = 1024;
   std::size_t trace_capacity = 8192;
-  /// Disable the observability layer (trace rings + latency histograms).
-  bool no_obs = false;
   /// TCP mode: port to listen on (0 = ephemeral); negative = pipe mode.
   int listen = -1;
   std::string bind = "127.0.0.1";
@@ -201,9 +199,7 @@ int main(int argc, char** argv) {
               "watchdog declares a worker stalled past stall-factor x the "
               "job's deadline (respawns the worker, fails the job)")
       .flag("deterministic", &opts.protocol.deterministic,
-            "omit timing fields from RESULT lines (byte-identical replays)")
-      .flag("no-obs", &opts.no_obs,
-            "disable the observability layer (traces and latency histograms)");
+            "omit timing fields from RESULT lines (byte-identical replays)");
   try {
     if (!cli.parse(argc, argv)) return 0;
   } catch (const std::exception& e) {
@@ -216,7 +212,6 @@ int main(int argc, char** argv) {
   options.queue_capacity = opts.queue_capacity;
   options.cache_capacity = opts.cache_capacity;
   options.trace_capacity = opts.trace_capacity;
-  options.observability = !opts.no_obs;
   options.shed_watermark = opts.shed_watermark;
   options.supervision.stall_factor = opts.stall_factor;
   opts.protocol.max_retries = static_cast<std::uint32_t>(opts.max_retries);
@@ -224,7 +219,7 @@ int main(int argc, char** argv) {
   support::log_info() << "scheduler_service: workers=" << options.workers
                       << " queue=" << options.queue_capacity
                       << " cache=" << options.cache_capacity
-                      << " obs=" << (options.observability ? 1 : 0);
+                      << " trace=" << options.trace_capacity;
 
   try {
     return opts.listen >= 0 ? serve_socket(svc, opts) : serve_pipe(svc, opts);

@@ -43,8 +43,8 @@ std::string stats_line(const service::SchedulerService& svc) {
       << " jobs_per_sec=" << s.jobs_per_second()
       << " deadline_miss_rate=" << s.deadline_miss_rate()
       << " cache_hit_rate=" << s.cache_hit_rate()
-      << " mean_wait_ms=" << s.queue_wait_seconds.mean() * 1e3
-      << " mean_solve_ms=" << s.solve_seconds.mean() * 1e3
+      << " mean_wait_ms=" << s.queue_wait_hist.mean_ms()
+      << " mean_solve_ms=" << s.solve_hist.mean_ms()
       << " workers=" << s.worker_completed.size()
       << " shards=" << svc.shards() << " steals=" << svc.queue_steals()
       << " arena_builds=" << s.arena_builds
@@ -55,10 +55,10 @@ std::string stats_line(const service::SchedulerService& svc) {
   // format_metric: an empty distribution's min/max/quantiles are NaN,
   // which must print as `-`, never "nan".
   const auto& fm = service::format_metric;
-  out << " min_wait_ms=" << fm(s.queue_wait_seconds.min() * 1e3, 3)
-      << " max_wait_ms=" << fm(s.queue_wait_seconds.max() * 1e3, 3)
-      << " min_solve_ms=" << fm(s.solve_seconds.min() * 1e3, 3)
-      << " max_solve_ms=" << fm(s.solve_seconds.max() * 1e3, 3)
+  out << " min_wait_ms=" << fm(s.queue_wait_hist.min_ms(), 3)
+      << " max_wait_ms=" << fm(s.queue_wait_hist.max_ms(), 3)
+      << " min_solve_ms=" << fm(s.solve_hist.min_ms(), 3)
+      << " max_solve_ms=" << fm(s.solve_hist.max_ms(), 3)
       << " p50_wait_ms=" << fm(s.queue_wait_hist.quantile_ms(0.5), 3)
       << " p90_wait_ms=" << fm(s.queue_wait_hist.quantile_ms(0.9), 3)
       << " p99_wait_ms=" << fm(s.queue_wait_hist.quantile_ms(0.99), 3)

@@ -98,12 +98,9 @@ class Server {
   /// write() to the self-pipe) and callable from any thread.
   void stop() noexcept;
 
-  /// Connections currently open (loop thread's view; for tests/metrics).
-  std::size_t connections() const noexcept { return conns_.size(); }
-
  private:
-  /// Test access to the connections' unreaped jobs (defined with the
-  /// tests).
+  /// Test access to the open connections and their unreaped jobs
+  /// (defined with the tests).
   friend struct ServerTestPeer;
 
   /// Cross-thread completion mailbox. Shared with the service completion

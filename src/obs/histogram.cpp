@@ -1,5 +1,6 @@
 #include "obs/histogram.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -31,17 +32,28 @@ std::uint64_t hist_value_at(std::size_t index) noexcept {
 void HistogramSnapshot::merge(const HistogramSnapshot& other) {
   if (other.counts_.empty()) return;
   if (counts_.empty()) {
-    counts_ = other.counts_;
+    *this = other;
     return;
   }
   for (std::size_t i = 0; i < counts_.size(); ++i)
     counts_[i] += other.counts_[i];
+  const std::uint64_t sum = sum_ns_ + other.sum_ns_;
+  sum_ns_ = sum < other.sum_ns_ ? std::numeric_limits<std::uint64_t>::max()
+                                : sum;
+  min_ns_ = std::min(min_ns_, other.min_ns_);
+  max_ns_ = std::max(max_ns_, other.max_ns_);
 }
 
 std::uint64_t HistogramSnapshot::count() const noexcept {
   std::uint64_t n = 0;
   for (std::uint64_t c : counts_) n += c;
   return n;
+}
+
+double HistogramSnapshot::mean_ms() const noexcept {
+  const std::uint64_t n = count();
+  return n == 0 ? 0.0
+                : static_cast<double>(sum_ns_) / static_cast<double>(n) / 1e6;
 }
 
 double HistogramSnapshot::quantile_ns(double q) const noexcept {
@@ -62,19 +74,21 @@ double HistogramSnapshot::quantile_ns(double q) const noexcept {
   return static_cast<double>(hist_value_at(counts_.size() - 1));
 }
 
-LatencyHistogram::LatencyHistogram(bool enabled) {
-  if (!enabled) return;
-  counts_ = std::make_unique<std::atomic<std::uint64_t>[]>(kHistBuckets);
+LatencyHistogram::LatencyHistogram()
+    : counts_(std::make_unique<std::atomic<std::uint64_t>[]>(kHistBuckets)) {
   for (std::size_t i = 0; i < kHistBuckets; ++i)
     counts_[i].store(0, std::memory_order_relaxed);
 }
 
 HistogramSnapshot LatencyHistogram::snapshot() const {
-  if (!counts_) return {};
+  // Buckets first, the fields record_ns() writes before its bucket last.
   std::vector<std::uint64_t> out(kHistBuckets);
   for (std::size_t i = 0; i < kHistBuckets; ++i)
     out[i] = counts_[i].load(std::memory_order_relaxed);
-  return HistogramSnapshot(std::move(out));
+  return HistogramSnapshot(std::move(out),
+                           sum_ns_.load(std::memory_order_relaxed),
+                           min_ns_.load(std::memory_order_relaxed),
+                           max_ns_.load(std::memory_order_relaxed));
 }
 
 void LatencyHistogram::record_seconds(double seconds) noexcept {

@@ -38,9 +38,8 @@ class SolutionCache {
  public:
   /// A capacity of 0 disables the cache (lookups miss, inserts drop).
   /// `stripes` >= 1; capacity is divided across them (at least 1 per
-  /// stripe when enabled). The default of one stripe is the classic
-  /// single-lock cache.
-  explicit SolutionCache(std::size_t capacity, std::size_t stripes = 1);
+  /// stripe when enabled). One stripe is the classic single-lock cache.
+  explicit SolutionCache(std::size_t capacity, std::size_t stripes);
 
   struct Entry {
     std::vector<sched::MachineId> assignment;

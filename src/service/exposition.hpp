@@ -4,7 +4,7 @@
 //
 // Two formats:
 //   * format_metric — one scalar for STATS fields: fixed-point, and `-`
-//     for NaN/inf (the empty-RunningStats min/max; a bare "nan" in a
+//     for NaN/inf (an empty histogram's min/max; a bare "nan" in a
 //     key=value line parses as a float in some consumers and poisons
 //     dashboards in others).
 //   * write_prometheus — the Prometheus text format (# TYPE'd counters,

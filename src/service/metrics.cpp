@@ -4,45 +4,9 @@
 
 namespace pacga::service {
 
-ServiceMetrics::ServiceMetrics(std::size_t workers, bool histograms)
-    : slots_(workers), histograms_(histograms) {
+ServiceMetrics::ServiceMetrics(std::size_t workers) : slots_(workers) {
   if (workers == 0)
     throw std::invalid_argument("ServiceMetrics: workers must be >= 1");
-}
-
-void ServiceMetrics::OwnedStats::add(double x) noexcept {
-  // Bit-for-bit the arithmetic of RunningStats::add, on relaxed snapshots
-  // of this slot's own values (we are the only writer, so the loads see
-  // exactly what we last stored). Store n last: a concurrent snapshot that
-  // observes the new n also observes the new moments on any coherent
-  // machine reading this exclusively-owned line.
-  const std::uint64_t n0 = n.load(std::memory_order_relaxed);
-  const double old_mean = mean.load(std::memory_order_relaxed);
-  if (n0 == 0) {
-    min.store(x, std::memory_order_relaxed);
-    max.store(x, std::memory_order_relaxed);
-  } else {
-    const double lo = min.load(std::memory_order_relaxed);
-    const double hi = max.load(std::memory_order_relaxed);
-    if (x < lo) min.store(x, std::memory_order_relaxed);
-    if (x > hi) max.store(x, std::memory_order_relaxed);
-  }
-  const double delta = x - old_mean;
-  const double new_mean = old_mean + delta / static_cast<double>(n0 + 1);
-  mean.store(new_mean, std::memory_order_relaxed);
-  m2.store(m2.load(std::memory_order_relaxed) + delta * (x - new_mean),
-           std::memory_order_relaxed);
-  n.store(n0 + 1, std::memory_order_relaxed);
-}
-
-support::RunningStats ServiceMetrics::OwnedStats::materialize()
-    const noexcept {
-  return support::RunningStats::from_moments(
-      static_cast<std::size_t>(n.load(std::memory_order_relaxed)),
-      mean.load(std::memory_order_relaxed),
-      m2.load(std::memory_order_relaxed),
-      min.load(std::memory_order_relaxed),
-      max.load(std::memory_order_relaxed));
 }
 
 void ServiceMetrics::on_complete(std::size_t worker,
@@ -55,15 +19,11 @@ void ServiceMetrics::on_complete(std::size_t worker,
   if (cache_hit) s.cache_hits.fetch_add(1, std::memory_order_relaxed);
   if (deadline_missed)
     s.deadline_misses.fetch_add(1, std::memory_order_relaxed);
-  s.queue_wait.add(queue_wait_seconds);
-  s.solve.add(solve_seconds);
-  if (histograms_) {
-    s.wait_hist.record_seconds(queue_wait_seconds);
-    s.solve_hist.record_seconds(solve_seconds);
-    s.e2e_hist.record_seconds(e2e_seconds < 0.0
-                                  ? queue_wait_seconds + solve_seconds
-                                  : e2e_seconds);
-  }
+  s.wait_hist.record_seconds(queue_wait_seconds);
+  s.solve_hist.record_seconds(solve_seconds);
+  s.e2e_hist.record_seconds(e2e_seconds < 0.0
+                                ? queue_wait_seconds + solve_seconds
+                                : e2e_seconds);
 }
 
 void ServiceMetrics::on_fail(std::size_t worker) noexcept {
@@ -90,9 +50,6 @@ ServiceMetrics::Snapshot ServiceMetrics::snapshot() const {
   s.failed = failed_external_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
   s.worker_completed.reserve(slots_.size());
-  // Merge in worker order (slot 0 first): repeated snapshots of a quiesced
-  // service are bit-identical, and the equivalence test can reproduce the
-  // exact merged moments from the per-worker sequences.
   for (const auto& padded : slots_) {
     const WorkerSlot& w = *padded;
     const std::uint64_t done = w.completed.load(std::memory_order_relaxed);
@@ -102,13 +59,9 @@ ServiceMetrics::Snapshot ServiceMetrics::snapshot() const {
     s.cache_hits += w.cache_hits.load(std::memory_order_relaxed);
     s.deadline_misses += w.deadline_misses.load(std::memory_order_relaxed);
     s.arena_builds += w.arena_builds.load(std::memory_order_relaxed);
-    s.queue_wait_seconds.merge(w.queue_wait.materialize());
-    s.solve_seconds.merge(w.solve.materialize());
-    if (histograms_) {
-      s.queue_wait_hist.merge(w.wait_hist.snapshot());
-      s.solve_hist.merge(w.solve_hist.snapshot());
-      s.e2e_hist.merge(w.e2e_hist.snapshot());
-    }
+    s.queue_wait_hist.merge(w.wait_hist.snapshot());
+    s.solve_hist.merge(w.solve_hist.snapshot());
+    s.e2e_hist.merge(w.e2e_hist.snapshot());
   }
   s.elapsed_seconds = clock_.elapsed_seconds();
   return s;
@@ -117,16 +70,10 @@ ServiceMetrics::Snapshot ServiceMetrics::snapshot() const {
 double ServiceMetrics::approx_solve_p50_ms() const {
   // A pressure hint, not an SLO figure: merge-once per rejection is fine
   // because rejections are the rare path by construction.
-  if (histograms_) {
-    obs::HistogramSnapshot hist;
-    for (const auto& padded : slots_) hist.merge(padded->solve_hist.snapshot());
-    const double p50 = hist.quantile_ms(0.50);
-    if (p50 == p50 && p50 > 0.0) return p50;  // finite and positive
-  }
-  support::RunningStats solve;
-  for (const auto& padded : slots_) solve.merge(padded->solve.materialize());
-  const double mean_ms = solve.mean() * 1e3;
-  return (mean_ms == mean_ms && mean_ms > 0.0) ? mean_ms : 1.0;
+  obs::HistogramSnapshot hist;
+  for (const auto& padded : slots_) hist.merge(padded->solve_hist.snapshot());
+  const double p50 = hist.quantile_ms(0.50);
+  return (p50 == p50 && p50 > 0.0) ? p50 : 1.0;  // finite and positive
 }
 
 }  // namespace pacga::service

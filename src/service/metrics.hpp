@@ -2,12 +2,12 @@
 //
 // The completion path — the hottest metrics path, hit once per served job
 // by every worker — touches ONLY that worker's own cache-line-padded slot:
-// plain Welford moments and event counters kept as single-writer relaxed
-// atomics (the DPDK per-lcore RunningStat idiom). No RMW on a shared line,
-// no mutex, no synchronization between workers at all; snapshot() merges
-// the slots on demand with the parallel-Welford reduction, reading each
-// slot's relaxed atomics in a fixed worker order so repeated snapshots of
-// a quiesced service are bit-identical.
+// event counters and three latency histograms (queue wait, solve,
+// end-to-end), all single-writer relaxed atomics (the DPDK per-lcore
+// idiom). No RMW on a shared line, no mutex, no synchronization between
+// workers at all; snapshot() merges the slots on demand. Every merged
+// figure is an integer sum, min or max, so the merge is exact in any
+// order and repeated snapshots of a quiesced service are bit-identical.
 //
 // Events that originate OUTSIDE a worker thread (submit, reject, cancel,
 // reschedule — any client thread may raise them) stay shared relaxed-RMW
@@ -18,10 +18,9 @@
 // exactly one writer (its pinned worker), but snapshot() reads concurrently
 // from another thread. Relaxed loads/stores make that race defined (and
 // TSan-clean) at zero cost on every relevant ISA — they compile to the same
-// plain moves, and there is still no RMW and no shared line. A torn-epoch
-// read (count from after a completion, mean from before) skews one in-flight
-// sample in a monitoring snapshot; final totals are exact because workers
-// have quiesced by then.
+// plain moves, and there is still no RMW and no shared line. A snapshot
+// racing a completion may miss that one in-flight sample; final totals are
+// exact because workers have quiesced by then.
 #pragma once
 
 #include <atomic>
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "obs/histogram.hpp"
-#include "support/stats.hpp"
 #include "support/threading.hpp"
 #include "support/timer.hpp"
 
@@ -38,10 +36,8 @@ namespace pacga::service {
 
 class ServiceMetrics {
  public:
-  /// One per pool worker; `workers` must be >= 1. `histograms` false keeps
-  /// the Welford moments but skips the latency histograms (the runtime
-  /// observability switch).
-  explicit ServiceMetrics(std::size_t workers = 1, bool histograms = true);
+  /// One slot per pool worker; `workers` must be >= 1.
+  explicit ServiceMetrics(std::size_t workers);
 
   /// Consistent-enough copy of all metrics at one instant.
   struct Snapshot {
@@ -66,12 +62,8 @@ class ServiceMetrics {
     /// and healthy under shape affinity; all-but-one-zero under a mixed
     /// workload means stealing is broken.
     std::vector<std::uint64_t> worker_completed;
-    support::RunningStats queue_wait_seconds;
-    support::RunningStats solve_seconds;
-    /// Log-bucketed latency distributions merged across workers in worker
-    /// order (same discipline as the Welford moments, so quantiles of a
-    /// quiesced service are bit-identical across snapshots). Empty when
-    /// histograms are disabled.
+    /// Latency distributions merged across workers: exact count, sum,
+    /// min and max beside the log buckets the quantiles read.
     obs::HistogramSnapshot queue_wait_hist;
     obs::HistogramSnapshot solve_hist;
     obs::HistogramSnapshot e2e_hist;  ///< submit -> terminal
@@ -150,29 +142,12 @@ class ServiceMetrics {
   Snapshot snapshot() const;
 
   /// Cheap estimate of the p50 per-job solve latency in milliseconds,
-  /// for the overload-shedding retry hint: histogram quantile when
-  /// available, mean solve time otherwise, 1 ms when nothing has been
-  /// served yet. Never returns a non-finite or non-positive value.
+  /// for the overload-shedding retry hint: the solve histogram's median,
+  /// 1 ms when nothing has been served yet. Never returns a non-finite or
+  /// non-positive value.
   double approx_solve_p50_ms() const;
 
  private:
-  /// Single-writer streaming accumulator: the owning worker updates the
-  /// Welford moments exactly as RunningStats::add would (same operations,
-  /// same order, so the merged snapshot is bit-equal to what a shared
-  /// locked RunningStats would have produced for this worker's sequence).
-  /// `n` is stored LAST so a concurrent snapshot never pairs a new count
-  /// with stale moments for the sample it just admitted.
-  struct OwnedStats {
-    std::atomic<std::uint64_t> n{0};
-    std::atomic<double> mean{0.0};
-    std::atomic<double> m2{0.0};
-    std::atomic<double> min{0.0};
-    std::atomic<double> max{0.0};
-
-    void add(double x) noexcept;
-    support::RunningStats materialize() const noexcept;
-  };
-
   /// Per-worker metric slot; cache-line aligned and padded (never shares a
   /// line with a neighbor slot), exactly one writing thread.
   struct WorkerSlot {
@@ -181,10 +156,8 @@ class ServiceMetrics {
     std::atomic<std::uint64_t> cache_hits{0};
     std::atomic<std::uint64_t> deadline_misses{0};
     std::atomic<std::uint64_t> arena_builds{0};
-    OwnedStats queue_wait;
-    OwnedStats solve;
-    /// Same single-writer contract as OwnedStats; buckets allocated at
-    /// construction so the recording path never allocates.
+    /// Buckets allocated at construction so the recording path never
+    /// allocates.
     obs::LatencyHistogram wait_hist;
     obs::LatencyHistogram solve_hist;
     obs::LatencyHistogram e2e_hist;
@@ -201,7 +174,6 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> failed_external_{0};  ///< off-worker failures
   std::atomic<std::uint64_t> shed_{0};
   std::vector<support::Padded<WorkerSlot>> slots_;
-  bool histograms_;  ///< runtime switch; recording is skipped when false
   support::WallTimer clock_;  ///< started at service construction
 };
 

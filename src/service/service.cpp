@@ -34,15 +34,14 @@ void validate_spec(const JobSpec& spec) {
 
 SchedulerService::SchedulerService(ServiceOptions options)
     : options_(std::move(options)),
-      metrics_(std::max<std::size_t>(1, options_.workers),
-               /*histograms=*/options_.observability),
+      metrics_(std::max<std::size_t>(1, options_.workers)),
       // One queue shard and one cache stripe per worker: each worker's home
       // shard is its own, and the shape hash that routes a job to a shard
       // also picks its cache stripe.
       cache_(options_.cache_capacity, std::max<std::size_t>(1, options_.workers)),
       queue_(options_.queue_capacity, std::max<std::size_t>(1, options_.workers)),
       trace_(std::max<std::size_t>(1, options_.workers),
-             options_.observability ? options_.trace_capacity : 0) {
+             options_.trace_capacity) {
   SolverPoolOptions pool_options;
   pool_options.workers = options_.workers;
   pool_options.solver = options_.solver;

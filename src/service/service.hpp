@@ -16,8 +16,9 @@
 // The core is sharded end to end: a job's shard — a pure function of its
 // instance shape, assigned at admission — selects its queue shard, its
 // cache stripe, and (via pinning) the worker whose warm arena matches the
-// shape. Completions record into per-worker padded metric slots, so the
-// serving fast path shares no mutable cache line between workers.
+// shape. Completions record into per-worker padded metric slots (counters
+// and one latency histogram per metric), so the serving fast path shares
+// no mutable cache line between workers.
 //
 // Lifecycle: construct -> serve -> shutdown() (or destruction). Shutdown
 // is graceful: admission closes, already-queued jobs are drained by the
@@ -50,12 +51,9 @@ struct ServiceOptions {
   std::size_t cache_capacity = 1024;
   /// Trace-ring capacity PER WORKER (span records; rounded up to a power
   /// of two). The flight recorder keeps the most recent spans and drops
-  /// the oldest on wrap. 0 disables tracing while keeping histograms.
+  /// the oldest on wrap. 0 disables tracing, the one runtime off-switch
+  /// of the obs layer; counters and latency histograms always run.
   std::size_t trace_capacity = 8192;
-  /// Master runtime switch for the observability layer (trace rings AND
-  /// latency histograms). Counters and Welford moments always run — they
-  /// predate the obs layer and STATS depends on them.
-  bool observability = true;
   /// Solver base configuration (grid, operators, objective, Min-min
   /// seeding). Termination and seed are per-job; collect_trace is forced
   /// off.
@@ -161,7 +159,7 @@ class SchedulerService {
   const ServiceOptions& options() const noexcept { return options_; }
 
   /// The span flight recorder (disabled — empty snapshots — when
-  /// options.observability is false or trace_capacity is 0). The daemon's
+  /// options.trace_capacity is 0). The daemon's
   /// TRACE verbs read it.
   const obs::TraceCollector& trace() const noexcept { return trace_; }
 

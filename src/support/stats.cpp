@@ -36,18 +36,6 @@ void RunningStats::merge(const RunningStats& other) noexcept {
   n_ += other.n_;
 }
 
-RunningStats RunningStats::from_moments(std::size_t n, double mean, double m2,
-                                        double min, double max) noexcept {
-  RunningStats s;
-  if (n == 0) return s;
-  s.n_ = n;
-  s.mean_ = mean;
-  s.m2_ = m2;
-  s.min_ = min;
-  s.max_ = max;
-  return s;
-}
-
 double RunningStats::variance() const noexcept {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }

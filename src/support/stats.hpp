@@ -1,4 +1,5 @@
 // Statistics toolkit used by the benchmark harness and the engine traces.
+// The service keeps its latencies in obs::LatencyHistogram, not here.
 //
 // Everything here is deliberately dependency-free: the harness must compute
 // the same summaries the paper plots (means over 100 runs, box plots with
@@ -25,14 +26,6 @@ class RunningStats {
   void add(double x) noexcept;
   /// Merges another accumulator (parallel reduction form of Welford).
   void merge(const RunningStats& other) noexcept;
-
-  /// Rebuilds an accumulator from externally maintained Welford moments —
-  /// the aggregation path for per-thread unsynchronized stat slots (the
-  /// service metrics keep (n, mean, m2, min, max) in plain per-worker
-  /// storage and materialize RunningStats only at snapshot time). `n == 0`
-  /// yields an empty accumulator regardless of the other arguments.
-  static RunningStats from_moments(std::size_t n, double mean, double m2,
-                                   double min, double max) noexcept;
 
   std::size_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }

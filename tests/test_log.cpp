@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -61,7 +64,15 @@ TEST(Log, UnsetEnvironmentSuppressesEverything) {
   EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
 }
 
-TEST(Log, ConcurrentLoggingDoesNotCrash) {
+TEST(Log, ConcurrentLoggingEmitsWholeLines) {
+  // With warn enabled (the `test_log_warn` ctest entry sets
+  // PACGA_LOG_LEVEL=warn) every call takes the locked emit path, and the
+  // lock must keep each line whole: 800 lines, each one call's message.
+  LogLevel level = LogLevel::kOff;
+  const char* env = std::getenv("PACGA_LOG_LEVEL");
+  const bool emits = env != nullptr && parse_log_level(env, level) &&
+                     level <= LogLevel::kWarn;
+  if (emits) ::testing::internal::CaptureStderr();
   std::vector<std::thread> threads;
   std::atomic<int> done{0};
   for (int t = 0; t < 4; ++t) {
@@ -74,6 +85,19 @@ TEST(Log, ConcurrentLoggingDoesNotCrash) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(done.load(), 4);
+  if (!emits) return;
+  std::istringstream out(::testing::internal::GetCapturedStderr());
+  std::set<std::string> lines;
+  std::size_t count = 0;
+  for (std::string line; std::getline(out, line); ++count) lines.insert(line);
+  EXPECT_EQ(count, 800u);
+  for (int t = 0; t < 4; ++t) {
+    for (int i = 0; i < 200; ++i) {
+      const std::string want = "[WARN] thread " + std::to_string(t) +
+                               " line " + std::to_string(i);
+      EXPECT_EQ(lines.count(want), 1u) << want;
+    }
+  }
 }
 
 }  // namespace

@@ -33,6 +33,7 @@ namespace pacga::net {
 /// disconnect (the loop thread's view). A job whose result was delivered
 /// is no longer counted.
 struct ServerTestPeer {
+  static std::size_t connections(const Server& s) { return s.conns_.size(); }
   static std::size_t unreaped_jobs(const Server& s) {
     std::size_t n = 0;
     for (const auto& [fd, conn] : s.conns_) n += conn->unreaped.size();
@@ -499,7 +500,7 @@ TEST_F(NetTest, AnsweredJobsAreNotTrackedForTheConnectionsLife) {
         << result;
   }
   stop_loop();
-  EXPECT_EQ(server_->connections(), 1u);
+  EXPECT_EQ(net::ServerTestPeer::connections(*server_), 1u);
   // Every result was delivered: nothing is left to reap on disconnect.
   EXPECT_EQ(net::ServerTestPeer::unreaped_jobs(*server_), 0u);
 }

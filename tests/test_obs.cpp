@@ -69,6 +69,8 @@ TEST(HistQuantile, EmptyIsNaN) {
   EXPECT_TRUE(s.empty());
   EXPECT_TRUE(std::isnan(s.quantile_ns(0.5)));
   EXPECT_TRUE(std::isnan(s.quantile_ms(0.99)));
+  EXPECT_TRUE(std::isnan(s.min_ms()));
+  EXPECT_EQ(s.mean_ms(), 0.0);
 }
 
 TEST(HistQuantile, PointMassAndEdges) {
@@ -103,19 +105,12 @@ TEST(HistQuantile, RecordSecondsClampsGarbage) {
   EXPECT_EQ(s.quantile_ns(1.0), 0.0);
 }
 
-TEST(HistQuantile, DisabledRecordsNothing) {
-  LatencyHistogram h(false);
-  h.record_ns(5);
-  h.record_seconds(1.0);
-  EXPECT_TRUE(h.snapshot().empty());
-}
-
 // --- merge ------------------------------------------------------------------
 
 TEST(HistMerge, BitEqualToSerial) {
   // The same sample stream split round-robin across 4 single-writer
-  // histograms and merged must give the IDENTICAL bucket vector as one
-  // histogram fed everything serially.
+  // histograms and merged must give the IDENTICAL buckets, sum, min and
+  // max as one histogram fed everything serially.
   constexpr std::size_t kWorkers = 4;
   LatencyHistogram serial;
   LatencyHistogram sharded[kWorkers];
@@ -128,8 +123,12 @@ TEST(HistMerge, BitEqualToSerial) {
   }
   HistogramSnapshot merged;
   for (const LatencyHistogram& h : sharded) merged.merge(h.snapshot());
-  EXPECT_EQ(merged.counts(), serial.snapshot().counts());
-  EXPECT_EQ(merged.count(), serial.snapshot().count());
+  const HistogramSnapshot s = serial.snapshot();
+  EXPECT_EQ(merged.counts(), s.counts());
+  EXPECT_EQ(merged.count(), s.count());
+  EXPECT_EQ(merged.sum_ns(), s.sum_ns());
+  EXPECT_EQ(merged.min_ns(), s.min_ns());
+  EXPECT_EQ(merged.max_ns(), s.max_ns());
 }
 
 // --- trace ring -------------------------------------------------------------

@@ -361,7 +361,7 @@ TEST(ShardedJobQueue, BacklogBehindAServingOwnerWakesAParkedPeer) {
 // --- SolutionCache ---------------------------------------------------------
 
 TEST(SolutionCache, LruEvictionAndCounts) {
-  SolutionCache cache(2);
+  SolutionCache cache(2, 1);
   const std::vector<sched::MachineId> a{0, 1}, b{1, 0}, c{1, 1};
   cache.insert(0, 1, a, 10.0, SolvePolicy::kCga);
   cache.insert(0, 2, b, 20.0, SolvePolicy::kCga);
@@ -377,7 +377,7 @@ TEST(SolutionCache, LruEvictionAndCounts) {
 }
 
 TEST(SolutionCache, KeepsBetterFitnessOnReinsertWithItsProvenance) {
-  SolutionCache cache(4);
+  SolutionCache cache(4, 1);
   const std::vector<sched::MachineId> good{0, 1}, bad{1, 0};
   cache.insert(0, 1, bad, 50.0, SolvePolicy::kMinMin);
   cache.insert(0, 1, good, 40.0, SolvePolicy::kCga);  // improves: replaces
@@ -393,7 +393,7 @@ TEST(SolutionCache, KeepsBetterFitnessOnReinsertWithItsProvenance) {
 }
 
 TEST(SolutionCache, ZeroCapacityDisables) {
-  SolutionCache cache(0);
+  SolutionCache cache(0, 1);
   cache.insert(0, 1, std::vector<sched::MachineId>{0}, 1.0,
                SolvePolicy::kCga);
   SolutionCache::Entry e;
@@ -438,8 +438,8 @@ TEST(SolutionCache, EvictionPressureIsPerStripe) {
   EXPECT_TRUE(cache.lookup(1, 100, e)) << "other stripe must be untouched";
 }
 
-TEST(SolutionCache, SingleStripeDefaultKeepsTotalCapacity) {
-  SolutionCache cache(8);
+TEST(SolutionCache, SingleStripeKeepsTotalCapacity) {
+  SolutionCache cache(8, 1);
   EXPECT_EQ(cache.stripes(), 1u);
   // Eight entries fit; the ninth evicts the oldest.
   const std::vector<sched::MachineId> v{0};
@@ -454,33 +454,32 @@ TEST(SolutionCache, SingleStripeDefaultKeepsTotalCapacity) {
 // --- ServiceMetrics (sharded merge equivalence) ----------------------------
 
 TEST(ServiceMetrics, ShardedMergeMatchesAtomicTotalsUnderConcurrency) {
-  // THE acceptance property of the per-worker metrics rewrite: with every
-  // worker hammering its own slot, external events landing from other
-  // threads, and a poller snapshotting mid-flight, the FINAL snapshot must
-  // be bit-equal to the old single-accumulator implementation fed the same
-  // per-worker sequences — integer totals exactly, Welford moments through
-  // the same merge arithmetic in the same (worker-index) order.
+  // THE acceptance property of the per-worker metrics: with every worker
+  // hammering its own slot, external events landing from other threads,
+  // and a poller snapshotting mid-flight, the FINAL snapshot must hold the
+  // exact integer totals, and each merged latency histogram (buckets,
+  // count, sum, min, max) must equal one serial histogram fed every
+  // worker's samples.
   constexpr std::size_t kWorkers = 4;
   constexpr std::size_t kEventsPerWorker = 5000;
   ServiceMetrics metrics(kWorkers);
 
   struct Reference {
     std::uint64_t completed = 0, failed = 0, hits = 0, misses = 0, builds = 0;
-    support::RunningStats wait, solve;
+    std::vector<double> wait, solve;
   };
   std::vector<Reference> ref(kWorkers);
 
   std::atomic<bool> stop_poller{false};
   std::thread poller([&] {
     // Concurrent snapshots must be safe (and sane), not exact: totals only
-    // ever grow, and no read may tear a slot into an impossible state that
-    // trips RunningStats (e.g. n > 0 with garbage moments).
+    // ever grow.
     std::uint64_t last = 0;
     while (!stop_poller.load(std::memory_order_relaxed)) {
       const auto s = metrics.snapshot();
       EXPECT_GE(s.completed, last);
       last = s.completed;
-      EXPECT_GE(s.queue_wait_seconds.count(), 0u);
+      EXPECT_LE(s.queue_wait_hist.count(), kWorkers * kEventsPerWorker);
       std::this_thread::yield();  // don't starve the workers on small boxes
     }
   });
@@ -505,8 +504,8 @@ TEST(ServiceMetrics, ShardedMergeMatchesAtomicTotalsUnderConcurrency) {
           ++r.completed;
           r.hits += hit ? 1 : 0;
           r.misses += miss ? 1 : 0;
-          r.wait.add(wait);
-          r.solve.add(solve);
+          r.wait.push_back(wait);
+          r.solve.push_back(solve);
         }
         if ((rng() & 255) == 0) {
           const std::uint64_t n = 1 + (rng() & 3);
@@ -521,7 +520,7 @@ TEST(ServiceMetrics, ShardedMergeMatchesAtomicTotalsUnderConcurrency) {
 
   const auto s = metrics.snapshot();
   std::uint64_t completed = 0, failed = 0, hits = 0, misses = 0, builds = 0;
-  support::RunningStats wait, solve;
+  obs::LatencyHistogram wait, solve, e2e;
   for (std::size_t w = 0; w < kWorkers; ++w) {
     completed += ref[w].completed;
     failed += ref[w].failed;
@@ -529,29 +528,29 @@ TEST(ServiceMetrics, ShardedMergeMatchesAtomicTotalsUnderConcurrency) {
     misses += ref[w].misses;
     builds += ref[w].builds;
     EXPECT_EQ(s.worker_completed[w], ref[w].completed);
-    // The old implementation's accumulator order: merge per-worker
-    // sequences in worker order.
-    wait.merge(ref[w].wait);
-    solve.merge(ref[w].solve);
+    for (std::size_t i = 0; i < ref[w].wait.size(); ++i) {
+      wait.record_seconds(ref[w].wait[i]);
+      solve.record_seconds(ref[w].solve[i]);
+      e2e.record_seconds(ref[w].wait[i] + ref[w].solve[i]);
+    }
   }
   EXPECT_EQ(s.completed, completed);
   EXPECT_EQ(s.failed, failed);
   EXPECT_EQ(s.cache_hits, hits);
   EXPECT_EQ(s.deadline_misses, misses);
   EXPECT_EQ(s.arena_builds, builds);
-  // Bit-equality of the merged Welford state: the per-worker slots ran the
-  // exact RunningStats::add arithmetic, and snapshot() merged in the same
-  // order as the reference loop above.
-  EXPECT_EQ(s.queue_wait_seconds.count(), wait.count());
-  EXPECT_EQ(s.queue_wait_seconds.mean(), wait.mean());
-  EXPECT_EQ(s.queue_wait_seconds.variance(), wait.variance());
-  EXPECT_EQ(s.queue_wait_seconds.min(), wait.min());
-  EXPECT_EQ(s.queue_wait_seconds.max(), wait.max());
-  EXPECT_EQ(s.solve_seconds.count(), solve.count());
-  EXPECT_EQ(s.solve_seconds.mean(), solve.mean());
-  EXPECT_EQ(s.solve_seconds.variance(), solve.variance());
-  EXPECT_EQ(s.solve_seconds.min(), solve.min());
-  EXPECT_EQ(s.solve_seconds.max(), solve.max());
+  const auto expect_equal = [&](const obs::HistogramSnapshot& merged,
+                                 const obs::LatencyHistogram& reference) {
+    const obs::HistogramSnapshot serial = reference.snapshot();
+    EXPECT_EQ(merged.counts(), serial.counts());
+    EXPECT_EQ(merged.count(), completed);
+    EXPECT_EQ(merged.sum_ns(), serial.sum_ns());
+    EXPECT_EQ(merged.min_ns(), serial.min_ns());
+    EXPECT_EQ(merged.max_ns(), serial.max_ns());
+  };
+  expect_equal(s.queue_wait_hist, wait);
+  expect_equal(s.solve_hist, solve);
+  expect_equal(s.e2e_hist, e2e);
 }
 
 TEST(ServiceMetrics, ExternalEventsAndArenaBuildsAggregate) {
@@ -1559,32 +1558,37 @@ TEST(SchedulerService, HistogramsCountEveryCompletion) {
             snap.queue_wait_hist.quantile_ns(0.5));
 }
 
-TEST(SchedulerService, ObservabilityOffDisablesCollectionOnly) {
+TEST(SchedulerService, TraceCapacityZeroDisablesTracingOnly) {
   ServiceOptions o = small_service(2, 64, 64);
-  o.observability = false;
+  o.trace_capacity = 0;
   SchedulerService svc(o);
   auto m = instance(24, 6);
-  JobSpec spec;
-  spec.etc = m;
-  spec.deadline_ms = 1000.0;
-  const JobId id = svc.submit(spec);
-  EXPECT_EQ(svc.wait(id).status, JobStatus::kDone);
+  constexpr std::size_t kJobs = 3;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    JobSpec spec;
+    spec.etc = m;
+    spec.seed = j;
+    spec.deadline_ms = 1000.0;
+    const JobId id = svc.submit(spec);
+    EXPECT_EQ(svc.wait(id).status, JobStatus::kDone);
+    EXPECT_TRUE(svc.trace().job_spans(id).empty());
+  }
   svc.drain();
-  EXPECT_TRUE(svc.trace().job_spans(id).empty());
   const auto snap = svc.metrics();
-  EXPECT_TRUE(snap.solve_hist.empty());
-  EXPECT_EQ(snap.completed, 1u);                   // counters still run
-  EXPECT_GT(snap.solve_seconds.count(), 0u);       // Welford still runs
+  EXPECT_EQ(snap.completed, kJobs);
+  EXPECT_EQ(snap.queue_wait_hist.count(), kJobs);  // histograms still run
+  EXPECT_EQ(snap.solve_hist.count(), kJobs);
+  EXPECT_EQ(snap.e2e_hist.count(), kJobs);
 }
 
-TEST(SchedulerService, ResultsIdenticalWithObservabilityOnAndOff) {
-  // The obs layer observes; it must not perturb. The same pinned-seed
+TEST(SchedulerService, ResultsIdenticalWithTracingOnAndOff) {
+  // Tracing observes; it must not perturb. The same pinned-seed
   // capped-generation solve must produce the identical result either way.
   auto m = instance(32, 8);
   JobResult results[2];
-  for (int obs_on = 0; obs_on < 2; ++obs_on) {
+  for (int traced = 0; traced < 2; ++traced) {
     ServiceOptions o = small_service(1, 64, 0);
-    o.observability = obs_on == 1;
+    if (traced == 0) o.trace_capacity = 0;
     SchedulerService svc(o);
     JobSpec spec;
     spec.etc = m;
@@ -1593,7 +1597,7 @@ TEST(SchedulerService, ResultsIdenticalWithObservabilityOnAndOff) {
     spec.policy = SolvePolicy::kCga;
     spec.max_generations = 12;
     spec.use_cache = false;
-    results[obs_on] = svc.wait(svc.submit(std::move(spec)));
+    results[traced] = svc.wait(svc.submit(std::move(spec)));
   }
   EXPECT_EQ(results[0].status, results[1].status);
   EXPECT_EQ(results[0].makespan, results[1].makespan);  // bit-identical

@@ -2,7 +2,7 @@
 # Docs drift gate: every daemon verb (and EVENT subcommand) that exists in
 # the shared protocol handler (src/net/protocol.cpp) must be documented in
 # docs/DAEMON_PROTOCOL.md, every daemon command-line flag must appear
-# there too, and every runtime environment switch read anywhere in src/
+# there too (and every flag it names must exist), and every runtime environment switch read anywhere in src/
 # must appear in the README's switch table; every example must be run by
 # a ctest entry. Run from anywhere; CI (and `ctest -R docs_consistency`)
 # fails when code grows a verb, flag, switch or example without its docs
@@ -41,6 +41,17 @@ flags=$(grep -o '\.\(option\|flag\)("[a-z-]*"' examples/scheduler_service.cpp \
 for f in $flags; do
   if ! grep -q -- "--$f" docs/DAEMON_PROTOCOL.md; then
     echo "MISSING: daemon flag --$f undocumented in docs/DAEMON_PROTOCOL.md"
+    fail=1
+  fi
+done
+
+# ...and every `--flag` the protocol reference names must be one the
+# daemon registers, so a removed flag cannot linger in the docs.
+doc_flags=$(grep -o '`--[a-z][a-z-]*' docs/DAEMON_PROTOCOL.md \
+              | sed 's/^`--//' | sort -u)
+for f in $doc_flags; do
+  if ! echo "$flags" | grep -qx -- "$f"; then
+    echo "STALE: docs/DAEMON_PROTOCOL.md names --$f, which examples/scheduler_service.cpp does not register"
     fail=1
   fi
 done
