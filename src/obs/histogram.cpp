@@ -37,9 +37,7 @@ void HistogramSnapshot::merge(const HistogramSnapshot& other) {
   }
   for (std::size_t i = 0; i < counts_.size(); ++i)
     counts_[i] += other.counts_[i];
-  const std::uint64_t sum = sum_ns_ + other.sum_ns_;
-  sum_ns_ = sum < other.sum_ns_ ? std::numeric_limits<std::uint64_t>::max()
-                                : sum;
+  sum_ns_ += other.sum_ns_;
   min_ns_ = std::min(min_ns_, other.min_ns_);
   max_ns_ = std::max(max_ns_, other.max_ns_);
 }

@@ -64,7 +64,7 @@ class HistogramSnapshot {
   std::uint64_t count() const noexcept;
   bool empty() const noexcept { return count() == 0; }
 
-  /// Sum of the samples (saturating at 2^64 - 1).
+  /// Sum of the samples (modulo 2^64: about 584 years of latency).
   std::uint64_t sum_ns() const noexcept { return sum_ns_; }
   /// Smallest / largest sample; 2^64 - 1 / 0 when empty.
   std::uint64_t min_ns() const noexcept { return min_ns_; }
@@ -109,8 +109,7 @@ class LatencyHistogram {
   /// The bucket is bumped last, so a snapshot that counts the sample has
   /// its sum, min and max too on any machine that keeps store order.
   void record_ns(std::uint64_t ns) noexcept {
-    const std::uint64_t sum = sum_ns_.load(std::memory_order_relaxed) + ns;
-    sum_ns_.store(sum < ns ? std::numeric_limits<std::uint64_t>::max() : sum,
+    sum_ns_.store(sum_ns_.load(std::memory_order_relaxed) + ns,
                   std::memory_order_relaxed);
     if (ns < min_ns_.load(std::memory_order_relaxed))
       min_ns_.store(ns, std::memory_order_relaxed);

@@ -2,18 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace pacga::support {
 
 void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
@@ -31,21 +24,11 @@ void RunningStats::merge(const RunningStats& other) noexcept {
   const auto m = static_cast<double>(other.n_);
   mean_ += delta * m / (n + m);
   m2_ += other.m2_ + delta * delta * n * m / (n + m);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
   n_ += other.n_;
 }
 
 double RunningStats::variance() const noexcept {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::min() const noexcept {
-  return n_ > 0 ? min_ : std::numeric_limits<double>::quiet_NaN();
-}
-
-double RunningStats::max() const noexcept {
-  return n_ > 0 ? max_ : std::numeric_limits<double>::quiet_NaN();
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }

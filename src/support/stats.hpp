@@ -13,14 +13,6 @@ namespace pacga::support {
 
 /// Streaming mean/variance accumulator (Welford). Numerically stable; O(1)
 /// per observation, no storage of the sample.
-///
-/// Min/max are initialized from the FIRST observation, never from a
-/// sentinel — the classic numeric_limits<double>::min()-as-minus-infinity
-/// bug (min() is the smallest POSITIVE double, so an all-negative sample
-/// reports a bogus max of ~2.2e-308) cannot occur here, and regression
-/// tests in test_stats pin that down. On an empty accumulator min()/max()
-/// return quiet NaN so that reading them by mistake is visible instead of
-/// a plausible-looking 0.
 class RunningStats {
  public:
   void add(double x) noexcept;
@@ -32,17 +24,11 @@ class RunningStats {
   /// Sample variance (n-1 denominator); 0 for fewer than 2 observations.
   double variance() const noexcept;
   double stddev() const noexcept;
-  /// Smallest observation; quiet NaN when no sample has been added.
-  double min() const noexcept;
-  /// Largest observation; quiet NaN when no sample has been added.
-  double max() const noexcept;
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Linear-interpolation quantile (type-7, the R/NumPy default).

@@ -17,58 +17,12 @@ TEST(RunningStats, EmptyIsZero) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStats, EmptyMinMaxAreNaNNotZero) {
-  // A zero-sample accumulator must not report a plausible-looking 0 as its
-  // min/max — the read is a bug and NaN makes it visible.
-  RunningStats s;
-  EXPECT_TRUE(std::isnan(s.min()));
-  EXPECT_TRUE(std::isnan(s.max()));
-}
-
-TEST(RunningStats, AllNegativeSampleMinMax) {
-  // Regression guard for the classic numeric_limits<double>::min()
-  // initialization bug: min() is the smallest POSITIVE double, so a
-  // sentinel-initialized accumulator reports max ~2.2e-308 (or 0) on an
-  // all-negative sample. Init-from-first-observation cannot fail this.
-  RunningStats s;
-  for (double x : {-5.0, -2.0, -9.0, -1.5}) s.add(x);
-  EXPECT_EQ(s.min(), -9.0);
-  EXPECT_EQ(s.max(), -1.5);
-}
-
-TEST(RunningStats, AllNegativeMergeMinMax) {
-  RunningStats a, b;
-  a.add(-3.0);
-  a.add(-7.0);
-  b.add(-1.0);
-  b.add(-20.0);
-  a.merge(b);
-  EXPECT_EQ(a.min(), -20.0);
-  EXPECT_EQ(a.max(), -1.0);
-}
-
-TEST(RunningStats, MergeIntoEmptyAdoptsMinMax) {
-  RunningStats empty, full;
-  full.add(-4.0);
-  full.add(2.0);
-  empty.merge(full);
-  EXPECT_EQ(empty.min(), -4.0);
-  EXPECT_EQ(empty.max(), 2.0);
-  // And merging an empty accumulator leaves min/max untouched.
-  RunningStats still_empty;
-  full.merge(still_empty);
-  EXPECT_EQ(full.min(), -4.0);
-  EXPECT_EQ(full.max(), 2.0);
-}
-
 TEST(RunningStats, SingleObservation) {
   RunningStats s;
   s.add(5.0);
   EXPECT_EQ(s.count(), 1u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.min(), 5.0);
-  EXPECT_EQ(s.max(), 5.0);
 }
 
 TEST(RunningStats, KnownSample) {
@@ -77,8 +31,6 @@ TEST(RunningStats, KnownSample) {
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   // Sample variance with n-1 = 32/7.
   EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
 }
 
 TEST(RunningStats, MergeMatchesSequential) {
@@ -93,8 +45,6 @@ TEST(RunningStats, MergeMatchesSequential) {
   EXPECT_EQ(left.count(), whole.count());
   EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
   EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_EQ(left.min(), whole.min());
-  EXPECT_EQ(left.max(), whole.max());
 }
 
 TEST(RunningStats, MergeWithEmpty) {
