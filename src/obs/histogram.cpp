@@ -79,7 +79,8 @@ LatencyHistogram::LatencyHistogram()
 }
 
 HistogramSnapshot LatencyHistogram::snapshot() const {
-  // Buckets first, the fields record_ns() writes before its bucket last.
+  // Buckets before sum, min and max (record_ns() stores them in the
+  // opposite order), so a sample counted here is in those fields too.
   std::vector<std::uint64_t> out(kHistBuckets);
   for (std::size_t i = 0; i < kHistBuckets; ++i)
     out[i] = counts_[i].load(std::memory_order_relaxed);
