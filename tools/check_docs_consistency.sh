@@ -2,9 +2,9 @@
 # Docs drift gate: every daemon verb (and EVENT subcommand) that exists in
 # the shared protocol handler (src/net/protocol.cpp) must be documented in
 # docs/DAEMON_PROTOCOL.md, every daemon command-line flag must appear
-# there too (and every flag it names must exist), and every runtime environment switch read anywhere in src/
-# must appear in the README's switch table; every example must be run by
-# a ctest entry. Run from anywhere; CI (and `ctest -R docs_consistency`)
+# there too (and every flag it names must exist), and every runtime
+# environment switch read anywhere in src/ must appear in the README's
+# switch table; every example must be run by a ctest entry. Run from anywhere; CI (and `ctest -R docs_consistency`)
 # fails when code grows a verb, flag, switch or example without its docs
 # or test.
 set -eu
