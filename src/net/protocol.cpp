@@ -33,8 +33,10 @@ std::string join_counts(const std::vector<T>& v) {
 std::string stats_line(const service::SchedulerService& svc) {
   const service::ServiceMetrics::Snapshot s = svc.metrics();
   std::ostringstream out;
-  // Append-only: scripts key on leading fields by prefix, so new fields go
-  // at the end (the per-shard/per-worker block is newest).
+  // Append-only: scripts key on leading fields by prefix, and greps anchor
+  // the robustness block at the end of the line, so a new field goes at
+  // the end of its block. admission_hits closes the per-worker block:
+  // sum(worker_completed) + admission_hits == completed.
   out << "STATS submitted=" << s.submitted << " completed=" << s.completed
       << " cancelled=" << s.cancelled << " failed=" << s.failed
       << " rejected=" << s.rejected << " reschedules=" << s.reschedules
@@ -50,7 +52,8 @@ std::string stats_line(const service::SchedulerService& svc) {
       << " arena_builds=" << s.arena_builds
       << " shard_depth=" << join_counts(svc.shard_depths())
       << " shard_hits=" << join_counts(svc.cache().stripe_hits())
-      << " worker_completed=" << join_counts(s.worker_completed);
+      << " worker_completed=" << join_counts(s.worker_completed)
+      << " admission_hits=" << s.admission_hits;
   // Latency distribution fields (newest appendix). All through
   // format_metric: an empty distribution's min/max/quantiles are NaN,
   // which must print as `-`, never "nan".

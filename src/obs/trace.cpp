@@ -124,8 +124,8 @@ std::vector<SpanEvent> TraceRing::snapshot() const {
 
 TraceCollector::TraceCollector(std::size_t workers, std::size_t capacity)
     : epoch_(std::chrono::steady_clock::now()) {
-  rings_.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w)
+  rings_.reserve(workers + 1);
+  for (std::size_t w = 0; w <= workers; ++w)
     rings_.push_back(std::make_unique<TraceRing>(capacity));
 }
 
@@ -209,23 +209,32 @@ void TraceCollector::write_chrome_trace(std::ostream& out) const {
   const std::vector<SpanEvent> spans = snapshot();
   out << "{\"traceEvents\":[\n";
   bool first = true;
-  // Lane names: workers under pid 1, per-shard queue-wait lanes under pid 2.
-  for (std::size_t w = 0; w < rings_.size(); ++w) {
+  // Lane names: workers under pid 1, per-shard queue-wait lanes under
+  // pid 2, the submission lane under pid 3 (its spans come from any
+  // submitting thread and may overlap, so it is no worker lane).
+  for (std::size_t w = 0; w < workers(); ++w) {
     out << (first ? "" : ",\n")
         << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << w
         << ",\"name\":\"thread_name\",\"args\":{\"name\":\"worker " << w
         << "\"}}";
     first = false;
   }
+  out << (first ? "" : ",\n")
+      << "{\"ph\":\"M\",\"pid\":3,\"tid\":0,\"name\":\"thread_name\","
+         "\"args\":{\"name\":\"admission\"}}";
+  first = false;
   out.precision(3);
   out << std::fixed;
   for (const SpanEvent& e : spans) {
     const bool queue_lane = e.kind == SpanKind::kQueueWait;
+    const bool admission = e.worker == submission_lane();
     const double ts_us = static_cast<double>(e.ts_ns) / 1e3;
     out << (first ? "" : ",\n") << "{\"name\":\"" << to_string(e.kind)
         << "\",\"ph\":\"" << (span_has_duration(e.kind) ? 'X' : 'i')
-        << "\",\"pid\":" << (queue_lane ? 2 : 1)
-        << ",\"tid\":" << (queue_lane ? e.a : e.worker) << ",\"ts\":" << ts_us;
+        << "\",\"pid\":" << (queue_lane ? 2 : admission ? 3 : 1)
+        << ",\"tid\":"
+        << (queue_lane ? e.a : admission ? 0 : e.worker)
+        << ",\"ts\":" << ts_us;
     if (span_has_duration(e.kind)) {
       out << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1e3;
     } else {

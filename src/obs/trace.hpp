@@ -18,6 +18,11 @@
 // or is dropped whole (test_obs races a writer against a reader to pin
 // this).
 //
+// One more ring, the submission ring, holds what submitting threads
+// record: a cache hit answered at admission never reaches a worker. Its
+// writers take turns under the service's admission mutex, so the ring
+// still sees one writer at a time.
+//
 // Timestamps are monotonic nanoseconds since the owning TraceCollector's
 // construction (steady_clock), so spans from different workers order
 // consistently and Chrome's trace viewer renders them on one timeline.
@@ -108,16 +113,20 @@ class TraceRing {
   std::atomic<std::uint64_t> head_{0};  ///< records published
 };
 
-/// The service-wide collector: one padded TraceRing per worker plus the
-/// shared epoch clock. Workers write through WorkerTracer; the daemon's
-/// TRACE verbs read merged snapshots.
+/// The service-wide collector: one padded TraceRing per worker, the
+/// submission ring, and the shared epoch clock. Workers write through
+/// WorkerTracer; the daemon's TRACE verbs read merged snapshots.
 class TraceCollector {
  public:
-  /// `capacity` is PER WORKER (rounded up to a power of two); 0 builds a
+  /// `capacity` is PER RING (rounded up to a power of two); 0 builds a
   /// disabled collector.
   TraceCollector(std::size_t workers, std::size_t capacity);
 
-  std::size_t workers() const noexcept { return rings_.size(); }
+  std::size_t workers() const noexcept { return rings_.size() - 1; }
+  /// Index of the submission ring (one past the last worker); a
+  /// WorkerTracer bound to it records with `worker` == workers(). Its
+  /// writers must be serialized.
+  std::size_t submission_lane() const noexcept { return workers(); }
   bool enabled() const noexcept;
 
   TraceRing& ring(std::size_t worker) { return *rings_[worker]; }
@@ -136,11 +145,12 @@ class TraceCollector {
 
   /// Chrome trace_event JSON ("traceEvents" array of "X"/"i" events, µs
   /// timestamps; worker lanes pid=1, queue-wait lanes pid=2 keyed by
-  /// shard). Loadable in chrome://tracing / Perfetto.
+  /// shard, the submission lane pid=3). Loadable in chrome://tracing /
+  /// Perfetto.
   void write_chrome_trace(std::ostream& out) const;
 
  private:
-  std::vector<std::unique_ptr<TraceRing>> rings_;
+  std::vector<std::unique_ptr<TraceRing>> rings_;  ///< workers, submission
   std::chrono::steady_clock::time_point epoch_;
 };
 

@@ -22,7 +22,6 @@ SolutionCache::SolutionCache(std::size_t capacity, std::size_t stripes)
 
 bool SolutionCache::lookup(std::size_t stripe, std::uint64_t key,
                            Entry& out) {
-  PACGA_FAILPOINT("cache.lookup");
   Stripe& s = *stripes_[stripe % stripes_.size()];
   std::lock_guard<std::mutex> lock(s.mutex);
   const auto it = s.index.find(key);

@@ -53,6 +53,8 @@ void write_prometheus(std::ostream& out,
   counter(out, "reschedules_total", s.reschedules,
           "Warm reschedule admissions");
   counter(out, "cache_hits_total", s.cache_hits, "Solution cache hits");
+  counter(out, "admission_hits_total", s.admission_hits,
+          "Cache hits answered at admission, never queued");
   counter(out, "deadline_misses_total", s.deadline_misses,
           "Completions past their deadline");
   counter(out, "arena_builds_total", s.arena_builds,

@@ -115,7 +115,8 @@ struct JobResult {
   double queue_wait_seconds = 0.0;
   double solve_seconds = 0.0;
   /// Index of the pool worker that served the job; -1 when no worker ever
-  /// touched it (cancelled while still queued). Shape-affine sharding makes
+  /// touched it (cancelled while still queued, or a cache hit answered at
+  /// admission). Shape-affine sharding makes
   /// this observable: same-shape jobs gravitate to one worker, so its warm
   /// arena stays hot (tests and the mixed-shape bench read it).
   std::int32_t worker = -1;

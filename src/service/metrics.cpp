@@ -9,12 +9,10 @@ ServiceMetrics::ServiceMetrics(std::size_t workers) : slots_(workers) {
     throw std::invalid_argument("ServiceMetrics: workers must be >= 1");
 }
 
-void ServiceMetrics::on_complete(std::size_t worker,
-                                 double queue_wait_seconds,
-                                 double solve_seconds, bool cache_hit,
-                                 bool deadline_missed,
-                                 double e2e_seconds) noexcept {
-  WorkerSlot& s = *slots_[worker % slots_.size()];
+void ServiceMetrics::record(WorkerSlot& s, double queue_wait_seconds,
+                            double solve_seconds, bool cache_hit,
+                            bool deadline_missed,
+                            double e2e_seconds) noexcept {
   s.completed.fetch_add(1, std::memory_order_relaxed);
   if (cache_hit) s.cache_hits.fetch_add(1, std::memory_order_relaxed);
   if (deadline_missed)
@@ -24,6 +22,21 @@ void ServiceMetrics::on_complete(std::size_t worker,
   s.e2e_hist.record_seconds(e2e_seconds < 0.0
                                 ? queue_wait_seconds + solve_seconds
                                 : e2e_seconds);
+}
+
+void ServiceMetrics::on_complete(std::size_t worker,
+                                 double queue_wait_seconds,
+                                 double solve_seconds, bool cache_hit,
+                                 bool deadline_missed,
+                                 double e2e_seconds) noexcept {
+  record(*slots_[worker % slots_.size()], queue_wait_seconds, solve_seconds,
+         cache_hit, deadline_missed, e2e_seconds);
+}
+
+void ServiceMetrics::on_admission_hit(double probe_seconds,
+                                      bool deadline_missed,
+                                      double e2e_seconds) noexcept {
+  record(*admission_, 0.0, probe_seconds, true, deadline_missed, e2e_seconds);
 }
 
 void ServiceMetrics::on_fail(std::size_t worker) noexcept {
@@ -49,12 +62,10 @@ ServiceMetrics::Snapshot ServiceMetrics::snapshot() const {
   s.worker_restarts = worker_restarts_.load(std::memory_order_relaxed);
   s.failed = failed_external_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
-  s.worker_completed.reserve(slots_.size());
-  for (const auto& padded : slots_) {
-    const WorkerSlot& w = *padded;
+  // Folds one slot into the totals and returns its completions.
+  const auto fold = [&s](const WorkerSlot& w) {
     const std::uint64_t done = w.completed.load(std::memory_order_relaxed);
     s.completed += done;
-    s.worker_completed.push_back(done);
     s.failed += w.failed.load(std::memory_order_relaxed);
     s.cache_hits += w.cache_hits.load(std::memory_order_relaxed);
     s.deadline_misses += w.deadline_misses.load(std::memory_order_relaxed);
@@ -62,7 +73,11 @@ ServiceMetrics::Snapshot ServiceMetrics::snapshot() const {
     s.queue_wait_hist.merge(w.wait_hist.snapshot());
     s.solve_hist.merge(w.solve_hist.snapshot());
     s.e2e_hist.merge(w.e2e_hist.snapshot());
-  }
+    return done;
+  };
+  s.worker_completed.reserve(slots_.size());
+  for (const auto& padded : slots_) s.worker_completed.push_back(fold(*padded));
+  s.admission_hits = fold(*admission_);
   s.elapsed_seconds = clock_.elapsed_seconds();
   return s;
 }

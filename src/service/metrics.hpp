@@ -12,7 +12,9 @@
 // Events that originate OUTSIDE a worker thread (submit, reject, cancel,
 // reschedule — any client thread may raise them) stay shared relaxed-RMW
 // counters: they are orders of magnitude rarer than completions and have
-// no natural owning worker.
+// no natural owning worker. The one completion that happens off a worker,
+// a cache hit answered at admission, records into a separate admission
+// slot of the same shape, whose writers the service serializes.
 //
 // Why relaxed atomics instead of plain fields in the slots: each slot has
 // exactly one writer (its pinned worker), but snapshot() reads concurrently
@@ -53,6 +55,10 @@ class ServiceMetrics {
     std::uint64_t worker_restarts = 0;  ///< workers respawned by watchdog
     std::uint64_t shed = 0;  ///< submissions refused by the shard watermark
     std::uint64_t cache_hits = 0;
+    /// Cache hits answered on the submitting thread, never queued: the
+    /// completions no worker served, so
+    /// sum(worker_completed) + admission_hits == completed.
+    std::uint64_t admission_hits = 0;
     std::uint64_t deadline_misses = 0;
     /// Warm-arena rebuilds across all workers — the shape-affinity figure
     /// of merit: with perfect pinning it approaches (shapes x workers that
@@ -132,6 +138,12 @@ class ServiceMetrics {
   void on_complete(std::size_t worker, double queue_wait_seconds,
                    double solve_seconds, bool cache_hit,
                    bool deadline_missed, double e2e_seconds = -1.0) noexcept;
+  /// A cache hit answered at admission: records into the admission slot
+  /// with zero queue wait and the probe time as its solve time. The slot
+  /// has no owning thread, so callers must serialize (the service holds
+  /// its admission mutex).
+  void on_admission_hit(double probe_seconds, bool deadline_missed,
+                        double e2e_seconds) noexcept;
   void on_fail(std::size_t worker) noexcept;
   /// Folds `n` warm-arena rebuilds into slot `worker` (reported as a diff
   /// per job by the pool, so idle workers cost nothing).
@@ -142,9 +154,10 @@ class ServiceMetrics {
   Snapshot snapshot() const;
 
   /// Cheap estimate of the p50 per-job solve latency in milliseconds,
-  /// for the overload-shedding retry hint: the solve histogram's median,
-  /// 1 ms when nothing has been served yet. Never returns a non-finite or
-  /// non-positive value.
+  /// for the overload-shedding retry hint: the workers' solve histogram
+  /// median (admission hits never wait for a worker, so their slot is
+  /// left out), 1 ms when nothing has been served yet. Never returns a
+  /// non-finite or non-positive value.
   double approx_solve_p50_ms() const;
 
  private:
@@ -163,6 +176,10 @@ class ServiceMetrics {
     obs::LatencyHistogram e2e_hist;
   };
 
+  static void record(WorkerSlot& s, double queue_wait_seconds,
+                     double solve_seconds, bool cache_hit,
+                     bool deadline_missed, double e2e_seconds) noexcept;
+
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> cancelled_{0};
   std::atomic<std::uint64_t> rejected_{0};
@@ -174,6 +191,7 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> failed_external_{0};  ///< off-worker failures
   std::atomic<std::uint64_t> shed_{0};
   std::vector<support::Padded<WorkerSlot>> slots_;
+  support::Padded<WorkerSlot> admission_;  ///< see on_admission_hit
   support::WallTimer clock_;  ///< started at service construction
 };
 

@@ -1,6 +1,8 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
@@ -41,7 +43,8 @@ SchedulerService::SchedulerService(ServiceOptions options)
       cache_(options_.cache_capacity, std::max<std::size_t>(1, options_.workers)),
       queue_(options_.queue_capacity, std::max<std::size_t>(1, options_.workers)),
       trace_(std::max<std::size_t>(1, options_.workers),
-             options_.trace_capacity) {
+             options_.trace_capacity),
+      admission_tracer_(&trace_, trace_.submission_lane()) {
   SolverPoolOptions pool_options;
   pool_options.workers = options_.workers;
   pool_options.solver = options_.solver;
@@ -93,10 +96,63 @@ void SchedulerService::reject_unregistered(const JobTicket& ticket) {
   }
 }
 
+bool SchedulerService::probe_cache(const JobSpec& spec,
+                                   SolutionCache::Entry& out) {
+  const std::uint64_t key =
+      SolverPool::cache_key(*spec.etc, options_.solver, spec.policy);
+  // Same stripe the pool stores under: stripe follows the queue shard,
+  // which is a pure function of the instance shape.
+  const std::size_t stripe =
+      queue_.shard_of_shape(spec.etc->tasks(), spec.etc->machines());
+  return cache_.lookup(stripe, key, out) &&
+         out.assignment.size() == spec.etc->tasks();
+}
+
+bool SchedulerService::answer_from_cache(JobState& job) {
+  // Warm-started jobs re-optimize, so they never serve from the cache.
+  if (!job.spec.use_cache || !job.spec.warm_start.empty()) return false;
+  const auto probe_start = std::chrono::steady_clock::now();
+  SolutionCache::Entry cached;
+  if (!probe_cache(job.spec, cached)) return false;
+  const auto probe_end = std::chrono::steady_clock::now();
+
+  JobResult out;
+  out.id = job.id;
+  out.status = JobStatus::kDone;
+  out.assignment = std::move(cached.assignment);
+  out.makespan = cached.fitness;
+  out.policy_used = cached.policy;  // provenance: what PRODUCED it
+  out.cache_hit = true;
+  out.deadline_missed = probe_end > job.deadline;
+  out.solve_seconds =
+      std::chrono::duration<double>(probe_end - probe_start).count();
+  const double e2e_seconds =
+      std::chrono::duration<double>(probe_end - job.submitted).count();
+  metrics_.on_submit();
+  // Same commit as a worker's: the accounting is visible before any
+  // waiter wakes. Nothing else can have finished a job that was never
+  // queued, but a lost commit would still touch nothing.
+  const bool won = job.try_finish_with(std::move(out), [&] {
+    std::lock_guard<std::mutex> lock(admission_mutex_);
+    if (admission_tracer_.enabled()) {
+      admission_tracer_.span(obs::SpanKind::kCacheProbe, job.id,
+                             admission_tracer_.to_ns(probe_start),
+                             admission_tracer_.to_ns(probe_end), 0, 1);
+      admission_tracer_.instant(obs::SpanKind::kCompleted, job.id, 0,
+                                std::bit_cast<std::uint64_t>(out.makespan));
+    }
+    metrics_.on_admission_hit(out.solve_seconds, out.deadline_missed,
+                              e2e_seconds);
+  });
+  if (won) on_terminal(job);
+  return true;
+}
+
 JobId SchedulerService::submit(JobSpec spec) {
   PACGA_FAILPOINT("queue.submit");
   JobTicket ticket = make_ticket(std::move(spec));
   const JobId id = ticket->result.id;
+  if (answer_from_cache(*ticket)) return id;
   JobTicket keep = ticket;  // queue takes one reference, we keep one
   if (!queue_.submit(std::move(ticket))) {
     // Shutdown raced the admission.
@@ -109,17 +165,8 @@ JobId SchedulerService::submit(JobSpec spec) {
 
 void SchedulerService::source_warm_start(JobSpec& spec) {
   if (!spec.warm_start.empty() || !spec.use_cache) return;
-  const std::uint64_t key =
-      SolverPool::cache_key(*spec.etc, options_.solver, spec.policy);
-  // Same stripe the pool stores under: stripe follows the queue shard,
-  // which is a pure function of the instance shape.
-  const std::size_t stripe =
-      queue_.shard_of_shape(spec.etc->tasks(), spec.etc->machines());
   SolutionCache::Entry cached;
-  if (cache_.lookup(stripe, key, cached) &&
-      cached.assignment.size() == spec.etc->tasks()) {
-    spec.warm_start = std::move(cached.assignment);
-  }
+  if (probe_cache(spec, cached)) spec.warm_start = std::move(cached.assignment);
 }
 
 JobId SchedulerService::submit_reschedule(JobSpec spec) {
@@ -142,6 +189,7 @@ std::optional<JobId> SchedulerService::try_submit(JobSpec spec) {
   PACGA_FAILPOINT("queue.submit");
   JobTicket ticket = make_ticket(std::move(spec));
   const JobId id = ticket->result.id;
+  if (answer_from_cache(*ticket)) return id;  // a hit is never shed
   JobTicket keep = ticket;  // queue takes one reference, we keep one
   // Watermark shedding: refuse BEFORE the shard is hard-full, so the
   // remaining headroom keeps absorbing retries and in-flight work while

@@ -4,7 +4,9 @@
 // receives task batches and must answer within a scheduling window. This
 // facade is that broker's solver tier as an in-process service:
 //
-//   submit/try_submit -> ShardedJobQueue (bounded, priority, backpressure;
+//   submit/try_submit -> cache probe: a hit is answered right here, on
+//                        the submitting thread, and never queued
+//                     -> ShardedJobQueue (bounded, priority, backpressure;
 //                        one shard per worker, routed by instance shape)
 //                     -> SolverPool (N pinned workers, warm per-shape
 //                        arenas, bounded stealing, deadline-driven anytime
@@ -83,10 +85,18 @@ class SchedulerService {
   /// Admits a job, blocking while the queue is full (closed-loop
   /// backpressure). Returns the job id. Throws std::invalid_argument on a
   /// malformed spec and std::runtime_error once shut down.
+  ///
+  /// A job whose answer is cached (use_cache, no warm start) finishes
+  /// before this returns: the submitting thread commits the hit with
+  /// zero queue wait and worker -1, and runs the completion callback. It
+  /// never waits for queue room. Every other job is queued for a worker,
+  /// which probes the cache again (a twin may have landed meanwhile).
   JobId submit(JobSpec spec);
 
   /// Fail-fast admission: nullopt when the queue is full (the reject is
-  /// counted in metrics). Throws like submit() on bad specs/shutdown.
+  /// counted in metrics). A cache hit is answered at admission as in
+  /// submit(), so it is never shed or refused. Throws like submit() on
+  /// bad specs/shutdown.
   std::optional<JobId> try_submit(JobSpec spec);
 
   /// Admits a re-optimization job (the dynamic rescheduling path). Like
@@ -124,7 +134,9 @@ class SchedulerService {
   /// Registers `cb`, invoked once per job as it reaches a terminal state
   /// (done, failed, or cancelled — including cancel-before-run), AFTER the
   /// result is published, from whichever thread finished the job (a pool
-  /// worker, or the canceller). The callback must not block and must not
+  /// worker, the canceller, or the submitter for a cache hit answered at
+  /// admission — then before submit returns the id). The callback must
+  /// not block and must not
   /// re-enter the service except through poll_result/wait/try_submit —
   /// the intended shape is "enqueue the id and wake an event loop".
   /// Replaces any previous callback; pass {} to clear.
@@ -172,6 +184,12 @@ class SchedulerService {
 
  private:
   JobTicket make_ticket(JobSpec&& spec);
+  /// Looks `spec` up under the key and stripe the pool serves it with;
+  /// true on a hit whose assignment fits the matrix.
+  bool probe_cache(const JobSpec& spec, SolutionCache::Entry& out);
+  /// Finishes an admitted job from the cache on the calling thread; false
+  /// (nothing touched) when it must be queued instead.
+  bool answer_from_cache(JobState& job);
   void source_warm_start(JobSpec& spec);
   void reject_unregistered(const JobTicket& ticket);
   void on_terminal(const JobState& job);
@@ -181,6 +199,10 @@ class SchedulerService {
   SolutionCache cache_;
   ShardedJobQueue queue_;
   obs::TraceCollector trace_;  ///< before pool_: workers write into it
+  /// Serializes the writers of the admission metrics slot and the
+  /// submission trace ring (answer_from_cache on any client thread).
+  std::mutex admission_mutex_;
+  obs::WorkerTracer admission_tracer_;  ///< bound to the submission ring
 
   mutable std::mutex registry_mutex_;
   std::unordered_map<JobId, JobTicket> registry_;

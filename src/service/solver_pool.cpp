@@ -384,7 +384,9 @@ SolverPool::ServeOutcome SolverPool::serve(const JobTicket& ticket,
   SolutionCache::Entry cached;
   // A warm-started job is a re-optimization request: its seed is fresher
   // than anything cached for this fingerprint, so the lookup is skipped
-  // (the result still refreshes the cache below).
+  // (the result still refreshes the cache below). Every other job already
+  // missed at admission; this second probe catches a twin whose insert
+  // landed while the job was queued.
   // Stripe the cache by the job's queue shard: the pinned worker keeps
   // taking one stripe's lock, and a key is always sought where it was
   // stored (the shard is a pure function of the shape, the key of the
@@ -399,6 +401,10 @@ SolverPool::ServeOutcome SolverPool::serve(const JobTicket& ticket,
   // the service and strand every waiter).
   try {
     if (cache_lookup) {
+      // The lookup site lives here, not in SolutionCache::lookup: client
+      // threads probe too (admission, warm-start sourcing), and a wedge
+      // there would park a thread the watchdog cannot respawn.
+      PACGA_FAILPOINT("cache.lookup");
       const std::uint64_t probe_start = tracing ? tracer.now_ns() : 0;
       cache_hit = cache_.lookup(stripe, key, cached);
       if (tracing) {

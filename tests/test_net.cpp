@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <chrono>
 #include <cstring>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -588,6 +589,30 @@ TEST_F(NetTest, SocketTranscriptMatchesPipeTranscript) {
   for (std::size_t i = 0; i < pipe_lines.size(); ++i)
     socket_lines.push_back(without_trace_timing(c.read_line()));
   EXPECT_EQ(socket_lines, pipe_lines);
+}
+
+// A repeated instance is answered from the cache at admission: its
+// RESULT reports the hit, its TRACE holds only the submission lane's
+// probe and completion, and STATS counts it outside every worker.
+TEST_F(NetTest, RepeatedInstanceIsAnsweredAtAdmission) {
+  service::ServiceOptions svc_options = transcript_service();
+  svc_options.cache_capacity = 64;
+  const std::vector<std::string> lines = run_script_pipe(
+      {"INSTANCE 0 60000 1 u_c_hihi.0", "WAIT 1",
+       "INSTANCE 0 60000 1 u_c_hihi.0", "WAIT 2", "TRACE 2", "STATS", "QUIT"},
+      svc_options);
+  ASSERT_EQ(lines.size(), 7u);
+  EXPECT_NE(lines[1].find(" cache_hit=0 "), std::string::npos) << lines[1];
+  EXPECT_EQ(lines[3].rfind("RESULT id=2 status=done ", 0), 0u) << lines[3];
+  EXPECT_NE(lines[3].find(" cache_hit=1 "), std::string::npos) << lines[3];
+  const std::regex timeline(
+      R"(TRACE id=2 spans=2 cache_probe@[0-9.]+\+[0-9.]+ completed@[0-9.]+)");
+  EXPECT_TRUE(std::regex_match(lines[4], timeline)) << lines[4];
+  EXPECT_NE(lines[5].find(" completed=2 "), std::string::npos) << lines[5];
+  EXPECT_NE(lines[5].find(" cache_hits=1 "), std::string::npos) << lines[5];
+  EXPECT_NE(lines[5].find(" admission_hits=1 "), std::string::npos)
+      << lines[5];
+  EXPECT_EQ(lines[6], "BYE");
 }
 
 // The one transport difference: a full queue shard blocks the pipe's

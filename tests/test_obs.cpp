@@ -324,6 +324,36 @@ TEST(TraceExport, ChromeJsonShapeAndTimeline) {
   EXPECT_NE(line.find("completed@"), std::string::npos);
 }
 
+TEST(TraceExport, SubmissionLaneIsItsOwnChromeProcess) {
+  TraceCollector collector(2, 64);
+  EXPECT_EQ(collector.workers(), 2u);
+  ASSERT_EQ(collector.submission_lane(), 2u);
+  WorkerTracer worker(&collector, 1);
+  WorkerTracer admission(&collector, collector.submission_lane());
+  worker.span(SpanKind::kServe, 1, 0, 1'000);
+  admission.span(SpanKind::kCacheProbe, 2, 2'000, 3'000, 0, 1);
+  admission.instant(SpanKind::kCompleted, 2);
+
+  const std::vector<SpanEvent> hit = collector.job_spans(2);
+  ASSERT_EQ(hit.size(), 2u);
+  EXPECT_EQ(hit[0].worker, collector.submission_lane());
+
+  std::ostringstream out;
+  collector.write_chrome_trace(out);
+  const std::string json = out.str();
+  EXPECT_NE(json.find("\"pid\":3,\"tid\":0,\"name\":\"thread_name\","
+                      "\"args\":{\"name\":\"admission\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"cache_probe\",\"ph\":\"X\",\"pid\":3,"
+                      "\"tid\":0,"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"serve\",\"ph\":\"X\",\"pid\":1,"
+                      "\"tid\":1,"),
+            std::string::npos);
+  EXPECT_EQ(json.find("\"name\":\"worker 2\""), std::string::npos)
+      << "the submission ring is no worker lane";
+}
+
 TEST(SpanKindNames, StableAndClassified) {
   for (std::size_t k = 0; k < kSpanKinds; ++k) {
     const char* name = to_string(static_cast<SpanKind>(k));

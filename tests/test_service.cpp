@@ -63,6 +63,18 @@ void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
+namespace pacga::support {
+
+/// Reads the threads parked in a `wedge` action at one site.
+struct FailpointTestPeer {
+  static std::size_t wedged(const Failpoint& fp) {
+    std::lock_guard<std::mutex> lock(fp.mutex_);
+    return fp.wedged_;
+  }
+};
+
+}  // namespace pacga::support
+
 namespace pacga::service {
 namespace {
 
@@ -596,6 +608,8 @@ TEST(SchedulerService, ConcurrentSubmitWaitManyThreads) {
   constexpr std::size_t kClients = 6;
   constexpr std::size_t kJobsPerClient = 10;
   std::atomic<std::size_t> done{0};
+  std::mutex misses_mutex;
+  std::string misses;  // one line per job that did not come back done
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (std::size_t c = 0; c < kClients; ++c) {
@@ -606,13 +620,25 @@ TEST(SchedulerService, ConcurrentSubmitWaitManyThreads) {
         spec.seed = c * 100 + j;
         spec.deadline_ms = 30.0;
         const JobResult r = svc.wait(svc.submit(spec));
-        if (r.status == JobStatus::kDone && r.assignment.size() == m->tasks())
+        if (r.status == JobStatus::kDone && r.assignment.size() == m->tasks()) {
           done.fetch_add(1);
+          continue;
+        }
+        std::ostringstream line;
+        line << "\n  job " << r.id << " (client " << c << ", seed "
+             << c * 100 + j << "): status=" << to_string(r.status)
+             << " error='" << r.error << "' assignment=" << r.assignment.size()
+             << " worker=" << r.worker << " retries=" << r.retries
+             << " wait_ms=" << r.queue_wait_seconds * 1e3
+             << " solve_ms=" << r.solve_seconds * 1e3;
+        std::lock_guard<std::mutex> lock(misses_mutex);
+        misses += line.str();
       }
     });
   }
   for (auto& t : clients) t.join();
-  EXPECT_EQ(done.load(), kClients * kJobsPerClient);
+  EXPECT_EQ(done.load(), kClients * kJobsPerClient)
+      << "jobs not done:" << misses;
   const auto snap = svc.metrics();
   EXPECT_EQ(snap.completed, kClients * kJobsPerClient);
   EXPECT_EQ(snap.submitted, kClients * kJobsPerClient);
@@ -722,6 +748,7 @@ TEST(SchedulerService, CacheHitReturnsIdenticalSchedule) {
   EXPECT_EQ(second.assignment, first.assignment);
   EXPECT_DOUBLE_EQ(second.makespan, first.makespan);
   EXPECT_EQ(svc.metrics().cache_hits, 1u);
+  EXPECT_EQ(svc.metrics().admission_hits, 1u);
 }
 
 TEST(SchedulerService, CacheIsKeyedByPolicyAndReportsProvenance) {
@@ -1920,6 +1947,174 @@ TEST(SchedulerService, FailpointMidSeededSolveRetriesWithWarmPathIntact) {
   EXPECT_LE(r.makespan, refined.makespan + 1e-9);
   svc.drain();
   EXPECT_EQ(svc.metrics().quarantined, 0u);
+}
+
+// --- cache hits answered at admission ---------------------------------------
+
+/// A kMinMin job on `m`: instant to solve, and its answer is cached.
+JobSpec heuristic_job(const std::shared_ptr<const etc::EtcMatrix>& m) {
+  JobSpec spec;
+  spec.etc = m;
+  spec.policy = SolvePolicy::kMinMin;
+  spec.deadline_ms = 60000.0;
+  return spec;
+}
+
+std::size_t wedged_at(const char* site) {
+  return support::FailpointTestPeer::wedged(support::failpoints().site(site));
+}
+
+/// Cancels `ids` on scope exit, so a failed assertion does not leave the
+/// service draining long solves before the next test.
+struct CancelOnExit {
+  SchedulerService& svc;
+  std::vector<JobId> ids;
+  ~CancelOnExit() {
+    for (JobId id : ids) svc.cancel(id);
+  }
+};
+
+TEST(SchedulerService, CacheHitCompletesWhileTheOnlyWorkerIsWedged) {
+  SchedulerService svc(small_service(1, 8, 64));
+  auto m = instance();
+  const JobResult first = svc.wait(svc.submit(heuristic_job(m)));
+  ASSERT_EQ(first.status, JobStatus::kDone);
+  ASSERT_FALSE(first.cache_hit);
+  ASSERT_EQ(first.worker, 0);
+
+  {
+    CancelOnExit parked{svc, {}};
+    ScopedFailpoint fp("solver.solve", "once:wedge");
+    // A long deadline keeps the watchdog off the parked job.
+    parked.ids.push_back(svc.submit(long_job(instance(48, 12, 3), 60000.0)));
+    support::WallTimer t;
+    while (wedged_at("solver.solve") == 0) {
+      ASSERT_LT(t.elapsed_seconds(), 5.0) << "the worker never parked";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // Polled, not waited: a hit routed through the parked worker would
+    // hang here instead of failing.
+    const JobId id = svc.submit(heuristic_job(m));
+    JobResult hit;
+    t.restart();
+    while (svc.poll_result(id, hit) != SchedulerService::Poll::kReady) {
+      ASSERT_LT(t.elapsed_seconds(), 5.0) << "the hit waited for the worker";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(hit.status, JobStatus::kDone);
+    EXPECT_TRUE(hit.cache_hit);
+    EXPECT_EQ(hit.worker, -1);
+    EXPECT_EQ(hit.queue_wait_seconds, 0.0);
+    EXPECT_EQ(hit.policy_used, SolvePolicy::kMinMin);
+    EXPECT_EQ(hit.assignment, first.assignment);
+    EXPECT_EQ(hit.makespan, first.makespan);
+    EXPECT_EQ(wedged_at("solver.solve"), 1u) << "served around the worker";
+  }  // disarm releases the worker, which drops the cancelled job
+  svc.drain();
+  const auto snap = svc.metrics();
+  EXPECT_EQ(snap.admission_hits, 1u);
+  EXPECT_EQ(snap.cache_hits, 1u);
+  EXPECT_EQ(snap.submitted, 3u);
+}
+
+TEST(SchedulerService, TrySubmitAnswersAHitWhileItsShardIsFull) {
+  SchedulerService svc(small_service(1, 1, 64));
+  auto m = instance();
+  const JobResult first = svc.wait(svc.submit(heuristic_job(m)));
+  ASSERT_EQ(first.status, JobStatus::kDone);
+  // One long job holds the worker, the next fills the only slot.
+  CancelOnExit blockers{svc, {svc.submit(long_job(m, 5000.0))}};
+  support::WallTimer t;
+  while (svc.shard_depths()[0] != 0) {
+    ASSERT_LT(t.elapsed_seconds(), 5.0) << "the worker never picked up";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  blockers.ids.push_back(svc.submit(long_job(m, 5000.0)));
+  ASSERT_FALSE(svc.try_submit(long_job(m, 5000.0)).has_value());
+  const std::uint64_t rejected = svc.metrics().rejected;
+
+  const std::optional<JobId> hit = svc.try_submit(heuristic_job(m));
+  ASSERT_TRUE(hit.has_value()) << "a cached answer was refused";
+  const JobResult r = svc.wait(*hit);
+  EXPECT_EQ(r.status, JobStatus::kDone);
+  EXPECT_TRUE(r.cache_hit);
+  EXPECT_EQ(r.worker, -1);
+  EXPECT_EQ(r.assignment, first.assignment);
+  EXPECT_EQ(svc.metrics().rejected, rejected);
+  EXPECT_EQ(svc.shard_depths()[0], 1u) << "the hit took no shard slot";
+}
+
+TEST(SchedulerService, WarmStartedAndUncachedJobsNeverCompleteAtAdmission) {
+  SchedulerService svc(small_service(1, 8, 64));
+  auto m = instance();
+  const JobResult first = svc.wait(svc.submit(heuristic_job(m)));
+  ASSERT_EQ(first.status, JobStatus::kDone);
+
+  JobSpec uncached = heuristic_job(m);
+  uncached.use_cache = false;
+  const JobResult fresh = svc.wait(svc.submit(uncached));
+  EXPECT_FALSE(fresh.cache_hit);
+  EXPECT_EQ(fresh.worker, 0);
+
+  // Warm start sourced from the cache entry, then re-optimized.
+  const JobResult sourced = svc.wait(svc.submit_reschedule(heuristic_job(m)));
+  EXPECT_TRUE(sourced.warm_started);
+  EXPECT_FALSE(sourced.cache_hit);
+  EXPECT_EQ(sourced.worker, 0);
+
+  JobSpec seeded = heuristic_job(m);
+  seeded.warm_start = first.assignment;
+  const JobResult explicit_seed = svc.wait(svc.submit(seeded));
+  EXPECT_TRUE(explicit_seed.warm_started);
+  EXPECT_FALSE(explicit_seed.cache_hit);
+  EXPECT_EQ(explicit_seed.worker, 0);
+
+  EXPECT_EQ(svc.metrics().admission_hits, 0u);
+}
+
+TEST(SchedulerService, WorkerCompletionsPlusAdmissionHitsSumToCompleted) {
+  SchedulerService svc(small_service(2, 64, 64));
+  const std::shared_ptr<const etc::EtcMatrix> shapes[] = {
+      instance(24, 6, 1), instance(32, 8, 2), instance(48, 12, 3)};
+  constexpr std::size_t kRounds = 4;
+  std::size_t hits = 0;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (const auto& m : shapes) {
+      const JobResult r = svc.wait(svc.submit(heuristic_job(m)));
+      ASSERT_EQ(r.status, JobStatus::kDone);
+      EXPECT_EQ(r.cache_hit, round > 0);
+      EXPECT_EQ(r.worker < 0, r.cache_hit);
+      hits += r.cache_hit ? 1 : 0;
+    }
+  }
+  svc.drain();
+  const auto snap = svc.metrics();
+  const std::uint64_t served = std::accumulate(
+      snap.worker_completed.begin(), snap.worker_completed.end(),
+      std::uint64_t{0});
+  EXPECT_EQ(snap.completed, kRounds * std::size(shapes));
+  EXPECT_EQ(snap.admission_hits, hits);
+  EXPECT_EQ(served + snap.admission_hits, snap.completed);
+  EXPECT_EQ(snap.cache_hits, hits);
+  // The admission slot joins every histogram; the retry hint reads the
+  // workers' solves only.
+  EXPECT_EQ(snap.queue_wait_hist.count(), snap.completed);
+  EXPECT_EQ(snap.e2e_hist.count(), snap.completed);
+}
+
+TEST(SchedulerService, AdmissionHitIsTracedOnTheSubmissionLane) {
+  SchedulerService svc(small_service(2, 64, 64));
+  auto m = instance();
+  ASSERT_FALSE(svc.wait(svc.submit(heuristic_job(m))).cache_hit);
+  const JobId id = svc.submit(heuristic_job(m));
+  ASSERT_TRUE(svc.wait(id).cache_hit);
+  const std::vector<obs::SpanEvent> spans = svc.trace().job_spans(id);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].kind, obs::SpanKind::kCacheProbe);
+  EXPECT_EQ(spans[0].b, 1u) << "hit";
+  EXPECT_EQ(spans[1].kind, obs::SpanKind::kCompleted);
+  for (const obs::SpanEvent& e : spans)
+    EXPECT_EQ(e.worker, svc.trace().submission_lane());
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 # Docs drift gate: every daemon verb (and EVENT subcommand) that exists in
 # the shared protocol handler (src/net/protocol.cpp) must be documented in
 # docs/DAEMON_PROTOCOL.md, every daemon command-line flag must appear
-# there too (and every flag it names must exist), and every runtime
+# there too (and every flag it names must exist), as must every STATS
+# key the daemon prints, and every runtime
 # environment switch read anywhere in src/ must appear in the README's
 # switch table; every example must be run by a ctest entry. Run from anywhere; CI (and `ctest -R docs_consistency`)
 # fails when code grows a verb, flag, switch or example without its docs
@@ -52,6 +53,22 @@ doc_flags=$(grep -o '`--[a-z][a-z-]*' docs/DAEMON_PROTOCOL.md \
 for f in $doc_flags; do
   if ! echo "$flags" | grep -qx -- "$f"; then
     echo "STALE: docs/DAEMON_PROTOCOL.md names --$f, which examples/scheduler_service.cpp does not register"
+    fail=1
+  fi
+done
+
+# --- STATS keys --------------------------------------------------------------
+# Every `key=` token the STATS formatter (stats_line in src/net/protocol.cpp)
+# prints must be named in docs/DAEMON_PROTOCOL.md — scripts parse STATS
+# by key, so an undocumented key is one nobody knows to read.
+stats_keys=$(sed -n '/^std::string stats_line(/,/^}/p' src/net/protocol.cpp \
+               | grep -o '"[^"]*="' \
+               | sed -e 's/^"//' -e 's/="$//' -e 's/^STATS //' -e 's/^ *//' \
+               | sort -u)
+[ -n "$stats_keys" ] || { echo "BUG: no STATS keys found — check the sed"; exit 1; }
+for k in $stats_keys; do
+  if ! grep -qE "(^|[^a-z0-9_])$k=" docs/DAEMON_PROTOCOL.md; then
+    echo "MISSING: STATS key $k= undocumented in docs/DAEMON_PROTOCOL.md"
     fail=1
   fi
 done
@@ -110,6 +127,6 @@ for s in $switches; do
 done
 
 if [ "$fail" -eq 0 ]; then
-  echo "docs consistency OK ($(echo "$verbs" | wc -w | tr -d ' ') verbs, $(echo "$subs" | wc -w | tr -d ' ') EVENT subcommands, $(echo "$flags" | wc -w | tr -d ' ') flags, $(echo "$sites" | wc -w | tr -d ' ') failpoint sites, $(echo "$examples" | wc -w | tr -d ' ') examples, $(echo "$switches" | wc -w | tr -d ' ') switches)"
+  echo "docs consistency OK ($(echo "$verbs" | wc -w | tr -d ' ') verbs, $(echo "$subs" | wc -w | tr -d ' ') EVENT subcommands, $(echo "$flags" | wc -w | tr -d ' ') flags, $(echo "$stats_keys" | wc -w | tr -d ' ') STATS keys, $(echo "$sites" | wc -w | tr -d ' ') failpoint sites, $(echo "$examples" | wc -w | tr -d ' ') examples, $(echo "$switches" | wc -w | tr -d ' ') switches)"
 fi
 exit $fail
